@@ -22,7 +22,7 @@ def show(title, rows, cols):
 
 
 def fmt(x):
-    return f"{analytics.rational_str(x)} = {analytics.to_decimal(x, 6)}"
+    return f"{x} = {analytics.to_decimal(x, 6)}"
 
 
 def main():
@@ -58,7 +58,7 @@ def main():
     total = analytics.resources_per_gate(2, 2)
     grand = total.construction_cs + total.weave_cs
     print(f"\nheadline figure: a gate at n = m = 2 costs "
-          f"{analytics.rational_str(grand)} = {analytics.to_decimal(grand, 6)} "
+          f"{grand} = {analytics.to_decimal(grand, 6)} "
           "order-2 ancilla states in total")
     assert grand == Fraction(279, 4)
 

@@ -26,7 +26,7 @@ def main():
                 ("units / link", stats.units_per_link, targets.two_photon_units),
                 ("ancillas / link", stats.cs_per_link, targets.cs_states)]:
             print(f"  {label:<20} {est.mean:8.4f} +- {est.stderr:.4f}"
-                  f"   exact {analytics.rational_str(exact)}"
+                  f"   exact {exact}"
                   f" = {float(exact):.4f}")
 
     print("\nn = 1: the drift p - q = 1/4 - 3/8 is negative, so the chain")

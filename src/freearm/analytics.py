@@ -13,11 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class OrderOutOfRangeError(ValueError):
+class InputError(ValueError):
+    """A parameter outside the domain an operation accepts.
+
+    Every layer raises a subclass of this for bad input, so the command line
+    can tell a usage error from an internal fault.
+    """
+
+
+class OrderOutOfRangeError(InputError):
     """Gate order outside the domain of the requested formula."""
 
 
-class NonPositiveDriftError(ValueError):
+class NonPositiveDriftError(InputError):
     """Construction formulas are undefined when the walk drift p - q <= 0 (order 1)."""
 
 
@@ -121,6 +129,18 @@ def weave_cs_per_gate(m: int) -> Fraction:
     return Fraction((m + 1) * (m + 1), m * m)
 
 
+def full_retry_arms_per_side(m: int) -> Fraction:
+    """Mean free arms per side of a full-CZ-retry weave, (m^2+m+1)/m^2.
+
+    Rounds repeat until both sides succeed (probability s^2, s = m/(m+1)); a
+    side burns one arm per failed teleportation, (1-s)/s^2 = (m+1)/m^2 on
+    average, plus the arm finally woven in.  This exceeds the (m+1)/m of
+    :func:`free_arms_per_gate_per_chain`, where each side retries alone.
+    """
+    _check_order(m, name="m")
+    return Fraction(m * m + m + 1, m * m)
+
+
 def resources_per_gate(n: int, m: int) -> GateCost:
     """Average resources per two-qubit gate for construction order n, weave order m.
 
@@ -151,16 +171,6 @@ def cluster_resources_per_unit(n: int) -> ResourceRates:
         cs_states=Fraction((n + 1) * (n + 1) * (n * n + 3 * n + 3), denom),
         cs_order=n,
     )
-
-
-def rational_str(x: Fraction) -> str:
-    """Serialize a rational as ``p/q`` (or just ``p`` when q == 1)."""
-    return str(x)
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`rational_str`; lossless round-trip."""
-    return Fraction(s)
 
 
 def to_decimal(x: Fraction, sig: int = 12) -> str:

@@ -9,22 +9,25 @@ Subcommands
     verify-evolve end-to-end protocol verification on a seeded random program
     fock-cz       photon-level conditional-phase gate verification
 
-Exit status: 0 all checks passed (or informational divergence), 1 a
-verification failed, 2 usage error.  Reports are byte-identical for identical
-configuration and seed, regardless of ``--threads``.  ``FREEARM_SEED`` sets
-the default seed.
+Each subcommand computes one :class:`Report`; :func:`render` writes it as a
+table, JSON or CSV.  Exit status: 0 all checks passed (or informational
+divergence), 1 a verification failed, 2 usage error.  Reports are
+byte-identical for identical configuration and seed, regardless of
+``--threads``.  ``FREEARM_SEED`` sets the default seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
-from fractions import Fraction
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import analytics, fock, statevec, walker
 
@@ -35,8 +38,33 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("FREEARM_SEED", "0"))
+@dataclass(frozen=True)
+class Report:
+    """One computed report, ready for each output format.
+
+    ``body`` is the JSON document without ``schema_version`` and ``command``;
+    ``rows`` are the flat CSV records; ``lines`` are the table rendering.
+    ``passed`` is None for an informational report, which always exits 0.
+    """
+
+    body: dict
+    rows: list[dict]
+    lines: list[str]
+    passed: bool | None = None
+
+
+def render(report: Report, command: str, fmt: str, out) -> None:
+    """Write ``report`` to ``out`` as a table, JSON or CSV."""
+    if fmt == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": command, **report.body}
+        json.dump(doc, out, indent=2, sort_keys=True, allow_nan=False)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.DictWriter(out, fieldnames=list(report.rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(report.rows)
+    else:
+        out.writelines(line + "\n" for line in report.lines)
 
 
 def _seed_arg(value: str) -> int:
@@ -46,27 +74,11 @@ def _seed_arg(value: str) -> int:
     return seed
 
 
-def _rat(x: Fraction) -> dict:
-    return {"exact": analytics.rational_str(x), "decimal": analytics.to_decimal(x)}
-
-
-def _emit(report: dict, rows: list[dict], fmt: str, out: io.TextIOBase,
-          table_lines: list[str]) -> None:
-    """Render one report in the requested format.
-
-    ``rows`` is the flat record list used for CSV; ``report`` is the full JSON
-    document; ``table_lines`` is the human-readable rendering.
-    """
-    if fmt == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    elif fmt == "csv":
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        for line in table_lines:
-            out.write(line + "\n")
+def _count_arg(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _close(results: float, target: float, stderr: float,
@@ -77,266 +89,210 @@ def _close(results: float, target: float, stderr: float,
             and abs(results - target) <= sigmas * stderr + 1e-12)
 
 
+def _convergence(passed: bool) -> str:
+    return f"convergence: {'pass' if passed else 'FAIL'} (1% relative and 3 standard errors)"
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_analytic(args, out) -> int:
-    rows = []
+def cmd_analytic(args) -> Report:
+    drift_keys = ("attempts_per_link", "units_per_link", "cs_per_link",
+                  "gate_construction_cs", "gate_construction_units")
+    rows, json_rows, lines = [], [], [
+        f"{'n':>3} {'m':>3} {'R':>10} {'units/link':>12} {'cs/link':>12} "
+        f"{'gate cs':>12} {'gate units':>12} {'weave cs':>10} "
+        f"{'cluster units':>14} {'cluster cs':>12}"]
     for n in args.n:
         for m in args.m:
-            row = {"n": n, "m": m,
-                   "cz_success": analytics.rational_str(analytics.cz_success(n)),
-                   "step_back": analytics.rational_str(analytics.step_back_prob(n)),
-                   "weave_cs": analytics.rational_str(analytics.weave_cs_per_gate(m))}
+            exact = {"cz_success": analytics.cz_success(n),
+                     "step_back": analytics.step_back_prob(n),
+                     "weave_cs": analytics.weave_cs_per_gate(m)}
             try:
                 link = analytics.resources_per_link(n)
                 gate = analytics.resources_per_gate(n, m)
-                row.update(
-                    attempts_per_link=analytics.rational_str(analytics.attempts_per_link(n)),
-                    units_per_link=analytics.rational_str(link.two_photon_units),
-                    cs_per_link=analytics.rational_str(link.cs_states),
-                    gate_construction_cs=analytics.rational_str(gate.construction_cs),
-                    gate_construction_units=analytics.rational_str(gate.construction_units),
-                )
+                exact.update(zip(drift_keys, (
+                    analytics.attempts_per_link(n), link.two_photon_units, link.cs_states,
+                    gate.construction_cs, gate.construction_units)))
             except analytics.NonPositiveDriftError:
-                for k in ("attempts_per_link", "units_per_link", "cs_per_link",
-                          "gate_construction_cs", "gate_construction_units"):
-                    row[k] = "divergent"
+                exact.update(dict.fromkeys(drift_keys))
             cluster = analytics.cluster_resources_per_unit(n)
-            row["cluster_units"] = analytics.rational_str(cluster.two_photon_units)
-            row["cluster_cs"] = analytics.rational_str(cluster.cs_states)
-            rows.append(row)
-
-    def decimals(row):
-        return {k: (v if v == "divergent" or isinstance(v, int)
-                    else analytics.to_decimal(analytics.parse_rational(v)))
-                for k, v in row.items()}
-
-    report = {"schema_version": SCHEMA_VERSION, "command": "analytic",
-              "rows": [dict(r, **{f"{k}_decimal": d for k, d in decimals(r).items()
-                                  if not isinstance(d, int)}) for r in rows]}
-    header = (f"{'n':>3} {'m':>3} {'R':>10} {'units/link':>12} {'cs/link':>12} "
-              f"{'gate cs':>12} {'gate units':>12} {'weave cs':>10} "
-              f"{'cluster units':>14} {'cluster cs':>12}")
-    lines = [header]
-    for r in rows:
-        d = decimals(r)
-        lines.append(f"{r['n']:>3} {r['m']:>3} {d['attempts_per_link']:>10} "
-                     f"{d['units_per_link']:>12} {d['cs_per_link']:>12} "
-                     f"{d['gate_construction_cs']:>12} {d['gate_construction_units']:>12} "
-                     f"{d['weave_cs']:>10} {d['cluster_units']:>14} {d['cluster_cs']:>12}")
+            exact.update(cluster_units=cluster.two_photon_units, cluster_cs=cluster.cs_states)
+            row = {k: "divergent" if x is None else str(x) for k, x in exact.items()}
+            d = {k: "divergent" if x is None else analytics.to_decimal(x)
+                 for k, x in exact.items()}
+            rows.append({"n": n, "m": m, **row})
+            json_rows.append({**rows[-1], **{f"{k}_decimal": v for k, v in d.items()}})
+            lines.append(f"{n:>3} {m:>3} {d['attempts_per_link']:>10} "
+                         f"{d['units_per_link']:>12} {d['cs_per_link']:>12} "
+                         f"{d['gate_construction_cs']:>12} {d['gate_construction_units']:>12} "
+                         f"{d['weave_cs']:>10} {d['cluster_units']:>14} {d['cluster_cs']:>12}")
     lines.append("exact rationals available via --format json/csv")
-    _emit(report, rows, args.format, out, lines)
-    return EXIT_OK
+    return Report({"rows": json_rows}, rows, lines)
 
 
-def cmd_walk(args, out) -> int:
-    params = walker.WalkParams(n=args.n, target_links=args.target_links,
-                               trials=args.trials, seed=args.seed,
-                               max_steps=args.max_steps,
-                               warmup_links=args.warmup_links,
-                               threads=args.threads)
+def cmd_walk(args) -> Report:
+    params = walker.WalkParams(n=args.n, target_links=args.target_links, trials=args.trials,
+                               seed=args.seed, max_steps=args.max_steps,
+                               warmup_links=args.warmup_links, threads=args.threads)
     trials = walker.run_trials(params)
     stats = walker.aggregate(trials, params)
 
+    keys = ("attempts_per_net_link", "units_per_link", "cs_per_link")
+    empirical = {key: getattr(stats, key) for key in keys}
     try:
-        targets = {
-            "attempts_per_net_link": float(analytics.attempts_per_link(args.n)),
-            "units_per_link": float(analytics.resources_per_link(args.n).two_photon_units),
-            "cs_per_link": float(analytics.resources_per_link(args.n).cs_states),
-        }
-        divergent = False
+        link = analytics.resources_per_link(args.n)
+        targets = dict(zip(keys, map(float, (analytics.attempts_per_link(args.n),
+                                             link.two_photon_units, link.cs_states))))
     except analytics.NonPositiveDriftError:
-        targets = {}
-        divergent = True
-
-    empirical = {
-        "attempts_per_net_link": stats.attempts_per_net_link,
-        "units_per_link": stats.units_per_link,
-        "cs_per_link": stats.cs_per_link,
-    }
-    converged = (not divergent and stats.capped_trials == 0 and all(
+        targets = None
+    converged = (targets is not None and stats.capped_trials == 0 and all(
         _close(est.mean, targets[key], est.stderr) for key, est in empirical.items()))
 
     base = {"n": args.n, "target_links": args.target_links, "trials": args.trials,
             "seed": args.seed}
     row = dict(base)
-    for key, est in empirical.items():
-        row[key] = f"{est.mean:.10g}"
-        row[f"{key}_stderr"] = f"{est.stderr:.6g}"
-        row[f"{key}_analytic"] = f"{targets[key]:.10g}" if not divergent else "divergent"
-    row["drift"] = f"{stats.drift.mean:.10g}"
-    row["drift_stderr"] = f"{stats.drift.stderr:.6g}"
-    row["capped_trials"] = stats.capped_trials
-    row["converged"] = converged
-
-    report = {"schema_version": SCHEMA_VERSION, "command": "walk", "params": dict(
-        base, max_steps=args.max_steps, warmup_links=args.warmup_links),
-        "divergent": divergent, "converged": converged, "results": row}
-
     lines = [f"chain construction walk: n={args.n}, {args.trials} trials x "
              f"{args.target_links} links, seed {args.seed}"]
     for key, est in empirical.items():
-        tgt = f"{targets[key]:.6f}" if not divergent else "divergent"
-        lines.append(f"  {key:<24} {est.mean:>12.6f} +- {est.stderr:.6f}   analytic {tgt}")
+        row[key] = f"{est.mean:.10g}"
+        row[f"{key}_stderr"] = f"{est.stderr:.6g}"
+        row[f"{key}_analytic"] = "divergent" if targets is None else f"{targets[key]:.10g}"
+        lines.append(f"  {key:<24} {est.mean:>12.6f} +- {est.stderr:.6f}   analytic "
+                     + ("divergent" if targets is None else f"{targets[key]:.6f}"))
+    row.update(drift=f"{stats.drift.mean:.10g}", drift_stderr=f"{stats.drift.stderr:.6g}",
+               capped_trials=stats.capped_trials, converged=converged)
     lines.append(f"  {'drift':<24} {stats.drift.mean:>12.6f} +- {stats.drift.stderr:.6f}")
     if stats.capped_trials:
         lines.append(f"  {stats.capped_trials}/{args.trials} trials hit the "
                      f"max_steps cap ({args.max_steps})")
-    if divergent:
-        lines.append("  walk drift is negative at this order: divergence is "
-                     "expected, not a failure")
-        lines.append("convergence: n/a (divergent by design)")
+    if targets is None:
+        lines += ["  walk drift is negative at this order: divergence is "
+                  "expected, not a failure", "convergence: n/a (divergent by design)"]
     else:
-        lines.append(f"convergence: {'pass' if converged else 'FAIL'} "
-                     "(1% relative and 3 standard errors)")
+        lines.append(_convergence(converged))
 
+    body = {"params": dict(base, max_steps=args.max_steps, warmup_links=args.warmup_links),
+            "divergent": targets is None, "converged": converged, "results": row}
     rows = [row]
     if args.per_trial:
-        rows = [dict(base, trial=i, steps=t.steps, units=t.units, cs=t.cs,
-                     measured_steps=t.measured_steps, measured_units=t.measured_units,
-                     measured_cs=t.measured_cs, capped=t.capped)
-                for i, t in enumerate(trials)]
-        report["per_trial"] = rows
-    _emit(report, rows, args.format, out, lines)
-    if divergent:
-        return EXIT_OK
-    return EXIT_OK if converged else EXIT_VERIFICATION_FAILED
+        rows = body["per_trial"] = [
+            dict(base, trial=i, steps=t.steps, units=t.units, cs=t.cs,
+                 measured_steps=t.measured_steps, measured_units=t.measured_units,
+                 measured_cs=t.measured_cs, capped=t.capped)
+            for i, t in enumerate(trials)]
+    return Report(body, rows, lines, None if targets is None else converged)
 
 
-def cmd_weave(args, out) -> int:
+def cmd_weave(args) -> Report:
     model = walker.WeaveModel(args.model)
+    full_retry = model is walker.WeaveModel.FULL_CZ_RETRY
+    # the closed forms come first: they reject an order the batch cannot run
+    key, target = (("cs_mean", analytics.weave_cs_per_gate(args.m)) if full_retry
+                   else ("arms_per_side", analytics.free_arms_per_gate_per_chain(args.m)))
     stats = walker.weave_batch(args.m, model, args.count, args.seed)
-    checks = {}
-    if model is walker.WeaveModel.FULL_CZ_RETRY:
-        checks["cs_mean"] = (stats.cs_mean, float(analytics.weave_cs_per_gate(args.m)))
-        arms_target = (args.m * args.m + args.m + 1) / args.m ** 2
-    else:
-        checks["arms_per_side"] = (stats.arms_per_side,
-                                   float(analytics.free_arms_per_gate_per_chain(args.m)))
-        arms_target = None
-    passed = all(_close(est.mean, tgt, est.stderr) for est, tgt in checks.values())
+    est = getattr(stats, key)
+    passed = _close(est.mean, float(target), est.stderr)
 
-    row = {"m": args.m, "model": model.value, "count": args.count, "seed": args.seed,
-           "cs_mean": f"{stats.cs_mean.mean:.10g}",
-           "cs_stderr": f"{stats.cs_mean.stderr:.6g}",
-           "arms_per_side": f"{stats.arms_per_side.mean:.10g}",
-           "arms_stderr": f"{stats.arms_per_side.stderr:.6g}",
-           "converged": passed}
-    report = {"schema_version": SCHEMA_VERSION, "command": "weave",
-              "params": {"m": args.m, "model": model.value, "count": args.count,
-                         "seed": args.seed},
-              "converged": passed, "results": row}
+    params = {"m": args.m, "model": model.value, "count": args.count, "seed": args.seed}
+    row = dict(params, cs_mean=f"{stats.cs_mean.mean:.10g}",
+               cs_stderr=f"{stats.cs_mean.stderr:.6g}",
+               arms_per_side=f"{stats.arms_per_side.mean:.10g}",
+               arms_stderr=f"{stats.arms_per_side.stderr:.6g}", converged=passed)
     lines = [f"weave resources: m={args.m}, model {model.value}, "
              f"{args.count} weaves, seed {args.seed}",
              f"  cs_mean       {stats.cs_mean.mean:>10.6f} +- {stats.cs_mean.stderr:.6f}",
              f"  arms_per_side {stats.arms_per_side.mean:>10.6f} +- "
-             f"{stats.arms_per_side.stderr:.6f}"]
-    for key, (est, tgt) in checks.items():
-        lines.append(f"  analytic {key}: {tgt:.6f}")
-    if model is walker.WeaveModel.FULL_CZ_RETRY:
-        lines.append(f"  note: this model's arms/side mean is {arms_target:.6f}, "
+             f"{stats.arms_per_side.stderr:.6f}",
+             f"  analytic {key}: {float(target):.6f}"]
+    if full_retry:
+        lines.append(f"  note: this model's arms/side mean is "
+                     f"{float(analytics.full_retry_arms_per_side(args.m)):.6f}, "
                      "not (m+1)/m; the two event models disagree on arm counts")
-    lines.append(f"convergence: {'pass' if passed else 'FAIL'} "
-                 "(1% relative and 3 standard errors)")
-    _emit(report, [row], args.format, out, lines)
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+    lines.append(_convergence(passed))
+    return Report({"params": params, "converged": passed, "results": row}, [row], lines,
+                  passed)
 
 
-def cmd_cluster(args, out) -> int:
+def cmd_cluster(args) -> Report:
     stats = walker.cluster_batch(args.n, args.count, args.seed)
     closed = analytics.cluster_resources_per_unit(args.n)
-    row = {"n": args.n, "count": args.count, "seed": args.seed,
-           "units_per_net_unit": f"{stats.units_per_net_unit:.10g}",
-           "cs_per_net_unit": f"{stats.cs_per_net_unit:.10g}",
-           "closed_form_units": analytics.rational_str(closed.two_photon_units),
-           "closed_form_cs": analytics.rational_str(closed.cs_states)}
-    report = {"schema_version": SCHEMA_VERSION, "command": "cluster",
-              "params": {"n": args.n, "count": args.count, "seed": args.seed},
-              "results": row,
-              "note": "the attach micro-model is an assumption; agreement with "
-                      "the closed forms is exploratory, not asserted"}
+    params = {"n": args.n, "count": args.count, "seed": args.seed}
+    row = dict(params, units_per_net_unit=f"{stats.units_per_net_unit:.10g}",
+               cs_per_net_unit=f"{stats.cs_per_net_unit:.10g}",
+               closed_form_units=str(closed.two_photon_units),
+               closed_form_cs=str(closed.cs_states))
+    body = {"params": params, "results": row,
+            "note": "the attach micro-model is an assumption; agreement with "
+                    "the closed forms is exploratory, not asserted"}
     lines = [f"cluster attach: n={args.n}, {args.count} attempts, seed {args.seed}",
              f"  units per net unit  {stats.units_per_net_unit:>10.6f}   "
              f"closed form {float(closed.two_photon_units):.6f}",
              f"  cs per net unit     {stats.cs_per_net_unit:>10.6f}   "
              f"closed form {float(closed.cs_states):.6f}",
              "  note: micro-model comparison is exploratory (informational only)"]
-    _emit(report, [row], args.format, out, lines)
-    return EXIT_OK
+    return Report(body, [row], lines)
 
 
-def cmd_verify_weave(args, out) -> int:
-    sa = statevec.bracket_state("p", 1)
-    sb = statevec.bracket_state("q", 1)
-    branches = statevec.weave(sa, sb, statevec.arm("p", 2), statevec.arm("q", 2))
+def cmd_verify_weave(args) -> Report:
+    branches = statevec.weave(statevec.bracket_state("p", 1), statevec.bracket_state("q", 1),
+                              statevec.arm("p", 2), statevec.arm("q", 2))
     target = statevec.woven_target("p", 2, "q", 2)
     fids = [statevec.fidelity(b.state, target) for b in branches]
     probs = [b.probability for b in branches]
-    ok = (len(branches) == 4
-          and min(fids) >= 1 - 1e-10
+    ok = (len(branches) == 4 and min(fids) >= 1 - 1e-10
           and max(abs(p - 0.25) for p in probs) <= 1e-12)
     rows = [{"outcome_a": b.outcomes[0], "outcome_b": b.outcomes[1],
              "probability": f"{p:.17g}", "fidelity": f"{f:.17g}"}
             for b, p, f in zip(branches, probs, fids)]
-    report = {"schema_version": SCHEMA_VERSION, "command": "verify-weave",
-              "branch_count": len(branches), "min_fidelity": min(fids),
-              "probabilities": probs, "passed": ok, "branches": rows}
+    body = {"branch_count": len(branches), "min_fidelity": min(fids),
+            "probabilities": probs, "passed": ok, "branches": rows}
     lines = [f"min branch fidelity {min(fids):.6f} ({len(branches)} branches)",
-             f"branch probabilities: " + ", ".join(f"{p:.6f}" for p in probs),
+             "branch probabilities: " + ", ".join(f"{p:.6f}" for p in probs),
              f"verification: {'pass' if ok else 'FAIL'}"]
-    _emit(report, rows, args.format, out, lines)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return Report(body, rows, lines, ok)
 
 
-def cmd_verify_evolve(args, out) -> int:
-    rng_seed = args.seed
-    import numpy as np
+def cmd_verify_evolve(args) -> Report:
     program = statevec.random_program(args.qubits, args.cphases, args.rotations,
-                                      np.random.default_rng(rng_seed))
+                                      np.random.default_rng(args.seed))
     policy = statevec.BranchPolicy(args.policy)
     rep = statevec.evolve_program(program, links_per_qubit=args.links,
-                                  branch_policy=policy, seed=rng_seed,
+                                  branch_policy=policy, seed=args.seed,
                                   samples=args.samples)
-    ok = rep.min_fidelity >= 1 - 1e-9
-    if policy is statevec.BranchPolicy.ENUMERATE_ALL:
-        ok = ok and abs(rep.probability_sum - 1.0) <= 1e-9
-    row = {"qubits": args.qubits, "cphases": args.cphases,
-           "rotations": args.rotations, "links": args.links, "seed": rng_seed,
-           "policy": policy.value, "branch_count": rep.branch_count,
-           "min_fidelity": f"{rep.min_fidelity:.17g}",
-           "probability_sum": f"{rep.probability_sum:.17g}", "passed": ok}
-    report = {"schema_version": SCHEMA_VERSION, "command": "verify-evolve",
-              "params": {k: row[k] for k in ("qubits", "cphases", "rotations",
-                                             "links", "seed", "policy")},
-              "branch_count": rep.branch_count, "min_fidelity": rep.min_fidelity,
-              "probability_sum": rep.probability_sum, "passed": ok,
-              "program": statevec.program_to_json(program)}
+    enumerated = policy is statevec.BranchPolicy.ENUMERATE_ALL
+    ok = rep.min_fidelity >= 1 - 1e-9 and (
+        not enumerated or abs(rep.probability_sum - 1.0) <= 1e-9)
+    params = {"qubits": args.qubits, "cphases": args.cphases, "rotations": args.rotations,
+              "links": args.links, "seed": args.seed, "policy": policy.value}
+    row = dict(params, branch_count=rep.branch_count,
+               min_fidelity=f"{rep.min_fidelity:.17g}",
+               probability_sum=f"{rep.probability_sum:.17g}", passed=ok)
+    # a sampled run has no probability sum: null, not NaN, keeps the JSON valid
+    body = {"params": params, "branch_count": rep.branch_count,
+            "min_fidelity": rep.min_fidelity,
+            "probability_sum": rep.probability_sum if enumerated else None,
+            "passed": ok, "program": statevec.program_to_json(program)}
     lines = [f"program: {args.qubits} qubits, {args.cphases} conditional phases, "
-             f"{args.rotations} rotations, seed {rng_seed} ({policy.value})",
+             f"{args.rotations} rotations, seed {args.seed} ({policy.value})",
              f"branches: {rep.branch_count}",
              f"min fidelity vs ideal circuit: {rep.min_fidelity:.12f}"]
-    if policy is statevec.BranchPolicy.ENUMERATE_ALL:
+    if enumerated:
         lines.append(f"probability sum: {rep.probability_sum:.12f}")
     lines.append(f"verification: {'pass' if ok else 'FAIL'}")
-    _emit(report, [row], args.format, out, lines)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return Report(body, [row], lines, ok)
 
 
-def cmd_fock_cz(args, out) -> int:
+def cmd_fock_cz(args) -> Report:
     rep = fock.cz_success_report(args.n)
     ok = bool(abs(rep["success_probability"] - rep["expected_success_probability"])
               <= 1e-12 and rep["min_success_fidelity"] >= 1 - 1e-10)
-    report = {"schema_version": SCHEMA_VERSION, "command": "fock-cz",
-              "order": rep["order"], "branch_count": rep["branch_count"],
-              "success_branches": rep["success_branches"],
-              "success_probability": rep["success_probability"],
-              "expected_success_probability": rep["expected_success_probability"],
-              "branch_fidelities": [float(f) for f in rep["success_fidelities"]],
-              "min_success_fidelity": float(rep["min_success_fidelity"]),
-              "passed": ok}
+    body = {k: rep[k] for k in ("order", "branch_count", "success_branches",
+                                "success_probability", "expected_success_probability")}
+    body.update(branch_fidelities=[float(f) for f in rep["success_fidelities"]],
+                min_success_fidelity=float(rep["min_success_fidelity"]), passed=ok)
     row = {"n": args.n, "branch_count": rep["branch_count"],
            "success_branches": rep["success_branches"],
            "success_probability": f"{rep['success_probability']:.17g}",
@@ -349,8 +305,7 @@ def cmd_fock_cz(args, out) -> int:
              f"(expected {rep['expected_success_probability']:.12f})",
              f"  min success-branch fidelity {rep['min_success_fidelity']:.12f}",
              f"verification: {'pass' if ok else 'FAIL'}"]
-    _emit(report, [row], args.format, out, lines)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return Report(body, [row], lines, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -365,81 +320,80 @@ def build_parser() -> argparse.ArgumentParser:
                     "linked-state protocol for linear-optics computing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p, func, seeded=True):
+        p.set_defaults(func=func)
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write the report to PATH instead of stdout")
         if seeded:
-            p.add_argument("--seed", type=_seed_arg, default=_default_seed(),
+            # a string default goes through _seed_arg too, so a bad
+            # $FREEARM_SEED is a usage error like a bad --seed
+            p.add_argument("--seed", type=_seed_arg,
+                           default=os.environ.get("FREEARM_SEED", "0"),
                            help="RNG seed (default: $FREEARM_SEED or 0)")
 
     p = sub.add_parser("analytic", help="exact closed-form resource tables")
     p.add_argument("--n", type=int, nargs="+", default=[2, 3, 4, 5])
     p.add_argument("--m", type=int, nargs="+", default=[2])
-    common(p, seeded=False)
-    p.set_defaults(func=cmd_analytic)
+    common(p, cmd_analytic, seeded=False)
 
     p = sub.add_parser("walk", help="Monte Carlo chain construction")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--target-links", type=int, required=True)
+    p.add_argument("--trials", type=_count_arg, required=True)
+    p.add_argument("--target-links", type=_count_arg, required=True)
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--warmup-links", type=int, default=50)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count_arg, default=1)
     p.add_argument("--per-trial", action="store_true",
                    help="emit one record per trial instead of the aggregate")
-    common(p)
-    p.set_defaults(func=cmd_walk)
+    common(p, cmd_walk)
 
     p = sub.add_parser("weave", help="Monte Carlo weave resources")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--model", choices=[m.value for m in walker.WeaveModel],
                    default=walker.WeaveModel.FULL_CZ_RETRY.value)
-    p.add_argument("--count", type=int, default=1_000_000)
-    common(p)
-    p.set_defaults(func=cmd_weave)
+    p.add_argument("--count", type=_count_arg, default=1_000_000)
+    common(p, cmd_weave)
 
     p = sub.add_parser("cluster", help="Monte Carlo cluster-variant attachment")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1_000_000)
-    common(p)
-    p.set_defaults(func=cmd_cluster)
+    p.add_argument("--count", type=_count_arg, default=1_000_000)
+    common(p, cmd_cluster)
 
     p = sub.add_parser("verify-weave", help="qubit-level weave verification")
-    common(p, seeded=False)
-    p.set_defaults(func=cmd_verify_weave)
+    common(p, cmd_verify_weave, seeded=False)
 
     p = sub.add_parser("verify-evolve", help="end-to-end protocol verification")
-    p.add_argument("--qubits", type=int, default=2)
+    p.add_argument("--qubits", type=_count_arg, default=2)
     p.add_argument("--cphases", type=int, default=1)
     p.add_argument("--rotations", type=int, default=2)
     p.add_argument("--links", type=int, default=4)
     p.add_argument("--policy", choices=[b.value for b in statevec.BranchPolicy],
                    default=statevec.BranchPolicy.ENUMERATE_ALL.value)
-    p.add_argument("--samples", type=int, default=64)
-    common(p)
-    p.set_defaults(func=cmd_verify_evolve)
+    p.add_argument("--samples", type=_count_arg, default=64)
+    common(p, cmd_verify_evolve)
 
     p = sub.add_parser("fock-cz", help="photon-level conditional-phase verification")
     p.add_argument("--n", type=int, required=True)
-    common(p, seeded=False)
-    p.set_defaults(func=cmd_fock_cz)
+    common(p, cmd_fock_cz, seeded=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.output:
-            with open(args.output, "w", newline="") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
-    except (analytics.OrderOutOfRangeError, analytics.NonPositiveDriftError,
-            fock.OrderCapError, statevec.StateError, ValueError) as exc:
+        sink = (open(args.output, "w", newline="") if args.output
+                else contextlib.nullcontext(sys.stdout))
+        with sink as out:
+            report = args.func(args)
+            render(report, args.command, args.format, out)
+    except (OSError, analytics.InputError) as exc:
+        # bad parameters and an unwritable --output are usage errors; any
+        # other exception is an internal fault and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_VERIFICATION_FAILED if report.passed is False else EXIT_OK
 
 
 if __name__ == "__main__":

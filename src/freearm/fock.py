@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import InputError
+
 _AMP_EPS = 1e-14
 
 
@@ -25,7 +27,7 @@ class FockError(Exception):
     pass
 
 
-class OrderCapError(FockError):
+class OrderCapError(FockError, InputError):
     pass
 
 

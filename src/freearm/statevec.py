@@ -21,6 +21,8 @@ from enum import Enum
 
 import numpy as np
 
+from .analytics import InputError
+
 PATH = "path"
 POL = "pol"
 
@@ -42,7 +44,7 @@ class ArmNotFreeError(StateError):
     pass
 
 
-class CapExceededError(StateError):
+class CapExceededError(StateError, InputError):
     pass
 
 
@@ -54,11 +56,11 @@ class NonNormalizedError(StateError):
     pass
 
 
-class ChainTooShortError(StateError):
+class ChainTooShortError(StateError, InputError):
     pass
 
 
-class MalformedProgramError(StateError):
+class MalformedProgramError(StateError, InputError):
     pass
 
 
@@ -122,9 +124,6 @@ class CorrectionFrame:
         if self.z:
             out = out.apply_one(dof, _Z)
         return out
-
-    def compose(self, other: "CorrectionFrame") -> "CorrectionFrame":
-        return CorrectionFrame((self.x + other.x) % 2, (self.z + other.z) % 2)
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -319,15 +318,6 @@ def build_chain_state(links: int, data: tuple[complex, complex], chain: str = "p
     for i in range(1, links + 1):
         state = state.tensor(bracket_state(chain, i, cap=cap))
     return state
-
-
-def apply_cz(state: PureState, a: Dof, b: Dof) -> PureState:
-    """Ideal conditional phase: negate every amplitude with a = b = 1."""
-    return state.apply_cz(a, b)
-
-
-def measure(state: PureState, dof: Dof, basis: Basis):
-    return state.measure(dof, basis)
 
 
 # ---------------------------------------------------------------------------

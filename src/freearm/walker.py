@@ -55,12 +55,6 @@ class ResourceTally:
     def add_cs(self, order: int, count: int) -> None:
         self.cs_states[order] = self.cs_states.get(order, 0) + count
 
-    def merge(self, other: "ResourceTally") -> None:
-        self.two_photon_units += other.two_photon_units
-        self.free_arms += other.free_arms
-        for order, count in other.cs_states.items():
-            self.add_cs(order, count)
-
 
 @dataclass(frozen=True)
 class WalkParams:
@@ -76,11 +70,11 @@ class WalkParams:
         if self.n < 1:
             raise analytics.OrderOutOfRangeError("n must be >= 1")
         if self.target_links < 1 or self.trials < 1:
-            raise ValueError("target_links and trials must be >= 1")
+            raise analytics.InputError("target_links and trials must be >= 1")
         if self.max_steps < self.target_links:
-            raise ValueError("max_steps must be >= target_links")
+            raise analytics.InputError("max_steps must be >= target_links")
         if self.warmup_links < 0:
-            raise ValueError("warmup_links must be >= 0")
+            raise analytics.InputError("warmup_links must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -354,39 +348,6 @@ def step_frequencies(n: int, steps: int, seed: int) -> StepFrequencies:
     var = (fwd + bwd) / steps - mean * mean
     return StepFrequencies(steps, fwd, bwd, steps - fwd - bwd,
                            Estimate(mean, math.sqrt(max(var, 0.0) / steps)))
-
-
-@dataclass
-class GenericWalkResult:
-    steps: int
-    forward: int
-    backward: int
-    reached_target: bool
-
-
-def three_outcome_walk(p_forward: float, p_backward: float, target: int,
-                       seed: int, max_steps: int = 1_000_000) -> GenericWalkResult:
-    """Generic reflecting walk with user-supplied step probabilities.
-
-    Covers chain variants whose per-step probabilities are not derived from a
-    gate order (e.g. walks with inert spacer photons); length floors at 0.
-    """
-    if not (0 <= p_forward and 0 <= p_backward and p_forward + p_backward <= 1):
-        raise ValueError("step probabilities must be non-negative and sum to <= 1")
-    if target < 1:
-        raise ValueError("target must be >= 1")
-    rng = substream(seed, 0, _STREAM_STEP)
-    length = steps = fwd = bwd = 0
-    while length < target and steps < max_steps:
-        u = rng.random()
-        steps += 1
-        if u < p_forward:
-            fwd += 1
-            length += 1
-        elif u < p_forward + p_backward:
-            bwd += 1
-            length = max(0, length - 1)
-    return GenericWalkResult(steps, fwd, bwd, length >= target)
 
 
 class WeaveModel(Enum):

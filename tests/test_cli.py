@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from freearm import analytics, cli
+from freearm import cli, fock
 
 
 def run(argv, capsys):
@@ -29,8 +30,8 @@ class TestAnalyticCommand:
         doc = json.loads(out)
         assert doc["schema_version"] == 1
         by_n = {r["n"]: r for r in doc["rows"]}
-        assert analytics.parse_rational(by_n[2]["cs_per_link"]) == analytics.parse_rational("45/2")
-        assert analytics.parse_rational(by_n[3]["attempts_per_link"]) == analytics.parse_rational("32/11")
+        assert Fraction(by_n[2]["cs_per_link"]) == Fraction(45, 2)
+        assert Fraction(by_n[3]["attempts_per_link"]) == Fraction(32, 11)
 
     def test_divergent_order_marked(self, capsys):
         code, out = run(["analytic", "--n", "1", "--format", "json"], capsys)
@@ -148,3 +149,78 @@ class TestUsageErrors:
         assert cli.main(["walk", "--n", "0", "--trials", "1",
                          "--target-links", "1"]) == 2
         capsys.readouterr()
+
+
+def run_failing(argv, capsys):
+    """Exit status of an invocation and its stderr lines; stdout must be empty."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("value", ["abc", "-1", str(2 ** 64)])
+    def test_bad_env_seed_is_a_usage_error(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("FREEARM_SEED", value)
+        code, err = run_failing(["weave", "--m", "2", "--count", "10"], capsys)
+        assert code == 2
+        assert [line for line in err if "error" in line] == [err[-1]]
+        assert "--seed" in err[-1]
+
+    def test_env_seed_unused_by_unseeded_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("FREEARM_SEED", "abc")
+        code, _ = run(["verify-weave"], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--n", "1", "--count", "0"],
+        ["weave", "--m", "2", "--count", "0"],
+        ["walk", "--n", "2", "--trials", "0", "--target-links", "5"],
+        ["walk", "--n", "2", "--trials", "2", "--target-links", "0"],
+        ["walk", "--n", "2", "--trials", "2", "--target-links", "5", "--threads", "0"],
+        ["verify-evolve", "--policy", "sample-seeded", "--samples", "0"],
+        ["verify-evolve", "--qubits", "0"],
+    ])
+    def test_counts_below_one_rejected_by_parser(self, argv, capsys):
+        code, err = run_failing(argv, capsys)
+        assert code == 2
+        assert err[-1].endswith("must be >= 1, got 0")
+
+    def test_weave_order_checked_before_sampling(self, capsys):
+        code, err = run_failing(["weave", "--m", "-1", "--count", "10"], capsys)
+        assert (code, err) == (2, ["error: m must be >= 1, got -1"])
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        def boom(n):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(fock, "cz_success_report", boom)
+        with pytest.raises(ValueError, match="boom"):
+            cli.main(["fock-cz", "--n", "1"])
+        assert capsys.readouterr().err == ""
+
+
+class TestOutputBoundary:
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, err = run_failing(["verify-weave", "--output", str(target)], capsys)
+        assert code == 2 and len(err) == 1 and str(target) in err[0]
+
+    def test_sampled_probability_sum_is_null(self, capsys):
+        code, out = run(["verify-evolve", "--policy", "sample-seeded", "--samples", "3",
+                         "--seed", "2", "--format", "json"], capsys)
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 0 and doc["probability_sum"] is None
+
+    def test_non_finite_json_fails_loudly(self):
+        report = cli.Report({"x": float("nan")}, [{}], [])
+        with pytest.raises(ValueError):
+            cli.render(report, "test", "json", io.StringIO())

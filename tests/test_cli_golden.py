@@ -89,11 +89,13 @@ def invoke(argv, env) -> dict:
             "stderr": (err.getvalue().splitlines() or [""])[-1]}
 
 
-def test_corpus_matches_golden():
-    golden = json.loads(GOLDEN.read_text())
-    assert [(g["argv"], g["env"]) for g in golden] == [(a, e) for a, e in CASES]
-    for expected in golden:
-        assert invoke(expected["argv"], expected["env"]) == expected
+@pytest.mark.parametrize("index", range(len(CASES)),
+                         ids=[" ".join(a) + "".join(f" {k}={v}" for k, v in e.items())
+                              for a, e in CASES])
+def test_case_matches_golden(index):
+    expected = json.loads(GOLDEN.read_text())[index]
+    assert (expected["argv"], expected["env"]) == CASES[index]
+    assert invoke(*CASES[index]) == expected
 
 
 if __name__ == "__main__":

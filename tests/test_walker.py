@@ -140,22 +140,12 @@ class TestBuildChain:
         assert stats.drift.mean < 0
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(analytics.InputError):
             walker.WalkParams(n=2, target_links=0, trials=1, seed=0)
+        with pytest.raises(analytics.InputError):
+            walker.WalkParams(n=2, target_links=5, trials=1, seed=0, max_steps=4)
         with pytest.raises(analytics.OrderOutOfRangeError):
             walker.WalkParams(n=0, target_links=1, trials=1, seed=0)
-
-
-class TestGenericWalk:
-    def test_matches_unbiased_expectation(self):
-        # p_f = p_b = 1/2 reflecting walk: E[steps to reach L] = L^2
-        res = walker.three_outcome_walk(0.5, 0.5, target=8, seed=3)
-        assert res.reached_target
-        assert res.steps == res.forward + res.backward
-
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            walker.three_outcome_walk(0.8, 0.4, target=5, seed=0)
 
 
 class TestWeave:

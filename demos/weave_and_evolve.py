@@ -45,7 +45,7 @@ def main():
     print(f"   teleporting data through the surviving link: worst branch "
           f"fidelity {worst:.12f}")
 
-    print("\n3. A complete two-qubit program, every branch enumerated")
+    print("\n3. A complete two-qubit program, every branch verified")
     H = np.array([[1, 1], [1, -1]]) / SQ2
     prog = sv.Program(("a", "b"), {"a": (1, 0), "b": (1, 0)},
                       (sv.Rotation("a", H), sv.Rotation("b", H),

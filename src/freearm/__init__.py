@@ -8,8 +8,8 @@ Layers:
 - :mod:`freearm.walker` — Monte Carlo of the biased chain-construction walk,
   weave resource models, and the cluster-chain variant.
 - :mod:`freearm.statevec` — exact qubit-level simulation of chain states,
-  weaving, failure paths, and full program evolution with branch-by-branch
-  verification against an ideal-circuit oracle.
+  weaving, failure paths, and full program evolution with per-gadget
+  verification of every measurement branch against an ideal-circuit oracle.
 - :mod:`freearm.fock` — photon-level (occupation-number) simulation of the
   teleportation primitives and the probabilistic conditional-phase gate.
 - :mod:`freearm.cli` — command-line front end (``freearm``).
@@ -39,7 +39,6 @@ from .walker import (
     weave_batch,
 )
 from .statevec import (
-    BranchPolicy,
     Cphase,
     Program,
     PureState,
@@ -71,7 +70,7 @@ __all__ = [
     "step_back_prob", "weave_cs_per_gate",
     "WalkParams", "WalkStats", "WeaveModel", "build_chain", "cluster_batch",
     "step_frequencies", "weave_batch",
-    "BranchPolicy", "Cphase", "Program", "PureState", "Rotation",
+    "Cphase", "Program", "PureState", "Rotation",
     "bracket_state", "build_chain_state", "evolve_program", "fail_weave",
     "ideal_circuit", "random_program", "weave", "woven_target",
     "FockState", "cz_via_cs", "f_teleport", "fourier_matrix", "make_cs_state",

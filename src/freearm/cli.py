@@ -68,16 +68,23 @@ def render(report: Report, command: str, fmt: str, out) -> None:
 
 
 def _seed_arg(value: str) -> int:
-    seed = int(value)
-    if not 0 <= seed < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return seed
+    try:
+        seed = int(value)
+        if 0 <= seed < 2 ** 64:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"seed {value!r} (from --seed or $FREEARM_SEED) must be an integer in [0, 2**64)")
 
 
-def _count_arg(value: str) -> int:
-    count = int(value)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+def _at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+    def count(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
     return count
 
 
@@ -258,30 +265,23 @@ def cmd_verify_weave(args) -> Report:
 def cmd_verify_evolve(args) -> Report:
     program = statevec.random_program(args.qubits, args.cphases, args.rotations,
                                       np.random.default_rng(args.seed))
-    policy = statevec.BranchPolicy(args.policy)
-    rep = statevec.evolve_program(program, links_per_qubit=args.links,
-                                  branch_policy=policy, seed=args.seed,
-                                  samples=args.samples)
-    enumerated = policy is statevec.BranchPolicy.ENUMERATE_ALL
-    ok = rep.min_fidelity >= 1 - 1e-9 and (
-        not enumerated or abs(rep.probability_sum - 1.0) <= 1e-9)
+    rep = statevec.evolve_program(program, links_per_qubit=args.links)
+    ok = rep.min_fidelity >= 1 - 1e-9 and abs(rep.probability_sum - 1.0) <= 1e-9
     params = {"qubits": args.qubits, "cphases": args.cphases, "rotations": args.rotations,
-              "links": args.links, "seed": args.seed, "policy": policy.value}
+              "links": args.links, "seed": args.seed}
     row = dict(params, branch_count=rep.branch_count,
                min_fidelity=f"{rep.min_fidelity:.17g}",
                probability_sum=f"{rep.probability_sum:.17g}", passed=ok)
-    # a sampled run has no probability sum: null, not NaN, keeps the JSON valid
     body = {"params": params, "branch_count": rep.branch_count,
-            "min_fidelity": rep.min_fidelity,
-            "probability_sum": rep.probability_sum if enumerated else None,
+            "min_fidelity": rep.min_fidelity, "probability_sum": rep.probability_sum,
             "passed": ok, "program": statevec.program_to_json(program)}
+    # every branch is covered, so the table keeps its "enumerate-all" wording
     lines = [f"program: {args.qubits} qubits, {args.cphases} conditional phases, "
-             f"{args.rotations} rotations, seed {args.seed} ({policy.value})",
+             f"{args.rotations} rotations, seed {args.seed} (enumerate-all)",
              f"branches: {rep.branch_count}",
-             f"min fidelity vs ideal circuit: {rep.min_fidelity:.12f}"]
-    if enumerated:
-        lines.append(f"probability sum: {rep.probability_sum:.12f}")
-    lines.append(f"verification: {'pass' if ok else 'FAIL'}")
+             f"min fidelity vs ideal circuit: {rep.min_fidelity:.12f}",
+             f"probability sum: {rep.probability_sum:.12f}",
+             f"verification: {'pass' if ok else 'FAIL'}"]
     return Report(body, [row], lines, ok)
 
 
@@ -339,11 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="Monte Carlo chain construction")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=_count_arg, required=True)
-    p.add_argument("--target-links", type=_count_arg, required=True)
+    p.add_argument("--trials", type=_at_least(1), required=True)
+    p.add_argument("--target-links", type=_at_least(1), required=True)
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--warmup-links", type=int, default=50)
-    p.add_argument("--threads", type=_count_arg, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--per-trial", action="store_true",
                    help="emit one record per trial instead of the aggregate")
     common(p, cmd_walk)
@@ -352,25 +352,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--model", choices=[m.value for m in walker.WeaveModel],
                    default=walker.WeaveModel.FULL_CZ_RETRY.value)
-    p.add_argument("--count", type=_count_arg, default=1_000_000)
+    p.add_argument("--count", type=_at_least(1), default=1_000_000)
     common(p, cmd_weave)
 
     p = sub.add_parser("cluster", help="Monte Carlo cluster-variant attachment")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=_count_arg, default=1_000_000)
+    p.add_argument("--count", type=_at_least(1), default=1_000_000)
     common(p, cmd_cluster)
 
     p = sub.add_parser("verify-weave", help="qubit-level weave verification")
     common(p, cmd_verify_weave, seeded=False)
 
     p = sub.add_parser("verify-evolve", help="end-to-end protocol verification")
-    p.add_argument("--qubits", type=_count_arg, default=2)
-    p.add_argument("--cphases", type=int, default=1)
-    p.add_argument("--rotations", type=int, default=2)
+    p.add_argument("--qubits", type=_at_least(1), default=2)
+    p.add_argument("--cphases", type=_at_least(0), default=1)
+    p.add_argument("--rotations", type=_at_least(0), default=2)
     p.add_argument("--links", type=int, default=4)
-    p.add_argument("--policy", choices=[b.value for b in statevec.BranchPolicy],
-                   default=statevec.BranchPolicy.ENUMERATE_ALL.value)
-    p.add_argument("--samples", type=_count_arg, default=64)
     common(p, cmd_verify_evolve)
 
     p = sub.add_parser("fock-cz", help="photon-level conditional-phase verification")

@@ -5,8 +5,8 @@ photonic degrees of freedom (path or polarization of a named photon).  The
 module builds chain states, performs weaving (conditional-phase on two free
 arms followed by x-basis measurements and local phase fix-ups), exercises the
 failure path, teleports data along a chain via Bell measurements, and runs
-whole logical programs with exhaustive measurement-branch enumeration against
-a direct-circuit oracle.
+whole logical programs, verifying every measurement branch of each
+conditional-phase gadget, against a direct-circuit oracle.
 
 Measured degrees of freedom are removed immediately so enumeration stays
 within the configured label cap.  All operations return new states.
@@ -14,7 +14,6 @@ within the configured label cap.  All operations return new states.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +26,6 @@ PATH = "path"
 POL = "pol"
 
 DOF_CAP = 20
-_NORM_TOL = 1e-12
 
 SQ2 = math.sqrt(2.0)
 
@@ -182,11 +180,12 @@ class PureState:
     # -- unitaries ---------------------------------------------------------
 
     def apply_one(self, dof: Dof, u: np.ndarray) -> "PureState":
-        ax = self.axis(dof)
-        grid = np.moveaxis(self._grid(), ax, -1)
-        grid = grid @ u.T
-        out = np.moveaxis(grid, -1, ax).reshape(-1)
-        return PureState(self.labels, out, cap=self.cap, _checked=True)
+        # (before, 2, after) view: row i of u mixes the two slices of the axis
+        g = self.vec.reshape(1 << self.axis(dof), 2, -1)
+        out = np.empty_like(g)
+        out[:, 0] = u[0, 0] * g[:, 0] + u[0, 1] * g[:, 1]
+        out[:, 1] = u[1, 0] * g[:, 0] + u[1, 1] * g[:, 1]
+        return PureState(self.labels, out.reshape(-1), cap=self.cap, _checked=True)
 
     def apply_cz(self, a: Dof, b: Dof) -> "PureState":
         if a == b:
@@ -516,35 +515,56 @@ def ideal_circuit(program: Program) -> PureState:
     return PureState(labels, grid.reshape(-1))
 
 
-class BranchPolicy(Enum):
-    ENUMERATE_ALL = "enumerate-all"
-    SAMPLE_SEEDED = "sample-seeded"
-
-
 @dataclass
 class EvolveReport:
     branch_count: int
     min_fidelity: float
     probability_sum: float
-    policy: BranchPolicy
-    per_branch: list[tuple[float, float]] | None = None  # (probability, fidelity)
 
 
 def _pull_bracket(state: PureState, chain: str, link: int) -> PureState:
     return state.tensor(bracket_state(chain, link, cap=state.cap))
 
 
-def evolve_program(program: Program, links_per_qubit: int,
-                   branch_policy: BranchPolicy = BranchPolicy.ENUMERATE_ALL,
-                   seed: int = 0, samples: int = 64,
-                   collect_branches: bool = False) -> EvolveReport:
+def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int):
+    """Yield (probability, corrected state) for each of the 64 measurement
+    branches of one conditional-phase gadget on carriers ``ca`` and ``cb``.
+
+    The gadget weaves the next links of both chains and teleports both data
+    carriers forward through the woven photons, applying every
+    measurement-dependent correction.
+    """
+    pulled = _pull_bracket(_pull_bracket(state, a, ca), b, cb)
+    for wb in weave_joint(pulled, arm(a, ca + 1), arm(b, cb + 1)):
+        for r_a, st_a, fr_a in bell_teleport(wb.state, a, ca):
+            st_a = fr_a.apply(st_a, pol(a, ca + 1))
+            if fr_a.x:
+                # an X byproduct commuted through the woven conditional
+                # phase picks up a Z on the partner chain
+                st_a = st_a.apply_one(pol(b, cb + 1), _Z)
+            for r_b, st_b, fr_b in bell_teleport(st_a, b, cb):
+                st_b = fr_b.apply(st_b, pol(b, cb + 1))
+                if fr_b.x:
+                    st_b = st_b.apply_one(pol(a, ca + 1), _Z)
+                yield wb.probability * r_a.probability * r_b.probability, st_b
+
+
+def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
     """Run a logical program through the linked-state protocol and verify it.
 
     Each qubit owns a chain; a conditional-phase gate weaves the next links of
-    the two chains and teleports both data carriers forward through the woven
-    photons, applying all measurement-dependent corrections.  Rotations act on
-    the current carrier polarization.  Every enumerated measurement branch is
-    compared against :func:`ideal_circuit`.
+    the two chains and teleports both data carriers forward.  Rotations act on
+    the current carrier polarization.
+
+    Each gadget is verified once: every one of its 64 branches is compared
+    with ``want``, the conditional phase applied directly to the gadget's
+    input and moved onto the new carriers, and the run continues from
+    ``want``.  Every branch map is linear, so if each branch of each gadget
+    equals the logical image of that gadget's input, every path through the
+    64^c branch tree ends in the same state; the final comparison with
+    :func:`ideal_circuit` ties that state to the independent oracle.  The
+    report counts the 64^c branches so covered, their total probability
+    (the product of the per-gadget sums) and the least fidelity seen.
 
     Chain links are pulled in lazily (the chain state is a product of its
     links), so the active label count stays within the cap.
@@ -554,74 +574,34 @@ def evolve_program(program: Program, links_per_qubit: int,
             raise ChainTooShortError(
                 f"qubit {q} needs {program.cphase_count(q)} links, has {links_per_qubit}")
     target = ideal_circuit(program)
-    rng = np.random.default_rng(seed)
-    sampling = branch_policy is BranchPolicy.SAMPLE_SEEDED
 
-    init = None
+    state = None
     for q in program.qubits:
-        a, b = program.input_pair(q)
-        d = data_state(q, 1, a, b)
-        init = d if init is None else init.tensor(d)
-
-    results: list[tuple[float, float]] = []
-
-    def pick(branches, weights):
-        if not sampling:
-            return list(zip(branches, weights))
-        i = rng.choice(len(branches), p=np.asarray(weights) / sum(weights))
-        return [(branches[i], 1.0)]
-
-    def finish(state: PureState, prob: float, carriers: dict[str, int]) -> None:
-        mapping = {pol(q, carriers[q]): pol(q, 0) for q in program.qubits}
-        results.append((prob, state.relabel(mapping).fidelity(target)))
-
-    def run(state: PureState, ops: tuple, carriers: dict[str, int], prob: float) -> None:
-        while ops and isinstance(ops[0], Rotation):
-            op = ops[0]
+        d = data_state(q, 1, *program.input_pair(q))
+        state = d if state is None else state.tensor(d)
+    carriers = {q: 1 for q in program.qubits}
+    branch_count, prob_sum, min_fid = 1, 1.0, math.inf
+    for op in program.ops:
+        if isinstance(op, Rotation):
             state = state.apply_one(pol(op.qubit, carriers[op.qubit]), op.matrix)
-            ops = ops[1:]
-        if not ops:
-            finish(state, prob, carriers)
-            return
-        op = ops[0]
-        ca, cb = carriers[op.a], carriers[op.b]
-        pulled = _pull_bracket(_pull_bracket(state, op.a, ca), op.b, cb)
-        for wb, w1 in pick(*zip(*[(b, b.probability)
-                                  for b in weave_joint(pulled, arm(op.a, ca + 1), arm(op.b, cb + 1))])):
-            for (r_a, st_a, fr_a), w2 in pick(*zip(*[((r, s, f), r.probability)
-                                                     for r, s, f in bell_teleport(wb.state, op.a, ca)])):
-                st_a = fr_a.apply(st_a, pol(op.a, ca + 1))
-                if fr_a.x:
-                    # an X byproduct commuted through the woven conditional
-                    # phase picks up a Z on the partner chain
-                    st_a = st_a.apply_one(pol(op.b, cb + 1), _Z)
-                for (r_b, st_b, fr_b), w3 in pick(*zip(*[((r, s, f), r.probability)
-                                                         for r, s, f in bell_teleport(st_a, op.b, cb)])):
-                    st_b = fr_b.apply(st_b, pol(op.b, cb + 1))
-                    if fr_b.x:
-                        st_b = st_b.apply_one(pol(op.a, ca + 1), _Z)
-                    new_carriers = dict(carriers)
-                    new_carriers[op.a] = ca + 1
-                    new_carriers[op.b] = cb + 1
-                    run(st_b, ops[1:], new_carriers, prob * w1 * w2 * w3)
-
-    carriers0 = {q: 1 for q in program.qubits}
-    if sampling:
-        for _ in range(samples):
-            results_before = len(results)
-            run(init, tuple(program.ops), dict(carriers0), 1.0)
-            assert len(results) == results_before + 1
-        prob_sum = float("nan")
-    else:
-        run(init, tuple(program.ops), dict(carriers0), 1.0)
-        prob_sum = sum(p for p, _ in results)
-    return EvolveReport(
-        branch_count=len(results),
-        min_fidelity=min(f for _, f in results),
-        probability_sum=prob_sum,
-        policy=branch_policy,
-        per_branch=results if collect_branches else None,
-    )
+            continue
+        a, b = op.a, op.b
+        ca, cb = carriers[a], carriers[b]
+        want = state.apply_cz(pol(a, ca), pol(b, cb)).relabel(
+            {pol(a, ca): pol(a, ca + 1), pol(b, cb): pol(b, cb + 1)})
+        leaves, gadget_sum = 0, 0.0
+        for prob, leaf in _cphase_branches(state, a, ca, b, cb):
+            leaves += 1
+            gadget_sum += prob
+            min_fid = min(min_fid, leaf.fidelity(want))
+        branch_count *= leaves
+        prob_sum *= gadget_sum
+        state = want
+        carriers[a], carriers[b] = ca + 1, cb + 1
+    mapping = {pol(q, carriers[q]): pol(q, 0) for q in program.qubits}
+    min_fid = min(min_fid, state.relabel(mapping).fidelity(target))
+    return EvolveReport(branch_count=branch_count, min_fidelity=min_fid,
+                        probability_sum=prob_sum)
 
 
 # ---------------------------------------------------------------------------

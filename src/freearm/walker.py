@@ -71,10 +71,13 @@ class WalkParams:
             raise analytics.OrderOutOfRangeError("n must be >= 1")
         if self.target_links < 1 or self.trials < 1:
             raise analytics.InputError("target_links and trials must be >= 1")
-        if self.max_steps < self.target_links:
-            raise analytics.InputError("max_steps must be >= target_links")
         if self.warmup_links < 0:
             raise analytics.InputError("warmup_links must be >= 0")
+        # fewer steps than links to build would cap every trial by construction
+        if self.max_steps < self.warmup_links + self.target_links:
+            raise analytics.InputError(
+                "max_steps must be >= warmup_links + target_links, got "
+                f"{self.max_steps} < {self.warmup_links} + {self.target_links}")
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,14 @@ class TestInputBoundary:
         assert code == 2
         assert [line for line in err if "error" in line] == [err[-1]]
         assert "--seed" in err[-1]
+        assert f"seed {value!r}" in err[-1] and "$FREEARM_SEED" in err[-1]
+        assert "_seed_arg" not in err[-1]
+
+    def test_bad_seed_flag_message_names_the_seed(self, capsys):
+        code, err = run_failing(["weave", "--m", "2", "--count", "10", "--seed", "x1"],
+                                capsys)
+        assert code == 2
+        assert "argument --seed: seed 'x1'" in err[-1] and "$FREEARM_SEED" in err[-1]
 
     def test_env_seed_unused_by_unseeded_commands(self, capsys, monkeypatch):
         monkeypatch.setenv("FREEARM_SEED", "abc")
@@ -182,13 +190,32 @@ class TestInputBoundary:
         ["walk", "--n", "2", "--trials", "0", "--target-links", "5"],
         ["walk", "--n", "2", "--trials", "2", "--target-links", "0"],
         ["walk", "--n", "2", "--trials", "2", "--target-links", "5", "--threads", "0"],
-        ["verify-evolve", "--policy", "sample-seeded", "--samples", "0"],
         ["verify-evolve", "--qubits", "0"],
     ])
     def test_counts_below_one_rejected_by_parser(self, argv, capsys):
         code, err = run_failing(argv, capsys)
         assert code == 2
         assert err[-1].endswith("must be >= 1, got 0")
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["verify-evolve", "--cphases", "-3", "--rotations", "-2"], "--cphases", -3),
+        (["verify-evolve", "--rotations", "-2"], "--rotations", -2),
+    ])
+    def test_negative_program_sizes_rejected_by_parser(self, argv, flag, value, capsys):
+        code, err = run_failing(argv, capsys)
+        assert code == 2
+        assert err[-1].endswith(f"argument {flag}: must be >= 0, got {value}")
+
+    def test_zero_program_sizes_accepted(self, capsys):
+        code, out = run(["verify-evolve", "--cphases", "0", "--rotations", "0"], capsys)
+        assert code == 0 and "branches: 1" in out
+
+    def test_walk_cap_below_warmup_plus_target_is_a_usage_error(self, capsys):
+        # the default 50 warmup links plus 5 target links exceed 20 steps
+        code, err = run_failing(["walk", "--n", "2", "--trials", "2", "--target-links", "5",
+                                 "--max-steps", "20"], capsys)
+        assert (code, err) == (2, ["error: max_steps must be >= warmup_links + "
+                                   "target_links, got 20 < 50 + 5"])
 
     def test_weave_order_checked_before_sampling(self, capsys):
         code, err = run_failing(["weave", "--m", "-1", "--count", "10"], capsys)
@@ -209,16 +236,6 @@ class TestOutputBoundary:
         target = tmp_path / "missing" / "report.json"
         code, err = run_failing(["verify-weave", "--output", str(target)], capsys)
         assert code == 2 and len(err) == 1 and str(target) in err[0]
-
-    def test_sampled_probability_sum_is_null(self, capsys):
-        code, out = run(["verify-evolve", "--policy", "sample-seeded", "--samples", "3",
-                         "--seed", "2", "--format", "json"], capsys)
-
-        def reject(constant):
-            raise AssertionError(f"non-standard JSON constant {constant}")
-
-        doc = json.loads(out, parse_constant=reject)
-        assert code == 0 and doc["probability_sum"] is None
 
     def test_non_finite_json_fails_loudly(self):
         report = cli.Report({"x": float("nan")}, [{}], [])

@@ -33,9 +33,7 @@ FLAGS = {
     "cluster": {"--n": ints(-1, 5), "--count": ints(-1, 1000)},
     "verify-weave": {},
     "verify-evolve": {"--qubits": ints(-1, 4), "--cphases": ints(-1, 1),
-                      "--rotations": ints(-1, 4), "--links": ints(-1, 3),
-                      "--policy": st.sampled_from(["enumerate-all", "sample-seeded"]),
-                      "--samples": ints(-1, 8)},
+                      "--rotations": ints(-1, 4), "--links": ints(-1, 3)},
     "fock-cz": {"--n": ints(-1, 4)},
 }
 SEEDED = {"walk", "weave", "cluster", "verify-evolve"}

@@ -32,8 +32,6 @@ REPORTS = [
     ["cluster", "--n", "1", "--count", "1", "--seed", "2"],
     ["verify-weave"],
     ["verify-evolve", "--qubits", "2", "--cphases", "1", "--rotations", "2", "--seed", "3"],
-    ["verify-evolve", "--qubits", "3", "--cphases", "1", "--policy", "sample-seeded",
-     "--samples", "4", "--seed", "3"],
     ["fock-cz", "--n", "2"],
 ]
 
@@ -61,7 +59,8 @@ SINGLES = [
     (["verify-evolve", "--qubits", "1", "--cphases", "1"], {}),
     (["verify-evolve", "--qubits", "2", "--cphases", "2", "--links", "1"], {}),
     (["verify-evolve", "--qubits", "0"], {}),
-    (["verify-evolve", "--policy", "sample-seeded", "--samples", "0"], {}),
+    (["verify-evolve", "--cphases", "-3", "--rotations", "-2"], {}),
+    (["walk", "--n", "2", "--trials", "2", "--target-links", "5", "--max-steps", "20"], {}),
     (["weave", "--m", "2", "--count", "100"], {"FREEARM_SEED": "abc"}),
     (["weave", "--m", "2", "--count", "100"], {"FREEARM_SEED": "-1"}),
     (["verify-weave"], {"FREEARM_SEED": "abc"}),

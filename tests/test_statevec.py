@@ -9,6 +9,7 @@ import pytest
 from freearm import statevec as sv
 
 SQ2 = math.sqrt(2)
+H = np.array([[1, 1], [1, -1]]) / SQ2
 
 
 def brute_force_chain(links, alpha, beta):
@@ -202,17 +203,119 @@ class TestEvolution:
         assert rep.min_fidelity == pytest.approx(1, abs=1e-9)
         assert rep.probability_sum == pytest.approx(1, abs=1e-9)
 
-    def test_sampled_policy_deterministic(self):
-        prog = sv.random_program(2, 2, 2, np.random.default_rng(12))
-        a = sv.evolve_program(prog, 2, sv.BranchPolicy.SAMPLE_SEEDED,
-                              seed=4, samples=16, collect_branches=True)
-        b = sv.evolve_program(prog, 2, sv.BranchPolicy.SAMPLE_SEEDED,
-                              seed=4, samples=16, collect_branches=True)
-        assert a.per_branch == b.per_branch
-        assert a.min_fidelity == pytest.approx(1, abs=1e-9)
-
     def test_chain_too_short(self):
         prog = sv.Program(("a", "b"), {}, (sv.Cphase("a", "b"),
                                            sv.Cphase("a", "b")))
         with pytest.raises(sv.ChainTooShortError):
             sv.evolve_program(prog, links_per_qubit=1)
+
+    def test_rotations_only_is_one_branch(self):
+        prog = sv.Program(("a", "b"), {"a": (0.6, 0.8j)},
+                          (sv.Rotation("a", H), sv.Rotation("b", H)))
+        rep = sv.evolve_program(prog, links_per_qubit=0)
+        assert (rep.branch_count, rep.probability_sum) == (1, 1.0)
+        assert rep.min_fidelity == pytest.approx(1, abs=1e-12)
+
+    def test_twenty_cphases_on_six_qubits(self):
+        prog = sv.random_program(6, 20, 10, np.random.default_rng(20))
+        rep = sv.evolve_program(prog, links_per_qubit=20)
+        assert rep.branch_count == 64 ** 20
+        assert rep.min_fidelity >= 1 - 1e-9
+        assert abs(rep.probability_sum - 1) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Slow oracles for the fast paths
+# ---------------------------------------------------------------------------
+
+
+def apply_one_oracle(state, dof, u):
+    """The single-qubit gate as a matrix product on the moved-last axis."""
+    ax = state.axis(dof)
+    grid = np.moveaxis(state.vec.reshape([2] * len(state.labels)), ax, -1) @ u.T
+    return np.moveaxis(grid, -1, ax).reshape(-1)
+
+
+def enumerate_program(program, links_per_qubit):
+    """Depth-first oracle: follow every branch of every gadget to the end.
+
+    Each of the 64^c leaves is compared with the ideal circuit; returns
+    (branch count, least fidelity, probability sum).
+    """
+    target = sv.ideal_circuit(program)
+    init = None
+    for q in program.qubits:
+        d = sv.data_state(q, 1, *program.input_pair(q))
+        init = d if init is None else init.tensor(d)
+    results = []
+    Z = np.diag([1, -1]).astype(complex)
+
+    def run(state, ops, carriers, prob):
+        while ops and isinstance(ops[0], sv.Rotation):
+            state = state.apply_one(sv.pol(ops[0].qubit, carriers[ops[0].qubit]),
+                                    ops[0].matrix)
+            ops = ops[1:]
+        if not ops:
+            mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in program.qubits}
+            results.append((prob, state.relabel(mapping).fidelity(target)))
+            return
+        a, b = ops[0].a, ops[0].b
+        ca, cb = carriers[a], carriers[b]
+        pulled = state.tensor(sv.bracket_state(a, ca)).tensor(sv.bracket_state(b, cb))
+        for wb in sv.weave_joint(pulled, sv.arm(a, ca + 1), sv.arm(b, cb + 1)):
+            for r_a, st_a, fr_a in sv.bell_teleport(wb.state, a, ca):
+                st_a = fr_a.apply(st_a, sv.pol(a, ca + 1))
+                if fr_a.x:
+                    st_a = st_a.apply_one(sv.pol(b, cb + 1), Z)
+                for r_b, st_b, fr_b in sv.bell_teleport(st_a, b, cb):
+                    st_b = fr_b.apply(st_b, sv.pol(b, cb + 1))
+                    if fr_b.x:
+                        st_b = st_b.apply_one(sv.pol(a, ca + 1), Z)
+                    run(st_b, ops[1:], {**carriers, a: ca + 1, b: cb + 1},
+                        prob * wb.probability * r_a.probability * r_b.probability)
+
+    run(init, tuple(program.ops), {q: 1 for q in program.qubits}, 1.0)
+    return (len(results), min(f for _, f in results), sum(p for p, _ in results))
+
+
+T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]])
+
+
+class TestOracles:
+    @pytest.mark.parametrize("u", [H, T, sv._X, sv._Z], ids=["H", "T", "X", "Z"])
+    def test_apply_one_matches_matrix_product(self, u):
+        rng = np.random.default_rng(7)
+        labels = [sv.pol(f"q{i}", 1) for i in range(7)]
+        vec = rng.normal(size=2 ** 7) + 1j * rng.normal(size=2 ** 7)
+        st = sv.PureState(labels, vec / np.linalg.norm(vec))
+        for dof in st.labels:
+            got = st.apply_one(dof, u).vec
+            assert np.abs(got - apply_one_oracle(st, dof, u)).max() <= 1e-15
+
+    @pytest.mark.parametrize("program", [
+        sv.Program(("a", "b"), {"a": (0.6, 0.8j), "b": (1 / SQ2, -1 / SQ2)},
+                   (sv.Cphase("a", "b"), sv.Rotation("a", H), sv.Rotation("b", T))),
+        sv.Program(("a", "b"), {"a": (0.8, 0.6), "b": (0.28, 0.96j)},
+                   (sv.Rotation("b", H), sv.Rotation("a", T), sv.Cphase("b", "a"))),
+        sv.random_program(2, 2, 2, np.random.default_rng(12)),
+        sv.random_program(3, 2, 3, np.random.default_rng(5)),
+    ], ids=["cphase-first", "cphase-last", "2q-2c", "3q-2c"])
+    def test_merge_matches_enumeration(self, program):
+        want = enumerate_program(program, 2)
+        rep = sv.evolve_program(program, 2)
+        assert rep.branch_count == want[0] == 64 ** sum(
+            isinstance(op, sv.Cphase) for op in program.ops)
+        assert rep.min_fidelity == pytest.approx(want[1], abs=1e-12)
+        assert rep.probability_sum == pytest.approx(want[2], abs=1e-12)
+
+    def test_dropped_x_byproduct_is_caught_by_both(self, monkeypatch):
+        honest = sv.bell_teleport
+
+        def no_x(state, chain, photon):
+            return [(rec, st, sv.CorrectionFrame(x=0, z=frame.z))
+                    for rec, st, frame in honest(state, chain, photon)]
+
+        monkeypatch.setattr(sv, "bell_teleport", no_x)
+        prog = sv.random_program(2, 1, 2, np.random.default_rng(11))
+        assert enumerate_program(prog, 1)[1] < 1 - 1e-9
+        assert sv.evolve_program(prog, 1).min_fidelity < 1 - 1e-9

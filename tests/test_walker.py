@@ -144,6 +144,10 @@ class TestBuildChain:
             walker.WalkParams(n=2, target_links=0, trials=1, seed=0)
         with pytest.raises(analytics.InputError):
             walker.WalkParams(n=2, target_links=5, trials=1, seed=0, max_steps=4)
+        # the cap must also cover the default 50 warmup links
+        with pytest.raises(analytics.InputError, match="warmup_links"):
+            walker.WalkParams(n=2, target_links=5, trials=1, seed=0, max_steps=54)
+        walker.WalkParams(n=2, target_links=5, trials=1, seed=0, max_steps=55)
         with pytest.raises(analytics.OrderOutOfRangeError):
             walker.WalkParams(n=0, target_links=1, trials=1, seed=0)
 

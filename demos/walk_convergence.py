@@ -16,7 +16,7 @@ def main():
     for n in (2, 3):
         t0 = time.perf_counter()
         stats = walker.build_chain(walker.WalkParams(
-            n=n, target_links=100, trials=2000, seed=0, threads=4))
+            n=n, target_links=100, trials=2000, seed=0))
         dt = time.perf_counter() - t0
         targets = analytics.resources_per_link(n)
         print(f"\nn = {n}: 2000 chains of 100 links ({dt:.1f} s)")

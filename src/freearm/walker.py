@@ -8,18 +8,19 @@ on-chain half of the step then succeeds with probability (n/(n+1))^2; on
 failure a fair coin decides whether the last linked photon was removed
 (backward) or only the prepared unit was lost (neutral).
 
-Randomness is drawn from counter-based Philox substreams keyed by
-(seed, trial, stream) so every trial is independent and results are
-bit-identical regardless of host parallelism.  Event draws have a fixed
-width (2 uniforms per preparation attempt, 3 per walk step), so the
-vectorized fast path in :func:`build_chain` consumes exactly the same
-stream as the scalar reference functions.
+Randomness comes from counter-based Philox substreams keyed by (seed, trial,
+stream), with fixed-width draws (3 uniforms per walk step, 2 per preparation
+attempt), so a trial's outcome is fixed by its streams alone, however trials
+are grouped.  :func:`run_trials` fills one (trials, rows, width) array per
+block of trials, sized from the expected draws plus a few standard
+deviations, and finds every trial's first hits in one pass along the rows;
+trials that need more rows continue in later rounds.  :func:`simulate_step`
+and :func:`simulate_prep` read the same streams one event at a time.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,7 +30,9 @@ from . import analytics
 
 _STREAM_STEP = 0
 _STREAM_PREP = 1
-_CHUNK = 4096
+_MARGIN = 4.0  # standard deviations of headroom in each sized draw
+_DIVERGENT_ROWS = 4096  # walk rows per round when the drift is not positive
+_BLOCK_UNIFORMS = 1 << 21  # uniforms per block round: 16 MB of doubles
 
 
 def substream(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
@@ -50,10 +53,7 @@ class ResourceTally:
 
     two_photon_units: int = 0
     cs_states: dict[int, int] = field(default_factory=dict)
-    free_arms: int = 0
-
-    def add_cs(self, order: int, count: int) -> None:
-        self.cs_states[order] = self.cs_states.get(order, 0) + count
+    final_links: int = 0
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class WalkParams:
     seed: int
     max_steps: int = 1_000_000
     warmup_links: int = 50
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; trials run in blocks on one thread
 
     def __post_init__(self):
         if self.n < 1:
@@ -145,9 +145,7 @@ def simulate_prep(n: int, rng: np.random.Generator) -> tuple[int, ResourceTally]
         first_ok = u[0] < s
         cs += 2 if first_ok else 1
         if first_ok and u[1] < s:
-            tally = ResourceTally(two_photon_units=attempts)
-            tally.add_cs(n, cs)
-            return attempts, tally
+            return attempts, ResourceTally(attempts, {n: cs})
 
 
 def simulate_step(n: int, rng: np.random.Generator) -> StepOutcome:
@@ -165,136 +163,185 @@ def simulate_step(n: int, rng: np.random.Generator) -> StepOutcome:
     return StepOutcome.BACKWARD if u[2] < 0.5 else StepOutcome.NEUTRAL
 
 
-def _floored_lengths(start: int, deltas: np.ndarray) -> np.ndarray:
-    """Walk positions with a reflecting floor at 0, vectorized.
+def _floored_lengths(start, deltas: np.ndarray) -> np.ndarray:
+    """Walk positions with a reflecting floor at 0, vectorized along the last axis.
 
     For L_k = max(0, L_{k-1} + d_k) with L_0 = start, the closed form is
     L_k = S_k - min(0, min_{j<=k} S_j) with S_k = start + cumsum(d).
+    ``start`` is a scalar or holds one start per row of ``deltas``.
     """
-    s = start + np.cumsum(deltas)
-    return s - np.minimum(np.minimum.accumulate(s), 0)
+    lengths = np.cumsum(deltas, axis=-1, dtype=np.int64)
+    lengths += np.expand_dims(start, -1)
+    floor = np.minimum.accumulate(lengths, axis=-1)
+    np.minimum(floor, 0, out=floor)
+    lengths -= floor
+    return lengths
+
+
+def _classify(u: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward masks of walk steps drawn as 3 uniforms on the last axis."""
+    forward = (u[..., 0] < s) & (u[..., 1] < s)
+    return forward, ~forward & (u[..., 2] < 0.5)
+
+
+class _Streams:
+    """Reads substreams by re-keying one live Philox: microseconds, where
+    constructing a ``Philox`` also seeds a ``SeedSequence`` from OS entropy."""
+
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._bits = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bits)
+        self._state = self._bits.state
+
+    def draw(self, trials, stream: int, drawn, rows, width: int) -> np.ndarray:
+        """Row i: ``rows[i]`` draws of ``width`` doubles from substream (seed,
+        trials[i], stream) after its first ``drawn[i]`` draws, padded with 1.0."""
+        out = np.empty((len(trials), max(rows), width))
+        state = self._state
+        for row, trial, start, k in zip(out, trials, drawn, rows):
+            state["state"]["key"] = np.array([self._seed, trial * 4 + stream], dtype=np.uint64)
+            # Philox advances its counter before it computes each block of 4 words
+            state["state"]["counter"] = np.array([width * start // 4, 0, 0, 0], dtype=np.uint64)
+            state["buffer_pos"] = 4
+            self._bits.state = state
+            self._bits.random_raw(width * start % 4)
+            self._gen.random(out=row[:k])
+            row[k:] = 1.0
+        return out
+
+
+def _walk_rows(n: int, links: int) -> int:
+    """Walk steps that climb ``links`` links on average, plus ``_MARGIN``
+    standard deviations; a fixed chunk when the drift is not positive."""
+    p = (n / (n + 1)) ** 2
+    b = (1 - p) / 2
+    d = p - b
+    if d <= 0:
+        return _DIVERGENT_ROWS
+    return math.ceil(links / d + _MARGIN * math.sqrt(links * (p + b - d * d) / d ** 3))
+
+
+def _prep_rows(n: int, units):
+    """Preparation attempts that yield ``units`` prepared units on average,
+    plus ``_MARGIN`` standard deviations."""
+    q = (n / (n + 1)) ** 2
+    return np.ceil(units / q + _MARGIN * np.sqrt(units * (1 - q)) / q).astype(np.int64)
+
+
+def _first_at_least(values: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``values``: the first column that reaches ``target``, and whether one does."""
+    reach = values >= target
+    col = reach.argmax(axis=1)
+    return col, reach[np.arange(col.size), col]
+
+
+def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray):
+    """Walk phase of a block: per trial the steps, forward and backward steps,
+    final length, steps to the warmup length, and whether it was capped.
+
+    Every trial still walking has drawn the same number of rows."""
+    s = params.n / (params.n + 1)
+    goal = params.warmup_links + params.target_links
+    steps, forward, backward, length = (np.zeros(trials.size, np.int64) for _ in range(4))
+    warm_steps = np.full(trials.size, -1 if params.warmup_links else 0)
+    active, drawn = np.arange(trials.size), 0
+    while active.size and drawn < params.max_steps:
+        k = active.size
+        rows = min(_walk_rows(params.n, goal - int(length[active].min())),
+                   params.max_steps - drawn, _BLOCK_UNIFORMS // (3 * k))
+        fwd, back = _classify(streams.draw(trials[active].tolist(), _STREAM_STEP,
+                                           [drawn] * k, [rows] * k, 3), s)
+        lengths = _floored_lengths(length[active], np.subtract(fwd, back, dtype=np.int64))
+        col, hit = _first_at_least(lengths, params.warmup_links)
+        hit &= warm_steps[active] < 0  # never with no warmup: warm_steps starts at 0
+        warm_steps[active[hit]] = drawn + col[hit] + 1
+        col, done = _first_at_least(lengths, goal)
+        used = np.where(done, col + 1, rows)
+        within = np.arange(rows) < used[:, None]
+        forward[active] += np.count_nonzero(fwd & within, axis=1)
+        backward[active] += np.count_nonzero(back & within, axis=1)
+        steps[active] += used
+        length[active] = lengths[np.arange(k), used - 1]
+        drawn += rows
+        active = active[~done]
+    capped = np.isin(np.arange(trials.size), active)
+    return steps, forward, backward, length, np.where(warm_steps < 0, steps, warm_steps), capped
+
+
+def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.ndarray):
+    """Preparation phase of a block: the (units, cs) spent by the ``marks[j]``-th
+    prepared unit of each trial, for each row j of ``marks``.  The last row
+    holds the largest marks; a mark of 0 costs nothing."""
+    s = params.n / (params.n + 1)
+    units, cs = np.zeros(marks.shape, np.int64), np.zeros(marks.shape, np.int64)
+    drawn, spent, seen = (np.zeros(trials.size, np.int64) for _ in range(3))
+    active = np.arange(trials.size)
+    while active.size:
+        rows = np.minimum(_prep_rows(params.n, marks[-1, active] - seen[active]),
+                          _BLOCK_UNIFORMS // (2 * active.size))
+        v = streams.draw(trials[active].tolist(), _STREAM_PREP, drawn[active].tolist(),
+                         rows.tolist(), 2)
+        first_ok = v[..., 0] < s  # such an attempt costs 2 ancillas, any other 1
+        # count by flat position: successes, first-teleport successes, row starts
+        start = np.arange(active.size + 1) * v.shape[1]
+        wins, oks = np.flatnonzero(first_ok & (v[..., 1] < s)), np.flatnonzero(first_ok)
+        win_at, ok_at = np.searchsorted(wins, start), np.searchsorted(oks, start)
+        for mark, mark_units, mark_cs in zip(marks, units, cs):
+            want = mark[active] - seen[active]
+            hit = (want > 0) & (want <= np.diff(win_at))
+            at = wins[win_at[:-1][hit] + want[hit] - 1]
+            tried = at - start[:-1][hit] + 1
+            i = active[hit]
+            mark_units[i] = drawn[i] + tried
+            mark_cs[i] = spent[i] + tried + np.searchsorted(oks, at, side="right") - ok_at[:-1][hit]
+        drawn[active] += rows
+        spent[active] += rows + np.diff(ok_at)
+        seen[active] += np.diff(win_at)
+        active = active[seen[active] < marks[-1, active]]
+    return units, cs
+
+
+def _run_block(params: WalkParams, trials: np.ndarray) -> list[TrialResult]:
+    streams = _Streams(params.seed)
+    steps, fwd, bwd, length, warm_steps, capped = _walk(params, streams, trials)
+    (warm_units, units), (warm_cs, cs) = _prep(params, streams, trials,
+                                               np.stack([warm_steps, steps]))
+    measured_links = np.where(capped, 0, np.maximum(length - params.warmup_links, 0))
+    columns = (steps, fwd, bwd, steps - fwd - bwd, units, cs, length, steps - warm_steps,
+               units - warm_units, cs - warm_cs, measured_links, capped)
+    return [TrialResult(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def _run_trial(params: WalkParams, trial: int) -> TrialResult:
-    n = params.n
-    s = n / (n + 1)
-    goal = params.warmup_links + params.target_links
-    rng_step = substream(params.seed, trial, _STREAM_STEP)
-    rng_prep = substream(params.seed, trial, _STREAM_PREP)
-
-    # Walk phase: chunked fixed-width draws (3 uniforms per step).
-    steps = fwd = bwd = 0
-    length = 0
-    warm_steps = 0 if params.warmup_links == 0 else None
-    finished = False
-    capped = False
-    while not finished:
-        k = min(_CHUNK, params.max_steps - steps)
-        if k <= 0:
-            capped = True
-            break
-        u = rng_step.random((k, 3))
-        forward = (u[:, 0] < s) & (u[:, 1] < s)
-        back = ~forward & (u[:, 2] < 0.5)
-        delta = np.where(forward, 1, np.where(back, -1, 0))
-        lengths = _floored_lengths(length, delta)
-        cf = np.cumsum(forward)
-        cb = np.cumsum(back)
-        if warm_steps is None:
-            hit = np.nonzero(lengths >= params.warmup_links)[0]
-            if hit.size:
-                warm_steps = steps + int(hit[0]) + 1
-        hit = np.nonzero(lengths >= goal)[0]
-        if hit.size:
-            i = int(hit[0])
-            steps += i + 1
-            fwd += int(cf[i])
-            bwd += int(cb[i])
-            length = int(lengths[i])
-            finished = True
-        else:
-            steps += k
-            fwd += int(cf[-1])
-            bwd += int(cb[-1])
-            length = int(lengths[-1])
-    neu = steps - fwd - bwd
-    if warm_steps is None:
-        warm_steps = steps
-
-    # Preparation phase: one prep per walk step (2 uniforms per attempt).
-    units = cs = 0
-    units_at = {0: (0, 0)}  # prep count -> cumulative (units, cs) at that prep
-    pending = sorted({m for m in (warm_steps, steps) if m > 0})
-    succ_seen = 0
-    while pending:
-        v = rng_prep.random((_CHUNK, 2))
-        first_ok = v[:, 0] < s
-        success = first_ok & (v[:, 1] < s)
-        ccs = np.cumsum(np.where(first_ok, 2, 1))
-        pos = np.nonzero(success)[0]
-        for mark in pending:
-            want = mark - succ_seen
-            if 1 <= want <= pos.size:
-                i = int(pos[want - 1])
-                units_at[mark] = (units + i + 1, cs + int(ccs[i]))
-        pending = [m for m in pending if m not in units_at]
-        if pending:
-            succ_seen += int(pos.size)
-            units += _CHUNK
-            cs += int(ccs[-1])
-
-    warm_units, warm_cs = units_at[warm_steps]
-    total_units, total_cs = units_at[steps]
-    measured_links = max(0, length - params.warmup_links) if not capped else 0
-    return TrialResult(
-        steps=steps,
-        forward=fwd,
-        backward=bwd,
-        neutral=neu,
-        units=total_units,
-        cs=total_cs,
-        final_links=length,
-        measured_steps=steps - warm_steps,
-        measured_units=total_units - warm_units,
-        measured_cs=total_cs - warm_cs,
-        measured_links=measured_links,
-        capped=capped,
-    )
+    """One trial through the block code, as a block of one."""
+    return _run_block(params, np.array([trial]))[0]
 
 
 def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
     """Means and sample-corrected standard errors over a homogeneous trial list."""
     if not trials:
         raise ValueError("cannot aggregate an empty list of trials")
-    tally = ResourceTally()
-    steps = fwd = bwd = neu = 0
-    for t in trials:
-        steps += t.steps
-        fwd += t.forward
-        bwd += t.backward
-        neu += t.neutral
-        tally.two_photon_units += t.units
-        tally.add_cs(params.n, t.cs)
-        tally.free_arms += t.final_links
+    steps, fwd, bwd, neu, units, cs, links = (sum(getattr(t, key) for t in trials) for key in (
+        "steps", "forward", "backward", "neutral", "units", "cs", "final_links"))
     done = [t for t in trials if not t.capped]
-    capped = len(trials) - len(done)
     if done:
-        links = params.target_links
-        apl = mean_stderr([t.measured_steps / links for t in done])
-        upl = mean_stderr([t.measured_units / links for t in done])
-        cpl = mean_stderr([t.measured_cs / links for t in done])
+        target = params.target_links
+        apl = mean_stderr([t.measured_steps / target for t in done])
+        upl = mean_stderr([t.measured_units / target for t in done])
+        cpl = mean_stderr([t.measured_cs / target for t in done])
     else:
         apl = upl = cpl = Estimate(math.nan, math.nan)
     drift = mean_stderr([(t.forward - t.backward) / t.steps for t in trials if t.steps])
     return WalkStats(
         params=params,
         completed_trials=len(done),
-        capped_trials=capped,
+        capped_trials=len(trials) - len(done),
         steps_taken=steps,
         forward=fwd,
         backward=bwd,
         neutral=neu,
-        tally=tally,
+        tally=ResourceTally(units, {params.n: cs}, links),
         attempts_per_net_link=apl,
         units_per_link=upl,
         cs_per_link=cpl,
@@ -303,15 +350,15 @@ def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
 
 
 def run_trials(params: WalkParams) -> list[TrialResult]:
-    """All trial results in trial order, optionally on a thread pool.
+    """All trial results in trial order, computed a block of trials at a time.
 
-    Each trial draws from its own counter-based substream, so the list is
-    independent of ``threads``.
+    Each trial draws from its own counter-based substreams, so the list does
+    not depend on the block size.  ``params.threads`` has no effect.
     """
-    if params.threads > 1:
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            return list(pool.map(lambda t: _run_trial(params, t), range(params.trials)))
-    return [_run_trial(params, t) for t in range(params.trials)]
+    rows = _walk_rows(params.n, params.warmup_links + params.target_links)
+    block = max(1, _BLOCK_UNIFORMS // max(3 * rows, 2 * int(_prep_rows(params.n, rows))))
+    return [result for first in range(0, params.trials, block)
+            for result in _run_block(params, np.arange(first, min(first + block, params.trials)))]
 
 
 def build_chain(params: WalkParams) -> WalkStats:
@@ -341,9 +388,7 @@ def step_frequencies(n: int, steps: int, seed: int) -> StepFrequencies:
     left = steps
     while left > 0:
         k = min(1 << 20, left)
-        u = rng.random((k, 3))
-        forward = (u[:, 0] < s) & (u[:, 1] < s)
-        back = ~forward & (u[:, 2] < 0.5)
+        forward, back = _classify(rng.random((k, 3)), s)
         fwd += int(forward.sum())
         bwd += int(back.sum())
         left -= k
@@ -354,47 +399,17 @@ def step_frequencies(n: int, steps: int, seed: int) -> StepFrequencies:
 
 
 class WeaveModel(Enum):
-    FULL_CZ_RETRY = "full-cz-retry"
-    INDEPENDENT_SIDES = "independent-sides"
-
-
-@dataclass
-class WeaveResult:
-    cs_used: int
-    arms_used_per_side: tuple[int, int]
-
-
-def simulate_weave(m: int, model: WeaveModel, rng: np.random.Generator) -> WeaveResult:
-    """One weave of two free arms with an order-m gate.
+    """How a weave of two free arms with an order-m gate retries.
 
     FULL_CZ_RETRY: each round costs one ancilla and runs both sides'
-    teleportations; a side that fails burns the free arm it was using and the
-    next round starts over on fresh arms for the failed sides.  The arm count
-    per side is its failure count plus the arm finally woven in.
-
-    INDEPENDENT_SIDES: each side retries independently until its teleportation
-    succeeds (a geometric number of arms); one ancilla is charged per round in
-    which at least one side is still retrying.
+    teleportations; a failed side burns its free arm and retries on a fresh
+    one, so its arm count is its failures plus one.  INDEPENDENT_SIDES: each
+    side retries alone until it succeeds (a geometric number of arms); a
+    round costs one ancilla while either side still retries.
     """
-    s = m / (m + 1)
-    if model is WeaveModel.FULL_CZ_RETRY:
-        cs = 0
-        fails = [0, 0]
-        while True:
-            u = rng.random(2)
-            cs += 1
-            ok_a, ok_b = u[0] < s, u[1] < s
-            if ok_a and ok_b:
-                return WeaveResult(cs, (fails[0] + 1, fails[1] + 1))
-            fails[0] += not ok_a
-            fails[1] += not ok_b
-    arms = []
-    for _ in range(2):
-        count = 1
-        while rng.random() >= s:
-            count += 1
-        arms.append(count)
-    return WeaveResult(max(arms), (arms[0], arms[1]))
+
+    FULL_CZ_RETRY = "full-cz-retry"
+    INDEPENDENT_SIDES = "independent-sides"
 
 
 @dataclass
@@ -406,7 +421,7 @@ class WeaveStats:
 
 
 def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
-    """Vectorized lockstep batch of independent weaves, same event model as the scalar."""
+    """Vectorized lockstep batch of independent weaves (see :class:`WeaveModel`)."""
     s = m / (m + 1)
     rng = substream(seed, 0, _STREAM_STEP)
     if model is WeaveModel.FULL_CZ_RETRY:
@@ -435,32 +450,6 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
 
 
 @dataclass
-class ClusterAttempt:
-    units_used: int
-    cs_used: int
-    net_links: int
-
-
-def simulate_cluster_attach(n: int, rng: np.random.Generator) -> ClusterAttempt:
-    """One attempt to add a four-photon unit to a cluster-variant chain.
-
-    Default model: attach via one order-n gate; on failure, up to two repair
-    attempts on successively earlier photons of the last unit.  Every gate
-    attempt costs one ancilla; the new unit costs one four-photon unit.  Three
-    consecutive failures destroy the last unit in the chain (net -1).  This
-    micro-model is an assumption; its long-run averages are compared to, not
-    asserted against, the closed forms of ``cluster_resources_per_unit``.
-    """
-    p = float(analytics.cz_success(n))
-    cs = 0
-    for _ in range(3):
-        cs += 1
-        if rng.random() < p:
-            return ClusterAttempt(1, cs, 1)
-    return ClusterAttempt(1, cs, -1)
-
-
-@dataclass
 class ClusterStats:
     count: int
     units_per_net_unit: float
@@ -469,7 +458,14 @@ class ClusterStats:
 
 
 def cluster_batch(n: int, count: int, seed: int) -> ClusterStats:
-    """Long-run averages of the cluster attach model over ``count`` attempts."""
+    """Long-run averages of the cluster attach model over ``count`` attempts.
+
+    An attempt adds a four-photon unit with one order-n gate and, on failure,
+    up to two repairs on successively earlier photons of the last unit; each
+    gate attempt costs one ancilla, and three failures destroy the last unit
+    (net -1).  This micro-model is an assumption: its long-run averages are
+    compared to, not asserted against, ``cluster_resources_per_unit``.
+    """
     p = float(analytics.cz_success(n))
     rng = substream(seed, 0, _STREAM_STEP)
     u = rng.random((count, 3)) < p

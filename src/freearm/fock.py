@@ -1,14 +1,16 @@
-"""Sparse Fock-space simulation of the teleportation-based gate primitives.
+"""Photon-level simulation of the teleportation-based gate primitives.
 
 Occupation vectors are small integer tuples mapped to complex amplitudes.
 The module builds the |t_n^i> ancilla configurations and the 2n-photon
 conditional-sign state |CS_n>, applies passive mode unitaries exactly
-(including the (n+1)-mode Fourier transform), enumerates photon-counting
-outcomes, and composes two teleportations into the probabilistic
-conditional-phase gate, verifying success probabilities and the gate action
-branch by branch.
+(including the (n+1)-mode Fourier transform) and enumerates photon-counting
+outcomes of a teleportation.
 
-Desk scale only: orders up to 3, term counts in the low thousands.
+The conditional-phase gate teleports both rails through the two halves of
+one |CS_n> on disjoint modes, so each joint branch amplitude factorizes over
+the single-teleport transfer tensor T[p, x, i] = <p| F_{n+1} |x, 1^i 0^{n-i}>,
+built from 2(n+1) basis inputs by the same mode-unitary code, and the gate
+report is a few array operations on T.  Desk scale only: orders up to 3.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import InputError
+from .analytics import InputError, cz_success
 
 _AMP_EPS = 1e-14
 
@@ -51,11 +53,6 @@ class FockState:
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.terms.values())
 
-    def normalized(self) -> "FockState":
-        n = math.sqrt(self.norm_sq())
-        return FockState(self.modes, {o: a / n for o, a in self.terms.items()},
-                         check_norm=False)
-
     def tensor(self, other: "FockState") -> "FockState":
         terms = {}
         for o1, a1 in self.terms.items():
@@ -73,10 +70,6 @@ class FockState:
 
     def fidelity(self, other: "FockState") -> float:
         return abs(self.overlap(other)) ** 2
-
-
-def vacuum(modes: int) -> FockState:
-    return FockState(modes, {(0,) * modes: 1.0})
 
 
 def single_photon(modes: int, mode: int) -> FockState:
@@ -109,17 +102,20 @@ def make_t_resource(n: int) -> FockState:
     return FockState(2 * n, terms)
 
 
+def cs_amplitudes(n: int) -> np.ndarray:
+    """s_ij = (-1)^{(n-i)(n-j)} / (n+1), the |CS_n> amplitude of |t_n^i>|t_n^j>."""
+    empty = n - np.arange(n + 1)
+    return (-1.0) ** np.outer(empty, empty) / (n + 1)
+
+
 def make_cs_state(n: int) -> FockState:
-    """|CS_n> = sum_{i,j} (-1)^{(n-i)(n-j)} |t_n^i>|t_n^j> / (n+1) on 4n modes."""
+    """|CS_n> = sum_{i,j} s_ij |t_n^i>|t_n^j> on 4n modes."""
     if n < 1:
         raise OrderCapError("order must be >= 1")
-    terms = {}
-    for i in range(n + 1):
-        occ_i = next(iter(make_tn_state(n, i).terms))
-        for j in range(n + 1):
-            occ_j = next(iter(make_tn_state(n, j).terms))
-            terms[occ_i + occ_j] = (-1) ** ((n - i) * (n - j)) / (n + 1)
-    return FockState(4 * n, terms)
+    s = cs_amplitudes(n)
+    occ = [next(iter(make_tn_state(n, i).terms)) for i in range(n + 1)]
+    return FockState(4 * n, {occ[i] + occ[j]: s[i, j]
+                             for i in range(n + 1) for j in range(n + 1)})
 
 
 @dataclass(frozen=True)
@@ -200,6 +196,27 @@ def measure_modes(state: FockState, modes: tuple[int, ...]
     return branches
 
 
+def transfer_tensor(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Single-teleport transfer tensor over the n+1 measured modes.
+
+    Returns the detection patterns p in lexicographic order and
+    T[p, x, i] = <p| F_{n+1} |x, 1^i 0^{n-i}>: the input mode holds x photons
+    and the first n modes of |t_n^i> hold i.  Photon number is conserved, so
+    T[p, x, i] is nonzero only when |p| = x + i.
+    """
+    fourier = ModeUnitary(tuple(range(n + 1)), fourier_matrix(n + 1))
+    outputs = {(x, i): apply_mode_unitary(
+                   FockState(n + 1, {(x,) + (1,) * i + (0,) * (n - i): 1.0}), fourier).terms
+               for x in (0, 1) for i in range(n + 1)}
+    patterns = sorted(set().union(*outputs.values()))
+    row = {p: r for r, p in enumerate(patterns)}
+    t = np.zeros((len(patterns), 2, n + 1), dtype=complex)
+    for (x, i), terms in outputs.items():
+        for p, amp in terms.items():
+            t[row[p], x, i] = amp
+    return patterns, t
+
+
 @dataclass
 class TeleportBranch:
     """One photon-counting outcome of a teleportation attempt."""
@@ -214,69 +231,44 @@ class TeleportBranch:
     phase_correction: complex | None
 
 
-def _teleport_events(state: FockState, input_mode: int, anc_start: int, n: int):
-    """Run one teleportation on a state already containing its 2n ancilla modes.
-
-    Yields (pattern, k, probability, raw conditional state).  Applies the
-    (n+1)-mode Fourier transform to (input mode, first n ancilla modes) and
-    counts photons there.
-    """
-    targets = (input_mode,) + tuple(range(anc_start, anc_start + n))
-    transformed = apply_mode_unitary(state, ModeUnitary(targets, fourier_matrix(n + 1)))
-    for pattern, prob, cond in measure_modes(transformed, targets):
-        yield pattern, targets, sum(pattern), prob, cond
-
-
 def f_teleport(state: FockState, input_mode: int, ancilla: FockState, n: int
                ) -> list[TeleportBranch]:
     """Teleport the photon-number qubit in ``input_mode`` through ``ancilla``.
 
-    The ancilla is a 2n-mode resource (one half of |CS_n> or the standalone
-    teleportation superposition).  Success branches (detected total k with
-    0 < k < n+1) carry the input amplitudes on ancilla mode n+k with the
-    recorded unit phase already corrected; failures collapse the input
-    (k = 0 reads |0>, k = n+1 reads |1>).
+    The ancilla is the 2n-mode teleportation resource.  The input mode joins
+    its first n modes under the (n+1)-mode Fourier transform and those modes
+    are photon-counted.  Success branches (detected total k with 0 < k < n+1)
+    carry the input amplitudes on ancilla mode n+k, with the unit phase
+    T[p, 0, k] / T[p, 1, k-1] of the transfer tensor corrected; failures
+    collapse the input (k = 0 reads |0>, k = n+1 reads |1>).
     """
-    if ancilla.modes != 2 * n:
-        raise FockError(f"ancilla must have {2 * n} modes")
+    if ancilla.modes != 2 * n or ancilla.fidelity(make_t_resource(n)) < 1 - 1e-10:
+        raise FockError(f"ancilla must be the {2 * n}-mode teleportation resource")
     if not 0 <= input_mode < state.modes:
         raise FockError("input mode out of range")
     if any(occ[input_mode] > 1 for occ in state.terms):
         raise FockError("input mode must hold at most one photon")
+    patterns, t = transfer_tensor(n)
+    row = {p: r for r, p in enumerate(patterns)}
     anc_start = state.modes
-    combined = state.tensor(ancilla)
-    phase_maps = _phase_maps_for(ancilla, n)
+    targets = (input_mode,) + tuple(range(anc_start, anc_start + n))
+    transformed = apply_mode_unitary(state.tensor(ancilla),
+                                     ModeUnitary(targets, fourier_matrix(n + 1)))
     branches = []
-    for pattern, targets, k, prob, cond in _teleport_events(combined, input_mode, anc_start, n):
+    for pattern, prob, cond in measure_modes(transformed, targets):
+        k = sum(pattern)
         success = 0 < k < n + 1
         output_mode = anc_start + n + k - 1 if success else None
         correction = None
         if success:
-            m0, m1 = phase_maps[pattern]
+            m0, m1 = t[row[pattern], 0, k], t[row[pattern], 1, k - 1]
             if abs(abs(m0) - abs(m1)) > 1e-10:
                 raise FockError("success branch amplitudes are unbalanced")
-            correction = m0 / m1
+            correction = complex(m0 / m1)
             cond = _apply_mode_phase(cond, output_mode, correction)
         branches.append(TeleportBranch(pattern, targets, k, success, prob, cond,
                                        output_mode, correction))
     return branches
-
-
-def _phase_maps_for(ancilla: FockState, n: int
-                    ) -> dict[tuple[int, ...], tuple[complex, complex]]:
-    """Transfer amplitudes (m0, m1) per success pattern for basis inputs."""
-    maps: dict[tuple[int, ...], list] = {}
-    for x in (0, 1):
-        ref = FockState(1, {(x,): 1.0}).tensor(ancilla)
-        for pattern, _targets, k, prob, cond in _teleport_events(ref, 0, 1, n):
-            if not 0 < k < n + 1:
-                continue
-            if len(cond.terms) != 1:
-                raise FockError("basis input should collapse each branch to one term")
-            amp = next(iter(cond.terms.values())) * math.sqrt(prob)
-            maps.setdefault(pattern, [None, None])[x] = amp
-    return {p: (m[0], m[1]) for p, m in maps.items()
-            if m[0] is not None and m[1] is not None}
 
 
 def _apply_mode_phase(state: FockState, mode: int, phase: complex) -> FockState:
@@ -294,87 +286,88 @@ class CzBranch:
     pattern_b: tuple[int, ...]
     probability: float
     success: bool
-    state: FockState | None         # corrected joint state on joint success
-    rails: tuple[int, int, int, int] | None  # (a0, a1', b0, b1') mode indices
+    rails: np.ndarray | None        # corrected c_xy amplitudes on joint success
 
 
-def cz_via_cs(qubit_a: FockState, qubit_b: FockState, n: int) -> list[CzBranch]:
+@dataclass
+class CzBranches:
+    """The outcomes of one gate attempt in lexicographic (pattern_a, pattern_b)
+    order, held as arrays; iterating builds one ``CzBranch`` at a time."""
+
+    patterns: list[tuple[int, ...]]
+    index_a: np.ndarray             # row of pattern_a in ``patterns``, per branch
+    index_b: np.ndarray
+    probability: np.ndarray
+    success: np.ndarray
+    rails: np.ndarray               # (joint successes, 2, 2) corrected amplitudes
+
+    def __len__(self) -> int:
+        return len(self.probability)
+
+    def __iter__(self):
+        rails = iter(self.rails)
+        for a, b, prob, ok in zip(self.index_a, self.index_b, self.probability,
+                                  self.success):
+            yield CzBranch(self.patterns[a], self.patterns[b], float(prob), bool(ok),
+                           next(rails) if ok else None)
+
+
+def _rail_vector(qubit: FockState) -> np.ndarray:
+    return np.array([qubit.terms.get((1, 0), 0j), qubit.terms.get((0, 1), 0j)])
+
+
+def cz_via_cs(qubit_a: FockState, qubit_b: FockState, n: int) -> CzBranches:
     """Probabilistic conditional-phase gate on two dual-rail qubits.
 
     Both occupied rails are teleported through the two halves of one |CS_n>;
     the gate succeeds when both teleportations do (probability n^2/(n+1)^2),
     and every joint-success branch is phase-corrected so that the surviving
     rail amplitudes equal the conditional-phase image of the input.
+
+    Outcome (pa, pb) leaves rail values (x, y) with amplitude
+    alpha_x beta_y d[pa, pb, x, y], d = sum_ij s_ij T[pa, x, i] T[pb, y, j].
+    The leftover modes record x and y (the untouched rail keeps 1 - x), so
+    different (x, y) are orthogonal and a branch's probability is the sum of
+    their squared magnitudes.  Branches below 1e-20 are dropped.
     """
     if n not in (1, 2, 3):
         raise OrderCapError("desk-scale cap: order must be 1, 2 or 3")
     for q in (qubit_a, qubit_b):
         if q.modes != 2 or q.photon_numbers() != {1}:
             raise FockError("inputs must be dual-rail encoded (2 modes, 1 photon)")
-    cs = make_cs_state(n)
-    full = qubit_a.tensor(qubit_b).tensor(cs)
-    anc_a, anc_b = 4, 4 + 2 * n
+    patterns, t = transfer_tensor(n)
+    d = np.einsum("ij,axi,byj->abxy", cs_amplitudes(n), t, t, optimize=True)
+    amps = d * np.multiply.outer(_rail_vector(qubit_a), _rail_vector(qubit_b))
+    prob = (amps.real ** 2 + amps.imag ** 2).sum(axis=(2, 3))
+    index_a, index_b = np.nonzero(prob >= 1e-20)
+    k = np.array([sum(p) for p in patterns])
+    teleported = (0 < k) & (k < n + 1)
+    success = teleported[index_a] & teleported[index_b]
+    sa, sb = index_a[success], index_b[success]
 
-    def run(state):
-        for pa, _ta, ka, prob_a, cond_a in _teleport_events(state, 1, anc_a, n):
-            for pb, _tb, kb, prob_b, cond_b in _teleport_events(cond_a, 3, anc_b, n):
-                yield pa, ka, pb, kb, prob_a * prob_b, cond_b
-
-    # per-branch diagonal transfer phases from the four basis inputs
-    basis_amp: dict[tuple, dict[tuple[int, int], complex]] = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            ref = dual_rail(1 - x, x).tensor(dual_rail(1 - y, y)).tensor(cs)
-            for pa, ka, pb, kb, prob, cond in run(ref):
-                if not (0 < ka < n + 1 and 0 < kb < n + 1):
-                    continue
-                if len(cond.terms) != 1:
-                    raise FockError("basis input should collapse each branch to one term")
-                amp = next(iter(cond.terms.values())) * math.sqrt(prob)
-                basis_amp.setdefault((pa, pb), {})[(x, y)] = amp
-
-    branches = []
-    for pa, ka, pb, kb, prob, cond in run(full):
-        success = 0 < ka < n + 1 and 0 < kb < n + 1
-        if not success:
-            branches.append(CzBranch(pa, pb, prob, False, None, None))
-            continue
-        out_a = anc_a + n + ka - 1
-        out_b = anc_b + n + kb - 1
-        d = basis_amp[(pa, pb)]
-        mags = [abs(d[k]) for k in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        if max(mags) - min(mags) > 1e-10:
-            raise FockError("success branch amplitudes are unbalanced")
-        phase_a = d[(0, 0)] / d[(1, 0)]
-        phase_b = d[(0, 0)] / d[(0, 1)]
-        # conditional sign check: the residual two-photon term must be negated
-        resid = d[(1, 1)] * phase_a * phase_b / d[(0, 0)]
-        if abs(resid + 1.0) > 1e-9:
-            raise FockError(f"branch lacks the conditional sign: residual {resid}")
-        corrected = _apply_mode_phase(_apply_mode_phase(cond, out_a, phase_a),
-                                      out_b, phase_b)
-        branches.append(CzBranch(pa, pb, prob, True, corrected,
-                                 (0, out_a, 2, out_b)))
-    return branches
+    ds = d[sa, sb]
+    mags = np.abs(ds).reshape(-1, 4)
+    if (mags.max(axis=1) - mags.min(axis=1)).max(initial=0.0) > 1e-10:
+        raise FockError("success branch amplitudes are unbalanced")
+    phase_a = ds[:, 0, 0] / ds[:, 1, 0]
+    phase_b = ds[:, 0, 0] / ds[:, 0, 1]
+    # conditional sign check: the residual two-photon term must be negated
+    resid = ds[:, 1, 1] * phase_a * phase_b / ds[:, 0, 0]
+    miss = np.abs(resid + 1.0)
+    if miss.max(initial=0.0) > 1e-9:
+        raise FockError(f"branch lacks the conditional sign: residual {resid[miss.argmax()]}")
+    # corrected c_xy = alpha_x beta_y d_xy phase_a^x phase_b^y, normalized
+    fix_a = np.stack([np.ones_like(phase_a), phase_a], axis=1)[:, :, None]
+    fix_b = np.stack([np.ones_like(phase_b), phase_b], axis=1)[:, None, :]
+    rails = amps[sa, sb] * fix_a * fix_b / np.sqrt(prob[sa, sb])[:, None, None]
+    return CzBranches(patterns, index_a, index_b, prob[index_a, index_b], success, rails)
 
 
 def rail_amplitudes(branch: CzBranch) -> np.ndarray:
-    """Extract the 2x2 qubit amplitudes c_xy from a joint-success branch."""
-    a0, a1, b0, b1 = branch.rails
-    out = np.zeros((2, 2), dtype=complex)
-    seen_rest = None
-    for occ, amp in branch.state.terms.items():
-        x = occ[a1]
-        y = occ[b1]
-        if occ[a0] + x != 1 or occ[b0] + y != 1:
-            raise FockError("branch is not dual-rail on the output modes")
-        rest = tuple(o for m, o in enumerate(occ) if m not in branch.rails)
-        if seen_rest is None:
-            seen_rest = rest
-        elif rest != seen_rest:
-            raise FockError("output rails are entangled with leftover modes")
-        out[x, y] = amp
-    return out
+    """The corrected 2x2 qubit amplitudes c_xy of a joint-success branch."""
+    if branch.rails is None:
+        raise FockError("only joint-success branches carry rail amplitudes")
+    return branch.rails
 
 
 def cz_ideal(qubit_a: FockState, qubit_b: FockState) -> np.ndarray:
@@ -388,10 +381,20 @@ def cz_ideal(qubit_a: FockState, qubit_b: FockState) -> np.ndarray:
 
 
 def teleport_success_probability(n: int, alpha: complex, beta: complex) -> float:
-    """Total success probability of one teleportation for a given input qubit."""
-    branches = f_teleport(FockState(1, {(0,): alpha, (1,): beta}), 0,
-                          make_t_resource(n), n)
-    return sum(b.probability for b in branches if b.success)
+    """Total success probability of one teleportation of alpha|0> + beta|1>
+    through the standalone resource sum_i |t_n^i> / sqrt(n+1).
+
+    A success pattern p with k photons leaves x = 0 (from i = k) and x = 1
+    (from i = k-1) on orthogonal leftover modes, so it has probability
+    (|alpha T[p, 0, k]|^2 + |beta T[p, 1, k-1]|^2) / (n+1).
+    """
+    FockState(1, {(0,): alpha, (1,): beta})     # rejects an unnormalized input
+    patterns, t = transfer_tensor(n)
+    k = np.array([sum(p) for p in patterns])
+    rows = np.flatnonzero((0 < k) & (k < n + 1))
+    weights = (np.abs(alpha * t[rows, 0, k[rows]]) ** 2
+               + np.abs(beta * t[rows, 1, k[rows] - 1]) ** 2)
+    return math.fsum(weights) / (n + 1)
 
 
 def cz_success_report(n: int, qubit_a: FockState | None = None,
@@ -402,21 +405,16 @@ def cz_success_report(n: int, qubit_a: FockState | None = None,
     qubit_b = qubit_b or dual_rail(s, s)
     branches = cz_via_cs(qubit_a, qubit_b, n)
     ideal = cz_ideal(qubit_a, qubit_b).reshape(-1)
-    fidelities = []
-    success_prob = 0.0
-    for b in branches:
-        if not b.success:
-            continue
-        success_prob += b.probability
-        got = rail_amplitudes(b).reshape(-1)
-        fidelities.append(abs(np.vdot(ideal, got)) ** 2 / (np.vdot(got, got).real
-                                                           * np.vdot(ideal, ideal).real))
+    got = branches.rails.reshape(-1, 4)
+    norms = (got.real ** 2 + got.imag ** 2).sum(axis=1) * np.vdot(ideal, ideal).real
+    # einsum, not a BLAS matvec: a threaded zgemv on 1,024 x 4 takes milliseconds
+    fidelities = np.abs(np.einsum("bi,i->b", got, ideal.conj())) ** 2 / norms
     return {
         "order": n,
         "branch_count": len(branches),
         "success_branches": len(fidelities),
-        "success_probability": success_prob,
-        "expected_success_probability": n * n / (n + 1) ** 2,
-        "success_fidelities": fidelities,
-        "min_success_fidelity": min(fidelities),
+        "success_probability": math.fsum(branches.probability[branches.success]),
+        "expected_success_probability": float(cz_success(n)),
+        "success_fidelities": fidelities.tolist(),
+        "min_success_fidelity": float(fidelities.min()),
     }

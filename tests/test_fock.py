@@ -1,13 +1,18 @@
 """Photon-level tests: mode unitaries, ancilla states, teleportation, the gate."""
 
+import inspect
 import math
+import sys
+import types
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from freearm import fock
+from freearm import analytics, fock
 
 SQ2 = math.sqrt(2)
+EPS = np.finfo(float).eps
 
 
 def random_unitary(d, seed):
@@ -145,10 +150,170 @@ class TestTeleportation:
         assert p0 == pytest.approx(a * a / (n + 1), abs=1e-12)
         assert pfull == pytest.approx(b * b / (n + 1), abs=1e-12)
 
+    def test_ancilla_must_be_the_resource(self):
+        """The phase corrections come from the transfer tensor, which assumes
+        the equal-weight resource sum_i |t_n^i> / sqrt(n+1)."""
+        st = fock.FockState(1, {(0,): 0.6, (1,): 0.8})
+        for ancilla in (fock.make_tn_state(2, 1), fock.make_t_resource(1)):
+            with pytest.raises(fock.FockError, match="teleportation resource"):
+                fock.f_teleport(st, 0, ancilla, 2)
+
+    def test_unnormalized_input_rejected(self):
+        with pytest.raises(fock.FockError, match="not normalized"):
+            fock.teleport_success_probability(2, 1.0, 1.0)
+
     def test_input_mode_occupancy_checked(self):
         st = fock.FockState(1, {(2,): 1.0})
         with pytest.raises(fock.FockError):
             fock.f_teleport(st, 0, fock.make_t_resource(1), 1)
+
+
+# ---------------------------------------------------------------------------
+# Sparse oracle: the gate expanded branch by branch over occupation dicts
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class OracleBranch:
+    pattern_a: tuple[int, ...]
+    pattern_b: tuple[int, ...]
+    probability: float
+    success: bool
+    state: fock.FockState | None    # corrected joint state on joint success
+    rails: tuple[int, int, int, int] | None  # (a0, a1', b0, b1') mode indices
+
+
+def oracle_teleport_events(state, input_mode, anc_start, n):
+    """Fourier-transform (input mode, first n ancilla modes) and count them."""
+    targets = (input_mode,) + tuple(range(anc_start, anc_start + n))
+    transformed = fock.apply_mode_unitary(
+        state, fock.ModeUnitary(targets, fock.fourier_matrix(n + 1)))
+    for pattern, prob, cond in fock.measure_modes(transformed, targets):
+        yield pattern, sum(pattern), prob, cond
+
+
+def oracle_cz_via_cs(qubit_a, qubit_b, n):
+    """Both rails teleported through one |CS_n> on the full 4n+4 modes, with
+    the per-branch phases read from the four basis inputs."""
+    cs = fock.make_cs_state(n)
+    full = qubit_a.tensor(qubit_b).tensor(cs)
+    anc_a, anc_b = 4, 4 + 2 * n
+
+    def run(state):
+        for pa, ka, prob_a, cond_a in oracle_teleport_events(state, 1, anc_a, n):
+            for pb, kb, prob_b, cond_b in oracle_teleport_events(cond_a, 3, anc_b, n):
+                yield pa, ka, pb, kb, prob_a * prob_b, cond_b
+
+    basis_amp = {}
+    for x in (0, 1):
+        for y in (0, 1):
+            ref = fock.dual_rail(1 - x, x).tensor(fock.dual_rail(1 - y, y)).tensor(cs)
+            for pa, ka, pb, kb, prob, cond in run(ref):
+                if 0 < ka < n + 1 and 0 < kb < n + 1:
+                    assert len(cond.terms) == 1
+                    amp = next(iter(cond.terms.values())) * math.sqrt(prob)
+                    basis_amp.setdefault((pa, pb), {})[(x, y)] = amp
+
+    branches = []
+    for pa, ka, pb, kb, prob, cond in run(full):
+        if not (0 < ka < n + 1 and 0 < kb < n + 1):
+            branches.append(OracleBranch(pa, pb, prob, False, None, None))
+            continue
+        out_a, out_b = anc_a + n + ka - 1, anc_b + n + kb - 1
+        d = basis_amp[(pa, pb)]
+        mags = [abs(v) for v in d.values()]
+        assert max(mags) - min(mags) <= 1e-10
+        phase_a = d[(0, 0)] / d[(1, 0)]
+        phase_b = d[(0, 0)] / d[(0, 1)]
+        assert abs(d[(1, 1)] * phase_a * phase_b / d[(0, 0)] + 1) <= 1e-9
+        corrected = fock._apply_mode_phase(fock._apply_mode_phase(cond, out_a, phase_a),
+                                           out_b, phase_b)
+        branches.append(OracleBranch(pa, pb, prob, True, corrected, (0, out_a, 2, out_b)))
+    return branches
+
+
+def oracle_rail_amplitudes(branch):
+    """The 2x2 amplitudes c_xy read off the rails of a joint-success state."""
+    a0, a1, b0, b1 = branch.rails
+    out = np.zeros((2, 2), dtype=complex)
+    rests = set()
+    for occ, amp in branch.state.terms.items():
+        x, y = occ[a1], occ[b1]
+        assert occ[a0] + x == 1 and occ[b0] + y == 1
+        rests.add(tuple(o for m, o in enumerate(occ) if m not in branch.rails))
+        out[x, y] = amp
+    assert len(rests) == 1, "output rails are entangled with leftover modes"
+    return out
+
+
+INPUTS = {
+    "plus-plus": ((1 / SQ2, 1 / SQ2), (1 / SQ2, 1 / SQ2)),
+    "complex": ((0.6, 0.8j), (1 / math.sqrt(3), math.sqrt(2 / 3))),
+    "zero-one": ((1, 0), (0, 1)),
+    "one-one": ((0, 1), (0, 1)),
+}
+
+
+class TestAgainstSparseOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_branches_match_oracle(self, n, name):
+        (a0, a1), (b0, b1) = INPUTS[name]
+        qa, qb = fock.dual_rail(a0, a1), fock.dual_rail(b0, b1)
+        want = oracle_cz_via_cs(qa, qb, n)
+        got = list(fock.cz_via_cs(qa, qb, n))
+        assert ([(b.pattern_a, b.pattern_b, b.success) for b in got]
+                == [(b.pattern_a, b.pattern_b, b.success) for b in want])
+        for g, w in zip(got, want):
+            assert abs(g.probability - w.probability) <= 1e-15
+            if w.success:
+                diff = fock.rail_amplitudes(g) - oracle_rail_amplitudes(w)
+                assert np.abs(diff).max() <= 1e-12
+        rep = fock.cz_success_report(n, qa, qb)
+        assert (abs(rep["success_probability"] - float(analytics.cz_success(n)))
+                <= 4 * rep["branch_count"] * EPS)
+        assert rep["min_success_fidelity"] >= 1 - 1e-10
+
+
+class TestGateMutations:
+    def test_unsigned_cs_state_is_caught(self, monkeypatch):
+        monkeypatch.setattr(fock, "cs_amplitudes",
+                            lambda n: np.full((n + 1, n + 1), 1.0 / (n + 1)))
+        with pytest.raises(fock.FockError, match="lacks the conditional sign"):
+            fock.cz_success_report(2)
+
+    def test_dropped_b_correction_is_caught(self, monkeypatch):
+        """The gate with phi_b left out of the rail correction fails the
+        fidelity gate."""
+        line = "np.stack([np.ones_like(phase_b), phase_b], axis=1)"
+        source = inspect.getsource(fock)
+        assert line in source
+        mutant = types.ModuleType("freearm.fock_mutant")
+        mutant.__package__ = "freearm"
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(line, "np.ones((len(phase_b), 2))"),
+                     fock.__file__, "exec"), mutant.__dict__)
+        assert fock.cz_success_report(2)["min_success_fidelity"] >= 1 - 1e-10
+        assert mutant.cz_success_report(2)["min_success_fidelity"] < 1 - 1e-10
+
+
+class TestBranchCounts:
+    @pytest.mark.parametrize("n,branches,successes", [(1, 25, 4), (2, 196, 81),
+                                                      (3, 1849, 1024)])
+    def test_pinned_counts(self, n, branches, successes):
+        rep = fock.cz_success_report(n)
+        assert (rep["branch_count"], rep["success_branches"]) == (branches, successes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_basis_inputs_drop_branches(self, n):
+        """|0>|1> never detects n+1 photons on side a nor 0 on side b, so the
+        1e-20 rule drops every branch with those totals."""
+        (a0, a1), (b0, b1) = INPUTS["zero-one"]
+        got = fock.cz_via_cs(fock.dual_rail(a0, a1), fock.dual_rail(b0, b1), n)
+        totals = {(sum(b.pattern_a), sum(b.pattern_b)) for b in got}
+        assert all(ka <= n and kb >= 1 for ka, kb in totals)
+        plus = fock.cz_success_report(n)["branch_count"]
+        assert len(got) < plus
 
 
 class TestConditionalPhase:

@@ -65,6 +65,7 @@ SINGLES = [
     (["weave", "--m", "2", "--count", "100"], {"FREEARM_SEED": "-1"}),
     (["verify-weave"], {"FREEARM_SEED": "abc"}),
     (["verify-weave", "--output", "/nonexistent/freearm/report.json"], {}),
+    (["verify-evolve", "--qubits", "21", "--cphases", "0", "--rotations", "0"], {}),
 ]
 
 CASES = [(argv + ["--format", fmt], {}) for argv in REPORTS

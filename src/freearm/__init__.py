@@ -15,64 +15,4 @@ Layers:
 - :mod:`freearm.cli` — command-line front end (``freearm``).
 """
 
-from .analytics import (
-    GateCost,
-    NonPositiveDriftError,
-    OrderOutOfRangeError,
-    ResourceRates,
-    attempts_per_link,
-    cluster_resources_per_unit,
-    cz_success,
-    ftel_success,
-    resources_per_gate,
-    resources_per_link,
-    step_back_prob,
-    weave_cs_per_gate,
-)
-from .walker import (
-    WalkParams,
-    WalkStats,
-    WeaveModel,
-    build_chain,
-    cluster_batch,
-    step_frequencies,
-    weave_batch,
-)
-from .statevec import (
-    Cphase,
-    Program,
-    PureState,
-    Rotation,
-    bracket_state,
-    build_chain_state,
-    evolve_program,
-    fail_weave,
-    ideal_circuit,
-    random_program,
-    weave,
-    woven_target,
-)
-from .fock import (
-    FockState,
-    cz_via_cs,
-    f_teleport,
-    fourier_matrix,
-    make_cs_state,
-    make_t_resource,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GateCost", "NonPositiveDriftError", "OrderOutOfRangeError", "ResourceRates",
-    "attempts_per_link", "cluster_resources_per_unit", "cz_success",
-    "ftel_success", "resources_per_gate", "resources_per_link",
-    "step_back_prob", "weave_cs_per_gate",
-    "WalkParams", "WalkStats", "WeaveModel", "build_chain", "cluster_batch",
-    "step_frequencies", "weave_batch",
-    "Cphase", "Program", "PureState", "Rotation",
-    "bracket_state", "build_chain_state", "evolve_program", "fail_weave",
-    "ideal_circuit", "random_program", "weave", "woven_target",
-    "FockState", "cz_via_cs", "f_teleport", "fourier_matrix", "make_cs_state",
-    "make_t_resource",
-]

@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=_at_least(1), default=2)
     p.add_argument("--cphases", type=_at_least(0), default=1)
     p.add_argument("--rotations", type=_at_least(0), default=2)
-    p.add_argument("--links", type=int, default=4)
+    p.add_argument("--links", type=_at_least(0), default=4)
     common(p, cmd_verify_evolve)
 
     p = sub.add_parser("fock-cz", help="photon-level conditional-phase verification")

@@ -222,13 +222,11 @@ class TeleportBranch:
     """One photon-counting outcome of a teleportation attempt."""
 
     pattern: tuple[int, ...]        # counts on the measured modes
-    measured_modes: tuple[int, ...]
     photon_total: int               # k; success iff 0 < k < n+1
     success: bool
     probability: float
     state: FockState                # conditional state, phase-corrected on success
     output_mode: int | None
-    phase_correction: complex | None
 
 
 def f_teleport(state: FockState, input_mode: int, ancilla: FockState, n: int
@@ -259,15 +257,12 @@ def f_teleport(state: FockState, input_mode: int, ancilla: FockState, n: int
         k = sum(pattern)
         success = 0 < k < n + 1
         output_mode = anc_start + n + k - 1 if success else None
-        correction = None
         if success:
             m0, m1 = t[row[pattern], 0, k], t[row[pattern], 1, k - 1]
             if abs(abs(m0) - abs(m1)) > 1e-10:
                 raise FockError("success branch amplitudes are unbalanced")
-            correction = complex(m0 / m1)
-            cond = _apply_mode_phase(cond, output_mode, correction)
-        branches.append(TeleportBranch(pattern, targets, k, success, prob, cond,
-                                       output_mode, correction))
+            cond = _apply_mode_phase(cond, output_mode, complex(m0 / m1))
+        branches.append(TeleportBranch(pattern, k, success, prob, cond, output_mode))
     return branches
 
 

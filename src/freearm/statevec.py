@@ -9,7 +9,7 @@ whole logical programs, verifying every measurement branch of each
 conditional-phase gadget, against a direct-circuit oracle.
 
 Measured degrees of freedom are removed immediately so enumeration stays
-within the configured label cap.  All operations return new states.
+within the label cap ``DOF_CAP``.  All operations return new states.
 """
 
 from __future__ import annotations
@@ -97,13 +97,10 @@ def arm(chain: str, photon: int) -> Dof:
 class Basis(Enum):
     Z = "z"
     X = "x"
-    BELL = "bell"
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    dof: Dof
-    basis: Basis
     outcome: int
     probability: float
 
@@ -128,30 +125,36 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _norm2(v: np.ndarray) -> float:
+    """Squared norm of a complex vector: one einsum over its real and
+    imaginary parts, which unlike BLAS ``vdot`` runs on one thread."""
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return float(np.einsum("i,i->", parts, parts))
+
+
 class PureState:
     """Labeled multi-qubit amplitude vector; labels are kept in canonical order."""
 
-    __slots__ = ("labels", "vec", "cap")
+    __slots__ = ("labels", "vec")
 
-    def __init__(self, labels, vec, cap: int = DOF_CAP, _checked: bool = False):
+    def __init__(self, labels, vec, _checked: bool = False):
         labels = tuple(labels)
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         if not _checked:
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate degree-of-freedom labels")
-            if len(labels) > cap:
-                raise CapExceededError(f"{len(labels)} labels exceeds cap {cap}")
+            if len(labels) > DOF_CAP:
+                raise CapExceededError(f"{len(labels)} labels exceeds cap {DOF_CAP}")
             if vec.size != 1 << len(labels):
                 raise ValueError("amplitude vector length does not match label count")
             order = sorted(range(len(labels)), key=lambda i: labels[i])
             if order != list(range(len(labels))):
                 vec = vec.reshape([2] * len(labels)).transpose(order).reshape(-1)
                 labels = tuple(labels[i] for i in order)
-            if abs(vec @ vec.conj() - 1.0) > 1e-9:
+            if abs(_norm2(vec) - 1.0) > 1e-9:
                 raise NonNormalizedError("state is not normalized")
         self.labels = labels
         self.vec = vec
-        self.cap = cap
 
     # -- basic queries -----------------------------------------------------
 
@@ -162,7 +165,7 @@ class PureState:
             raise UnknownDofError(f"unknown degree of freedom {dof}") from None
 
     def norm(self) -> float:
-        return float(np.sqrt((self.vec @ self.vec.conj()).real))
+        return math.sqrt(_norm2(self.vec))
 
     def _grid(self) -> np.ndarray:
         return self.vec.reshape([2] * len(self.labels))
@@ -172,10 +175,10 @@ class PureState:
     def tensor(self, other: "PureState") -> "PureState":
         if set(self.labels) & set(other.labels):
             raise ValueError("tensor factors share labels")
-        if len(self.labels) + len(other.labels) > self.cap:
+        if len(self.labels) + len(other.labels) > DOF_CAP:
             raise CapExceededError("tensor product exceeds label cap")
         return PureState(self.labels + other.labels,
-                         np.kron(self.vec, other.vec), cap=self.cap)
+                         np.kron(self.vec, other.vec))
 
     # -- unitaries ---------------------------------------------------------
 
@@ -185,7 +188,7 @@ class PureState:
         out = np.empty_like(g)
         out[:, 0] = u[0, 0] * g[:, 0] + u[0, 1] * g[:, 1]
         out[:, 1] = u[1, 0] * g[:, 0] + u[1, 1] * g[:, 1]
-        return PureState(self.labels, out.reshape(-1), cap=self.cap, _checked=True)
+        return PureState(self.labels, out.reshape(-1), _checked=True)
 
     def apply_cz(self, a: Dof, b: Dof) -> "PureState":
         if a == b:
@@ -196,7 +199,7 @@ class PureState:
         idx[ia] = 1
         idx[ib] = 1
         grid[tuple(idx)] *= -1
-        return PureState(self.labels, grid.reshape(-1), cap=self.cap, _checked=True)
+        return PureState(self.labels, grid.reshape(-1), _checked=True)
 
     # -- measurement -------------------------------------------------------
 
@@ -213,19 +216,14 @@ class PureState:
         Zero-probability branches are dropped.
         """
         c0, c1, rest = self._components(dof)
-        if basis is Basis.Z:
-            comps = [c0, c1]
-        elif basis is Basis.X:
-            comps = [(c0 + c1) / SQ2, (c0 - c1) / SQ2]
-        else:
-            raise ValueError("use measure_bell for joint Bell measurements")
+        comps = [c0, c1] if basis is Basis.Z else [(c0 + c1) / SQ2, (c0 - c1) / SQ2]
         branches = []
         for outcome, comp in enumerate(comps):
-            prob = float((comp @ comp.conj()).real)
+            prob = _norm2(comp)
             if prob < 1e-14:
                 continue
-            state = PureState(rest, comp / math.sqrt(prob), cap=self.cap, _checked=True)
-            branches.append((MeasurementRecord(dof, basis, outcome, prob), state))
+            state = PureState(rest, comp / math.sqrt(prob), _checked=True)
+            branches.append((MeasurementRecord(outcome, prob), state))
         return branches
 
     def measure_bell(self, a: Dof, b: Dof) -> list[tuple[tuple[int, int], float, "PureState"]]:
@@ -243,10 +241,10 @@ class PureState:
         for x in (0, 1):
             for z in (0, 1):
                 comp = (c[(0, x)] + (-1) ** z * c[(1, 1 - x)]) / SQ2
-                prob = float((comp @ comp.conj()).real)
+                prob = _norm2(comp)
                 if prob < 1e-14:
                     continue
-                state = PureState(rest, comp / math.sqrt(prob), cap=self.cap, _checked=True)
+                state = PureState(rest, comp / math.sqrt(prob), _checked=True)
                 branches.append(((x, z), prob, state))
         return branches
 
@@ -256,7 +254,7 @@ class PureState:
         if self.labels != other.labels:
             raise LabelMismatchError(
                 f"label sets differ: {self.labels} vs {other.labels}")
-        return complex(np.vdot(other.vec, self.vec))
+        return complex(np.einsum("i,i->", other.vec.conj(), self.vec))
 
     def fidelity(self, other: "PureState") -> float:
         return abs(self.overlap(other)) ** 2
@@ -271,7 +269,7 @@ class PureState:
 
     def relabel(self, mapping: dict[Dof, Dof]) -> "PureState":
         new = tuple(mapping.get(l, l) for l in self.labels)
-        return PureState(new, self.vec, cap=self.cap)
+        return PureState(new, self.vec)
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -284,14 +282,13 @@ def fidelity(a: PureState, b: PureState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def data_state(chain: str, photon: int, alpha: complex, beta: complex,
-               cap: int = DOF_CAP) -> PureState:
+def data_state(chain: str, photon: int, alpha: complex, beta: complex) -> PureState:
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
         raise NonNormalizedError("data amplitudes must satisfy |a|^2 + |b|^2 = 1")
-    return PureState((pol(chain, photon),), [alpha, beta], cap=cap)
+    return PureState((pol(chain, photon),), [alpha, beta])
 
 
-def bracket_state(chain: str, link: int, cap: int = DOF_CAP) -> PureState:
+def bracket_state(chain: str, link: int) -> PureState:
     """One chain link: path of photon ``link`` with the polarization and free
     arm of photon ``link+1`` in the three-party correlated state
     (|0, 0, +> + |1, 1, ->)/sqrt(2)."""
@@ -301,11 +298,11 @@ def bracket_state(chain: str, link: int, cap: int = DOF_CAP) -> PureState:
     vec[0b000] = vec[0b001] = 0.5
     vec[0b110] = 0.5
     vec[0b111] = -0.5
-    return PureState(labels, vec, cap=cap)
+    return PureState(labels, vec)
 
 
-def build_chain_state(links: int, data: tuple[complex, complex], chain: str = "p",
-                      cap: int = DOF_CAP) -> PureState:
+def build_chain_state(links: int, data: tuple[complex, complex], chain: str = "p"
+                      ) -> PureState:
     """Full chain of ``links`` links with the data on the first polarization.
 
     The final linked photon's path (fixed to |0>) is separable and omitted
@@ -313,9 +310,9 @@ def build_chain_state(links: int, data: tuple[complex, complex], chain: str = "p
     """
     if links < 1:
         raise ValueError("a chain needs at least one link")
-    state = data_state(chain, 1, data[0], data[1], cap=cap)
+    state = data_state(chain, 1, data[0], data[1])
     for i in range(1, links + 1):
-        state = state.tensor(bracket_state(chain, i, cap=cap))
+        state = state.tensor(bracket_state(chain, i))
     return state
 
 
@@ -375,8 +372,7 @@ def weave_joint(joint: PureState, arm_a: Dof, arm_b: Dof) -> list[WeaveBranch]:
     return branches
 
 
-def woven_target(chain_a: str, photon_a: int, chain_b: str, photon_b: int,
-                 cap: int = DOF_CAP) -> PureState:
+def woven_target(chain_a: str, photon_a: int, chain_b: str, photon_b: int) -> PureState:
     """The desired post-weave state of the four remaining link DOFs:
     sum_{a,b} (-1)^{ab} |a>_pathA |a>_polA |b>_pathB |b>_polB / 2."""
     labels = (path(chain_a, photon_a - 1), pol(chain_a, photon_a),
@@ -385,7 +381,7 @@ def woven_target(chain_a: str, photon_a: int, chain_b: str, photon_b: int,
     for a in (0, 1):
         for b in (0, 1):
             vec[a << 3 | a << 2 | b << 1 | b] = 0.5 * (-1) ** (a * b)
-    return PureState(labels, vec, cap=cap)
+    return PureState(labels, vec)
 
 
 def fail_weave(state: PureState, arm_dof: Dof) -> list[tuple[MeasurementRecord, PureState]]:
@@ -433,7 +429,7 @@ def bell_teleport(state: PureState, chain: str, photon: int
     state.axis(d_dof)
     branches = []
     for (x, z), prob, st in state.measure_bell(p_dof, d_dof):
-        rec = MeasurementRecord(d_dof, Basis.BELL, x << 1 | z, prob)
+        rec = MeasurementRecord(x << 1 | z, prob)
         branches.append((rec, st, CorrectionFrame(x=x, z=z)))
     return branches
 
@@ -523,7 +519,7 @@ class EvolveReport:
 
 
 def _pull_bracket(state: PureState, chain: str, link: int) -> PureState:
-    return state.tensor(bracket_state(chain, link, cap=state.cap))
+    return state.tensor(bracket_state(chain, link))
 
 
 def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int):

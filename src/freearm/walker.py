@@ -21,7 +21,7 @@ and :func:`simulate_prep` read the same streams one event at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -45,15 +45,6 @@ class StepOutcome(Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
     NEUTRAL = "neutral"
-
-
-@dataclass
-class ResourceTally:
-    """Cumulative consumption of primitive resources."""
-
-    two_photon_units: int = 0
-    cs_states: dict[int, int] = field(default_factory=dict)
-    final_links: int = 0
 
 
 @dataclass(frozen=True)
@@ -93,27 +84,17 @@ class TrialResult:
     steps: int
     forward: int
     backward: int
-    neutral: int
     units: int
     cs: int
-    final_links: int
     measured_steps: int
     measured_units: int
     measured_cs: int
-    measured_links: int
     capped: bool
 
 
 @dataclass
 class WalkStats:
-    params: WalkParams
-    completed_trials: int
     capped_trials: int
-    steps_taken: int
-    forward: int
-    backward: int
-    neutral: int
-    tally: ResourceTally
     attempts_per_net_link: Estimate
     units_per_link: Estimate
     cs_per_link: Estimate
@@ -130,11 +111,11 @@ def mean_stderr(values) -> Estimate:
     return Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))
 
 
-def simulate_prep(n: int, rng: np.random.Generator) -> tuple[int, ResourceTally]:
+def simulate_prep(n: int, rng: np.random.Generator) -> tuple[int, int]:
     """Off-line preparation of one unit: retry until both teleportations succeed.
 
     Each attempt burns one two-photon unit plus one ancilla if the first
-    teleportation fails, two otherwise.
+    teleportation fails, two otherwise.  Returns (attempts, ancillas).
     """
     s = n / (n + 1)
     attempts = 0
@@ -145,7 +126,7 @@ def simulate_prep(n: int, rng: np.random.Generator) -> tuple[int, ResourceTally]
         first_ok = u[0] < s
         cs += 2 if first_ok else 1
         if first_ok and u[1] < s:
-            return attempts, ResourceTally(attempts, {n: cs})
+            return attempts, cs
 
 
 def simulate_step(n: int, rng: np.random.Generator) -> StepOutcome:
@@ -156,11 +137,10 @@ def simulate_step(n: int, rng: np.random.Generator) -> StepOutcome:
     so P(backward) = (1 - p)/2 with p = (n/(n+1))^2.  No ancillas are charged
     here: they were all paid for at preparation time.
     """
-    u = rng.random(3)
-    s = n / (n + 1)
-    if u[0] < s and u[1] < s:
+    forward, backward = _classify(rng.random(3), n / (n + 1))
+    if forward:
         return StepOutcome.FORWARD
-    return StepOutcome.BACKWARD if u[2] < 0.5 else StepOutcome.NEUTRAL
+    return StepOutcome.BACKWARD if backward else StepOutcome.NEUTRAL
 
 
 def _floored_lengths(start, deltas: np.ndarray) -> np.ndarray:
@@ -238,7 +218,7 @@ def _first_at_least(values: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]
 
 def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray):
     """Walk phase of a block: per trial the steps, forward and backward steps,
-    final length, steps to the warmup length, and whether it was capped.
+    steps to the warmup length, and whether it was capped.
 
     Every trial still walking has drawn the same number of rows."""
     s = params.n / (params.n + 1)
@@ -266,7 +246,7 @@ def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray):
         drawn += rows
         active = active[~done]
     capped = np.isin(np.arange(trials.size), active)
-    return steps, forward, backward, length, np.where(warm_steps < 0, steps, warm_steps), capped
+    return steps, forward, backward, np.where(warm_steps < 0, steps, warm_steps), capped
 
 
 def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.ndarray):
@@ -304,26 +284,18 @@ def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.n
 
 def _run_block(params: WalkParams, trials: np.ndarray) -> list[TrialResult]:
     streams = _Streams(params.seed)
-    steps, fwd, bwd, length, warm_steps, capped = _walk(params, streams, trials)
+    steps, fwd, bwd, warm_steps, capped = _walk(params, streams, trials)
     (warm_units, units), (warm_cs, cs) = _prep(params, streams, trials,
                                                np.stack([warm_steps, steps]))
-    measured_links = np.where(capped, 0, np.maximum(length - params.warmup_links, 0))
-    columns = (steps, fwd, bwd, steps - fwd - bwd, units, cs, length, steps - warm_steps,
-               units - warm_units, cs - warm_cs, measured_links, capped)
+    columns = (steps, fwd, bwd, units, cs, steps - warm_steps, units - warm_units,
+               cs - warm_cs, capped)
     return [TrialResult(*row) for row in zip(*(c.tolist() for c in columns))]
-
-
-def _run_trial(params: WalkParams, trial: int) -> TrialResult:
-    """One trial through the block code, as a block of one."""
-    return _run_block(params, np.array([trial]))[0]
 
 
 def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
     """Means and sample-corrected standard errors over a homogeneous trial list."""
     if not trials:
         raise ValueError("cannot aggregate an empty list of trials")
-    steps, fwd, bwd, neu, units, cs, links = (sum(getattr(t, key) for t in trials) for key in (
-        "steps", "forward", "backward", "neutral", "units", "cs", "final_links"))
     done = [t for t in trials if not t.capped]
     if done:
         target = params.target_links
@@ -334,14 +306,7 @@ def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
         apl = upl = cpl = Estimate(math.nan, math.nan)
     drift = mean_stderr([(t.forward - t.backward) / t.steps for t in trials if t.steps])
     return WalkStats(
-        params=params,
-        completed_trials=len(done),
         capped_trials=len(trials) - len(done),
-        steps_taken=steps,
-        forward=fwd,
-        backward=bwd,
-        neutral=neu,
-        tally=ResourceTally(units, {params.n: cs}, links),
         attempts_per_net_link=apl,
         units_per_link=upl,
         cs_per_link=cpl,

@@ -200,6 +200,7 @@ class TestInputBoundary:
     @pytest.mark.parametrize("argv, flag, value", [
         (["verify-evolve", "--cphases", "-3", "--rotations", "-2"], "--cphases", -3),
         (["verify-evolve", "--rotations", "-2"], "--rotations", -2),
+        (["verify-evolve", "--links", "-3", "--cphases", "0"], "--links", -3),
     ])
     def test_negative_program_sizes_rejected_by_parser(self, argv, flag, value, capsys):
         code, err = run_failing(argv, capsys)

@@ -77,7 +77,6 @@ def chunked_trial(params, trial):
             fwd += int(cf[-1])
             bwd += int(cb[-1])
             length = int(lengths[-1])
-    neu = steps - fwd - bwd
     if warm_steps is None:
         warm_steps = steps
 
@@ -105,12 +104,11 @@ def chunked_trial(params, trial):
     warm_units, warm_cs = units_at[warm_steps]
     total_units, total_cs = units_at[steps]
     return walker.TrialResult(
-        steps=steps, forward=fwd, backward=bwd, neutral=neu,
-        units=total_units, cs=total_cs, final_links=length,
+        steps=steps, forward=fwd, backward=bwd,
+        units=total_units, cs=total_cs,
         measured_steps=steps - warm_steps,
         measured_units=total_units - warm_units,
         measured_cs=total_cs - warm_cs,
-        measured_links=max(0, length - params.warmup_links) if not capped else 0,
         capped=capped)
 
 
@@ -200,7 +198,7 @@ class TestPrepAndStep:
         rng = walker.substream(11, 0, 1)
         rows = [walker.simulate_prep(n, rng) for _ in range(40000)]
         attempts = np.array([a for a, _ in rows], dtype=float)
-        cs = np.array([t.cs_states[n] for _, t in rows], dtype=float)
+        cs = np.array([c for _, c in rows], dtype=float)
         e_att, e_cs = geometric_prep_expectations(n)
         assert abs(attempts.mean() - e_att) < 3 * attempts.std() / 200
         assert abs(cs.mean() - e_cs) < 3 * cs.std() / 200
@@ -208,12 +206,11 @@ class TestPrepAndStep:
         assert abs(e_att - (n + 1) ** 2 / n ** 2) < 1e-9
         assert abs(e_cs - (2 * n + 1) * (n + 1) / n ** 2) < 1e-9
 
-    def test_prep_tally_units_equal_attempts(self):
+    def test_prep_ancillas_within_one_to_two_per_attempt(self):
         rng = walker.substream(0, 0, 1)
         for _ in range(200):
-            attempts, tally = walker.simulate_prep(2, rng)
-            assert tally.two_photon_units == attempts
-            assert attempts <= tally.cs_states[2] <= 2 * attempts
+            attempts, cs = walker.simulate_prep(2, rng)
+            assert attempts <= cs <= 2 * attempts
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_step_frequencies_match_probabilities(self, n):
@@ -250,7 +247,7 @@ class TestBuildChain:
         """The chunked trial consumes the same substreams as the scalar loop."""
         params = walker.WalkParams(n=2, target_links=20, trials=1, seed=9,
                                    warmup_links=0)
-        got = walker._run_trial(params, 0)
+        got, = walker._run_block(params, np.array([0]))
         rng_step = walker.substream(9, 0, 0)
         rng_prep = walker.substream(9, 0, 1)
         length = steps = 0
@@ -263,9 +260,9 @@ class TestBuildChain:
                 length = max(0, length - 1)
         units = cs = 0
         for _ in range(steps):
-            attempts, tally = walker.simulate_prep(2, rng_prep)
+            attempts, ancillas = walker.simulate_prep(2, rng_prep)
             units += attempts
-            cs += tally.cs_states[2]
+            cs += ancillas
         assert (got.steps, got.units, got.cs) == (steps, units, cs)
 
     @pytest.mark.parametrize("kw, budget", [
@@ -308,9 +305,7 @@ class TestBuildChain:
         base = dict(n=2, target_links=30, trials=24, seed=5)
         one = walker.build_chain(walker.WalkParams(**base, threads=1))
         four = walker.build_chain(walker.WalkParams(**base, threads=4))
-        assert one.attempts_per_net_link == four.attempts_per_net_link
-        assert one.units_per_link == four.units_per_link
-        assert one.tally.cs_states == four.tally.cs_states
+        assert one == four
 
     def test_convergence_to_closed_forms(self):
         params = walker.WalkParams(n=2, target_links=100, trials=1500, seed=21)

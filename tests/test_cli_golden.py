@@ -66,6 +66,7 @@ SINGLES = [
     (["verify-weave"], {"FREEARM_SEED": "abc"}),
     (["verify-weave", "--output", "/nonexistent/freearm/report.json"], {}),
     (["verify-evolve", "--qubits", "21", "--cphases", "0", "--rotations", "0"], {}),
+    (["verify-evolve", "--qubits", "15", "--cphases", "1"], {}),
     (["verify-evolve", "--links", "-3", "--cphases", "0"], {}),
 ]
 

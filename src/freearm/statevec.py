@@ -176,7 +176,8 @@ class PureState:
         if set(self.labels) & set(other.labels):
             raise ValueError("tensor factors share labels")
         if len(self.labels) + len(other.labels) > DOF_CAP:
-            raise CapExceededError("tensor product exceeds label cap")
+            raise CapExceededError(f"tensor product of {len(self.labels)} and "
+                                   f"{len(other.labels)} labels exceeds cap {DOF_CAP}")
         return PureState(self.labels + other.labels,
                          np.kron(self.vec, other.vec))
 

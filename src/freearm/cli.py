@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-links", type=_at_least(1), required=True)
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--warmup-links", type=int, default=50)
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--threads", type=_at_least(1), help="worker threads (default: usable CPUs)")
     p.add_argument("--per-trial", action="store_true",
                    help="emit one record per trial instead of the aggregate")
     common(p, cmd_walk)

@@ -11,16 +11,20 @@ failure a fair coin decides whether the last linked photon was removed
 Randomness comes from counter-based Philox substreams keyed by (seed, trial,
 stream), with fixed-width draws (3 uniforms per walk step, 2 per preparation
 attempt), so a trial's outcome is fixed by its streams alone, however trials
-are grouped.  :func:`run_trials` fills one (trials, rows, width) array per
-block of trials, sized from the expected draws plus a few standard
-deviations, and finds every trial's first hits in one pass along the rows;
-trials that need more rows continue in later rounds.  :func:`simulate_step`
+are grouped and on whichever thread.  :func:`run_trials` fills one (trials,
+rows, width) array of compared uniforms per block of trials, sized from the
+expected draws plus a few standard deviations, and finds every trial's first
+hits in one pass along the rows; trials that need more rows continue in later
+rounds.  Blocks run on a thread per usable CPU: numpy releases the GIL in the
+fills and array passes that make up most of a block.  :func:`simulate_step`
 and :func:`simulate_prep` read the same streams one event at a time.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +36,10 @@ _STREAM_STEP = 0
 _STREAM_PREP = 1
 _MARGIN = 4.0  # standard deviations of headroom in each sized draw
 _DIVERGENT_ROWS = 4096  # walk rows per round when the drift is not positive
-_BLOCK_UNIFORMS = 1 << 21  # uniforms per block round: 16 MB of doubles
+_BLOCK_UNIFORMS = 1 << 21  # uniforms in flight over all workers, held as 1-byte compares
+_CHUNK_UNIFORMS = 1 << 15  # doubles a worker holds at once: 256 kB
+# _PAIR[a, b]: two bools (a, b) read as one uint16, in either byte order
+_PAIR = np.array([[[0, 0], [0, 1]], [[1, 0], [1, 1]]], bool).view(np.uint16)[..., 0]
 
 
 def substream(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
@@ -55,13 +62,15 @@ class WalkParams:
     seed: int
     max_steps: int = 1_000_000
     warmup_links: int = 50
-    threads: int = 1  # accepted for compatibility; trials run in blocks on one thread
+    threads: int | None = None  # workers running trial blocks; None: every usable CPU
 
     def __post_init__(self):
         if self.n < 1:
             raise analytics.OrderOutOfRangeError("n must be >= 1")
         if self.target_links < 1 or self.trials < 1:
             raise analytics.InputError("target_links and trials must be >= 1")
+        if self.threads is not None and self.threads < 1:
+            raise analytics.InputError(f"threads must be >= 1, got {self.threads}")
         if self.warmup_links < 0:
             raise analytics.InputError("warmup_links must be >= 0")
         # fewer steps than links to build would cap every trial by construction
@@ -137,20 +146,20 @@ def simulate_step(n: int, rng: np.random.Generator) -> StepOutcome:
     so P(backward) = (1 - p)/2 with p = (n/(n+1))^2.  No ancillas are charged
     here: they were all paid for at preparation time.
     """
-    forward, backward = _classify(rng.random(3), n / (n + 1))
+    forward, backward = _classify(rng.random(3) < _step_bounds(n))
     if forward:
         return StepOutcome.FORWARD
     return StepOutcome.BACKWARD if backward else StepOutcome.NEUTRAL
 
 
-def _floored_lengths(start, deltas: np.ndarray) -> np.ndarray:
+def _floored_lengths(start, deltas: np.ndarray, dtype=np.int64) -> np.ndarray:
     """Walk positions with a reflecting floor at 0, vectorized along the last axis.
 
     For L_k = max(0, L_{k-1} + d_k) with L_0 = start, the closed form is
     L_k = S_k - min(0, min_{j<=k} S_j) with S_k = start + cumsum(d).
     ``start`` is a scalar or holds one start per row of ``deltas``.
     """
-    lengths = np.cumsum(deltas, axis=-1, dtype=np.int64)
+    lengths = np.cumsum(deltas, axis=-1, dtype=dtype)
     lengths += np.expand_dims(start, -1)
     floor = np.minimum.accumulate(lengths, axis=-1)
     np.minimum(floor, 0, out=floor)
@@ -158,10 +167,15 @@ def _floored_lengths(start, deltas: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _classify(u: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward masks of walk steps drawn as 3 uniforms on the last axis."""
-    forward = (u[..., 0] < s) & (u[..., 1] < s)
-    return forward, ~forward & (u[..., 2] < 0.5)
+def _step_bounds(n: int) -> np.ndarray:
+    """Bounds of a walk step's 3 uniforms: two teleportations, then a coin."""
+    return np.array([n / (n + 1)] * 2 + [0.5])
+
+
+def _classify(below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward masks of walk steps from ``below = uniforms < _step_bounds(n)``."""
+    forward = below[..., 0] & below[..., 1]
+    return forward, ~forward & below[..., 2]
 
 
 class _Streams:
@@ -174,20 +188,33 @@ class _Streams:
         self._gen = np.random.Generator(self._bits)
         self._state = self._bits.state
 
-    def draw(self, trials, stream: int, drawn, rows, width: int) -> np.ndarray:
-        """Row i: ``rows[i]`` draws of ``width`` doubles from substream (seed,
-        trials[i], stream) after its first ``drawn[i]`` draws, padded with 1.0."""
-        out = np.empty((len(trials), max(rows), width))
+    def seek(self, trial: int, stream: int, word: int) -> np.random.Generator:
+        """The generator of substream (seed, trial, stream) after ``word`` doubles."""
         state = self._state
+        state["state"]["key"] = np.array([self._seed, trial * 4 + stream], dtype=np.uint64)
+        # Philox advances its counter before it computes each block of 4 words
+        state["state"]["counter"] = np.array([word // 4, 0, 0, 0], dtype=np.uint64)
+        state["buffer_pos"] = 4
+        self._bits.state = state
+        self._bits.random_raw(word % 4)
+        return self._gen
+
+    def draw(self, trials, stream: int, drawn, rows, bounds: np.ndarray) -> np.ndarray:
+        """Row i: whether each of ``rows[i]`` draws of ``len(bounds)`` doubles
+        from substream (seed, trials[i], stream), after its first ``drawn[i]``
+        draws, is below its column of ``bounds``; padded with False.  The doubles
+        pass through a buffer of ``_CHUNK_UNIFORMS``: one byte per uniform stays."""
+        width = len(bounds)
+        out = np.zeros((len(trials), max(rows), width), bool)
+        # full-shape bounds: a compare broadcast along rows loops over the columns
+        limits = np.tile(bounds, (min(max(rows), _CHUNK_UNIFORMS // width), 1))
+        buf = np.empty(limits.shape)
         for row, trial, start, k in zip(out, trials, drawn, rows):
-            state["state"]["key"] = np.array([self._seed, trial * 4 + stream], dtype=np.uint64)
-            # Philox advances its counter before it computes each block of 4 words
-            state["state"]["counter"] = np.array([width * start // 4, 0, 0, 0], dtype=np.uint64)
-            state["buffer_pos"] = 4
-            self._bits.state = state
-            self._bits.random_raw(width * start % 4)
-            self._gen.random(out=row[:k])
-            row[k:] = 1.0
+            gen = self.seek(trial, stream, width * start)
+            for first in range(0, k, len(buf)):
+                u = buf[:k - first]
+                gen.random(out=u)
+                np.less(u, limits[:len(u)], out=row[first:first + len(u)])
         return out
 
 
@@ -216,12 +243,13 @@ def _first_at_least(values: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]
     return col, reach[np.arange(col.size), col]
 
 
-def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray):
+def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray, budget: int):
     """Walk phase of a block: per trial the steps, forward and backward steps,
     steps to the warmup length, and whether it was capped.
 
     Every trial still walking has drawn the same number of rows."""
-    s = params.n / (params.n + 1)
+    bounds = _step_bounds(params.n)
+    dtype = np.int32 if params.max_steps < 2 ** 31 else np.int64  # lengths <= max_steps
     goal = params.warmup_links + params.target_links
     steps, forward, backward, length = (np.zeros(trials.size, np.int64) for _ in range(4))
     warm_steps = np.full(trials.size, -1 if params.warmup_links else 0)
@@ -229,10 +257,10 @@ def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray):
     while active.size and drawn < params.max_steps:
         k = active.size
         rows = min(_walk_rows(params.n, goal - int(length[active].min())),
-                   params.max_steps - drawn, _BLOCK_UNIFORMS // (3 * k))
+                   params.max_steps - drawn, budget // (3 * k))
         fwd, back = _classify(streams.draw(trials[active].tolist(), _STREAM_STEP,
-                                           [drawn] * k, [rows] * k, 3), s)
-        lengths = _floored_lengths(length[active], np.subtract(fwd, back, dtype=np.int64))
+                                           [drawn] * k, [rows] * k, bounds))
+        lengths = _floored_lengths(length[active], np.subtract(fwd, back, dtype=np.int8), dtype)
         col, hit = _first_at_least(lengths, params.warmup_links)
         hit &= warm_steps[active] < 0  # never with no warmup: warm_steps starts at 0
         warm_steps[active[hit]] = drawn + col[hit] + 1
@@ -249,24 +277,26 @@ def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray):
     return steps, forward, backward, np.where(warm_steps < 0, steps, warm_steps), capped
 
 
-def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.ndarray):
+def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.ndarray,
+          budget: int):
     """Preparation phase of a block: the (units, cs) spent by the ``marks[j]``-th
     prepared unit of each trial, for each row j of ``marks``.  The last row
     holds the largest marks; a mark of 0 costs nothing."""
-    s = params.n / (params.n + 1)
+    bounds = _step_bounds(params.n)[:2]  # the two teleportations, no coin
     units, cs = np.zeros(marks.shape, np.int64), np.zeros(marks.shape, np.int64)
     drawn, spent, seen = (np.zeros(trials.size, np.int64) for _ in range(3))
     active = np.arange(trials.size)
     while active.size:
         rows = np.minimum(_prep_rows(params.n, marks[-1, active] - seen[active]),
-                          _BLOCK_UNIFORMS // (2 * active.size))
-        v = streams.draw(trials[active].tolist(), _STREAM_PREP, drawn[active].tolist(),
-                         rows.tolist(), 2)
-        first_ok = v[..., 0] < s  # such an attempt costs 2 ancillas, any other 1
-        # count by flat position: successes, first-teleport successes, row starts
-        start = np.arange(active.size + 1) * v.shape[1]
-        wins, oks = np.flatnonzero(first_ok & (v[..., 1] < s)), np.flatnonzero(first_ok)
-        win_at, ok_at = np.searchsorted(wins, start), np.searchsorted(oks, start)
+                          budget // (2 * active.size))
+        ok = streams.draw(trials[active].tolist(), _STREAM_PREP, drawn[active].tolist(),
+                          rows.tolist(), bounds)
+        # an attempt whose first teleportation succeeds costs 2 ancillas, any other 1;
+        # count by flat position: successes, first-only successes, row starts
+        start = np.arange(active.size + 1) * ok.shape[1]
+        pairs = ok.view(np.uint16)[..., 0]  # contiguous, where ok[..., 0] is strided
+        wins, halves = np.flatnonzero(pairs == _PAIR[1, 1]), np.flatnonzero(pairs == _PAIR[1, 0])
+        win_at, half_at = np.searchsorted(wins, start), np.searchsorted(halves, start)
         for mark, mark_units, mark_cs in zip(marks, units, cs):
             want = mark[active] - seen[active]
             hit = (want > 0) & (want <= np.diff(win_at))
@@ -274,19 +304,29 @@ def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.n
             tried = at - start[:-1][hit] + 1
             i = active[hit]
             mark_units[i] = drawn[i] + tried
-            mark_cs[i] = spent[i] + tried + np.searchsorted(oks, at, side="right") - ok_at[:-1][hit]
+            # one more ancilla per success up to the want-th and per first-only attempt
+            mark_cs[i] = (spent[i] + tried + want[hit]
+                          + np.searchsorted(halves, at) - half_at[:-1][hit])
         drawn[active] += rows
-        spent[active] += rows + np.diff(ok_at)
+        spent[active] += rows + np.diff(win_at) + np.diff(half_at)
         seen[active] += np.diff(win_at)
         active = active[seen[active] < marks[-1, active]]
     return units, cs
 
 
+def _workers(params: WalkParams) -> int:
+    """Blocks that may run at once: ``params.threads``, at most the usable CPUs."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    cpus = len(usable) if usable else os.cpu_count() or 1
+    return min(params.threads or cpus, cpus)
+
+
 def _run_block(params: WalkParams, trials: np.ndarray) -> list[TrialResult]:
-    streams = _Streams(params.seed)
-    steps, fwd, bwd, warm_steps, capped = _walk(params, streams, trials)
+    # each worker's share, so that all of them together hold _BLOCK_UNIFORMS
+    streams, budget = _Streams(params.seed), _BLOCK_UNIFORMS // _workers(params)
+    steps, fwd, bwd, warm_steps, capped = _walk(params, streams, trials, budget)
     (warm_units, units), (warm_cs, cs) = _prep(params, streams, trials,
-                                               np.stack([warm_steps, steps]))
+                                               np.stack([warm_steps, steps]), budget)
     columns = (steps, fwd, bwd, units, cs, steps - warm_steps, units - warm_units,
                cs - warm_cs, capped)
     return [TrialResult(*row) for row in zip(*(c.tolist() for c in columns))]
@@ -318,12 +358,38 @@ def run_trials(params: WalkParams) -> list[TrialResult]:
     """All trial results in trial order, computed a block of trials at a time.
 
     Each trial draws from its own counter-based substreams, so the list does
-    not depend on the block size.  ``params.threads`` has no effect.
+    not depend on the block size or on which worker runs a block.  Blocks go
+    to min(``params.threads``, usable CPUs, blocks) workers, the calling
+    thread among them; the first exception a worker raises is re-raised here
+    once every worker has stopped.
     """
+    workers = _workers(params)
     rows = _walk_rows(params.n, params.warmup_links + params.target_links)
-    block = max(1, _BLOCK_UNIFORMS // max(3 * rows, 2 * int(_prep_rows(params.n, rows))))
-    return [result for first in range(0, params.trials, block)
-            for result in _run_block(params, np.arange(first, min(first + block, params.trials)))]
+    per_trial = max(3 * rows, 2 * int(_prep_rows(params.n, rows)))
+    size = max(1, _BLOCK_UNIFORMS // workers // per_trial)
+    blocks = [np.arange(first, min(first + size, params.trials))
+              for first in range(0, params.trials, size)]
+    results, errors = [None] * len(blocks), []
+
+    def work(first: int) -> None:  # every ``workers``-th block from ``first``
+        try:
+            for i in range(first, len(blocks), workers):
+                if errors:
+                    return
+                results[i] = _run_block(params, blocks[i])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    workers = min(workers, len(blocks))
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return [result for block in results for result in block]
 
 
 def build_chain(params: WalkParams) -> WalkStats:
@@ -348,12 +414,12 @@ class StepFrequencies:
 def step_frequencies(n: int, steps: int, seed: int) -> StepFrequencies:
     """Vectorized batch of independent walk steps; used for drift studies."""
     rng = substream(seed, 0, _STREAM_STEP)
-    s = n / (n + 1)
+    bounds = _step_bounds(n)
     fwd = bwd = 0
     left = steps
     while left > 0:
         k = min(1 << 20, left)
-        forward, back = _classify(rng.random((k, 3)), s)
+        forward, back = _classify(rng.random((k, 3)) < bounds)
         fwd += int(forward.sum())
         bwd += int(back.sum())
         left -= k

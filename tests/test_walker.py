@@ -1,7 +1,10 @@
 """Monte Carlo walker tests: determinism, distributions, convergence."""
 
 import math
-from dataclasses import dataclass
+import os
+import sys
+import threading
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +26,31 @@ def geometric_prep_expectations(n, cutoff=400):
     e_attempts = sum(k * (1 - p) ** (k - 1) * p for k in range(1, cutoff))
     e_cs = sum(((k - 1) * cs_fail + 2) * (1 - p) ** (k - 1) * p for k in range(1, cutoff))
     return float(e_attempts), float(e_cs)
+
+
+def usable_cpus(monkeypatch, count):
+    """Let the walker see ``count`` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def bounded(fn, timeout=60.0):
+    """``fn()`` on a helper thread that must finish within ``timeout`` seconds:
+    its result, or the exception it raised."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:  # re-raised below, on the test's thread
+            out["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), f"still running after {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
 
 
 # --- Slow scalar oracles: the event models one draw or one trial at a time ---
@@ -178,18 +206,25 @@ class TestSubstreams:
     @pytest.mark.parametrize("seed, trial", [(5, 3), (2 ** 64 - 1, 2 ** 61 - 1)])
     @pytest.mark.parametrize("stream", [0, 1])
     @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 4099])
-    def test_rekeyed_streams_equal_substream(self, seed, trial, stream, start):
+    def test_rekeyed_streams_equal_substream(self, seed, trial, stream, start, monkeypatch):
         """Re-keying one Philox reads the same doubles as a fresh substream,
         also from a word inside a 4-word Philox block and after another
-        stream was read; a shorter row is padded with 1.0."""
+        stream was read; draws are compared chunk by chunk, and a shorter
+        row is padded with False."""
+        monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", 4)
         rng = walker.substream(seed, trial, stream)
         head = rng.random(start)
         want = rng.random(9)
         streams = walker._Streams(seed)
-        streams.draw([trial - 1], 1 - stream, [2], [6], 1)
-        got = streams.draw([trial, trial], stream, [start, 0], [9, 2], 1)[..., 0]
-        assert np.array_equal(got[0], want)
-        assert np.array_equal(got[1], np.r_[np.r_[head, want][:2], [1.0] * 7])
+        streams.draw([trial - 1], 1 - stream, [2], [6], np.array([0.5]))
+        assert np.array_equal(streams.seek(trial, stream, start).random(9), want)
+        got = streams.draw([trial, trial], stream, [start, 0], [9, 2], np.array([0.5]))[..., 0]
+        assert np.array_equal(got[0], want < 0.5)
+        assert np.array_equal(got[1], np.r_[np.r_[head, want][:2] < 0.5, [False] * 7])
+        bounds = np.array([0.3, 0.7])
+        pairs = np.r_[head, want][2 * (start // 2):][:8].reshape(-1, 2)
+        got = streams.draw([trial], stream, [start // 2], [len(pairs)], bounds)[0]
+        assert np.array_equal(got, pairs < bounds)
 
 
 class TestPrepAndStep:
@@ -265,6 +300,7 @@ class TestBuildChain:
             cs += ancillas
         assert (got.steps, got.units, got.cs) == (steps, units, cs)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("kw, budget", [
         (dict(n=2, target_links=30, trials=37, seed=5), 1 << 15),
         (dict(n=2, target_links=30, trials=37, seed=5, warmup_links=0), 1 << 14),
@@ -273,33 +309,117 @@ class TestBuildChain:
         (dict(n=1, target_links=50, trials=7, seed=1, max_steps=2000, warmup_links=0), 1 << 17),
         (dict(n=1, target_links=4, trials=25, seed=4, max_steps=3000, warmup_links=2), 1 << 17),
     ])
-    def test_blocks_equal_per_trial_oracle(self, kw, budget, monkeypatch):
-        """Blocks of trials give the oracle's results exactly, also when the
-        last block is shorter than the others."""
-        params = walker.WalkParams(**kw)
+    def test_blocks_equal_per_trial_oracle(self, kw, budget, threads, monkeypatch):
+        """Blocks of trials give the oracle's results exactly on any number
+        of workers, also when the last block is shorter than the others and
+        draws span several chunks."""
+        params = walker.WalkParams(**kw, threads=threads)
         blocks = []
         run_block = walker._run_block
-        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", budget)
-        monkeypatch.setattr(walker, "_run_block",
-                            lambda p, trials: blocks.append(trials.size) or run_block(p, trials))
+        usable_cpus(monkeypatch, 3)
+        # each worker holds a share of the budget: the same blocks at any count
+        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", budget * threads)
+        monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", 96)
+        monkeypatch.setattr(walker, "_run_block", lambda p, trials: blocks.append(
+            (trials[0], trials.size)) or run_block(p, trials))
         assert walker.run_trials(params) == [chunked_trial(params, t)
                                              for t in range(params.trials)]
-        assert sum(blocks) == params.trials
-        assert len(blocks) > 1 and blocks[-1] < blocks[0]
+        sizes = [size for _, size in sorted(blocks)]  # workers finish in any order
+        assert sum(sizes) == params.trials
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("n, warmup", [(2, 0), (3, 20)])
-    def test_trials_that_outrun_their_sized_draws(self, n, warmup, monkeypatch):
+    def test_trials_that_outrun_their_sized_draws(self, n, warmup, threads, monkeypatch):
         """With no margin about half the trials need more rows than the
         first round draws, in the walk and in the preparations."""
+        usable_cpus(monkeypatch, 3)
         monkeypatch.setattr(walker, "_MARGIN", 0.0)
         params = walker.WalkParams(n=n, target_links=40, trials=40, seed=8,
-                                   warmup_links=warmup)
+                                   warmup_links=warmup, threads=threads)
         want = [chunked_trial(params, t) for t in range(params.trials)]
         assert walker.run_trials(params) == want
         goal = params.warmup_links + params.target_links
         longer = [t.steps > walker._walk_rows(n, goal) for t in want]
         assert 5 < sum(longer) < 35
         assert any(t.units > walker._prep_rows(n, t.steps) for t in want)
+
+    @pytest.mark.parametrize("on_worker", [True, False])
+    def test_block_error_reaches_caller(self, on_worker, monkeypatch):
+        """An exception in a block, on a worker thread or on the calling
+        thread, is raised by run_trials after every worker has stopped."""
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 14)
+        run_block, caller = walker._run_block, []
+
+        def failing(p, trials):
+            if (threading.current_thread() in caller) != on_worker:
+                raise RuntimeError("block failed")
+            return run_block(p, trials)
+
+        def run():
+            caller.append(threading.current_thread())
+            return walker.run_trials(walker.WalkParams(n=2, target_links=30, trials=37,
+                                                       seed=5, threads=3))
+
+        monkeypatch.setattr(walker, "_run_block", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            bounded(run)
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        """Eight workers that switch every microsecond still put every block's
+        results in its own place, on however many cores the host has."""
+        usable_cpus(monkeypatch, 8)
+        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 15)
+        params = walker.WalkParams(n=2, target_links=30, trials=97, seed=13, threads=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = bounded(lambda: walker.run_trials(params))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [chunked_trial(params, t) for t in range(params.trials)]
+
+    @pytest.mark.parametrize("threads, cpus, trials", [
+        (8, 3, 37), (2, 3, 37), (None, 3, 37), (8, 1, 37), (None, 2, 37), (8, 3, 2), (8, 3, 1)])
+    def test_workers_capped_by_threads_cpus_and_blocks(self, threads, cpus, trials,
+                                                       monkeypatch):
+        """The calling thread plus one started thread per further worker:
+        never more workers than threads, usable CPUs or blocks."""
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 14)
+        blocks, starts = [], []
+        run_block, start = walker._run_block, threading.Thread.start
+        monkeypatch.setattr(walker, "_run_block",
+                            lambda p, t: blocks.append(t.size) or run_block(p, t))
+        monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
+        params = walker.WalkParams(n=2, target_links=30, trials=trials, seed=5, threads=threads)
+        walker.run_trials(params)
+        assert len(starts) + 1 == min(threads or cpus, cpus, len(blocks))
+        assert (trials == 1) == (len(blocks) == 1)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("kw", [dict(n=2, target_links=30, trials=37, seed=5),
+                                    dict(n=3, target_links=2000, trials=5, seed=6)])
+    def test_workers_share_one_budget(self, kw, threads, monkeypatch):
+        """Each worker's draws hold at most its share of the uniforms, also
+        when a single trial needs several rounds."""
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 14)
+        params = walker.WalkParams(**kw, threads=threads)
+        want = walker.run_trials(replace(params, threads=1))
+        sizes, draw = [], walker._Streams.draw
+
+        def recording(streams, *args):
+            out = draw(streams, *args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(walker._Streams, "draw", recording)
+        assert walker.run_trials(params) == want
+        assert max(sizes) <= (1 << 14) // threads
 
     def test_thread_count_does_not_change_results(self):
         base = dict(n=2, target_links=30, trials=24, seed=5)
@@ -332,6 +452,9 @@ class TestBuildChain:
         with pytest.raises(analytics.InputError, match="warmup_links"):
             walker.WalkParams(n=2, target_links=5, trials=1, seed=0, max_steps=54)
         walker.WalkParams(n=2, target_links=5, trials=1, seed=0, max_steps=55)
+        for threads in (0, -1):
+            with pytest.raises(analytics.InputError, match="threads"):
+                walker.WalkParams(n=2, target_links=5, trials=1, seed=0, threads=threads)
         with pytest.raises(analytics.OrderOutOfRangeError):
             walker.WalkParams(n=0, target_links=1, trials=1, seed=0)
 

@@ -30,7 +30,7 @@ def main():
 
     print("\nOne teleportation, n = 1, input 0.6|0> + 0.8|1>, all outcomes:")
     st = fock.FockState(1, {(0,): 0.6, (1,): 0.8})
-    for br in fock.f_teleport(st, 0, fock.make_t_resource(1), 1):
+    for br in fock.f_teleport(st, 0, 1):
         kind = "success" if br.success else ("read |0>" if br.photon_total == 0
                                              else "read |1>")
         print(f"  counts {br.pattern}  p = {br.probability:.4f}  {kind}")

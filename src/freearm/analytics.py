@@ -29,12 +29,11 @@ class NonPositiveDriftError(InputError):
     """Construction formulas are undefined when the walk drift p - q <= 0 (order 1)."""
 
 
-def _check_order(n: int, minimum: int = 1, name: str = "n") -> int:
+def _check_order(n: int, name: str = "n") -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise OrderOutOfRangeError(f"{name} must be an int, got {n!r}")
-    if n < minimum:
-        raise OrderOutOfRangeError(f"{name} must be >= {minimum}, got {n}")
-    return n
+    if n < 1:
+        raise OrderOutOfRangeError(f"{name} must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,11 @@ class ResourceRates:
 
     ``two_photon_units`` counts the primitive entangled photon-pair units
     (four-photon units for the cluster variant); ``cs_states`` counts copies of
-    the order-``cs_order`` teleportation ancilla.
+    the teleportation ancilla at the order the rates were computed for.
     """
 
     two_photon_units: Fraction
     cs_states: Fraction
-    cs_order: int
 
     def __post_init__(self):
         if self.two_photon_units <= 0 or self.cs_states <= 0:
@@ -62,8 +60,6 @@ class GateCost:
     construction_cs: Fraction
     construction_units: Fraction
     weave_cs: Fraction
-    n: int
-    m: int
 
 
 def ftel_success(n: int) -> Fraction:
@@ -113,7 +109,6 @@ def resources_per_link(n: int) -> ResourceRates:
     return ResourceRates(
         two_photon_units=r * per_step_units(n),
         cs_states=r * per_step_cs(n),
-        cs_order=n,
     )
 
 
@@ -154,8 +149,6 @@ def resources_per_gate(n: int, m: int) -> GateCost:
         construction_cs=factor * link.cs_states,
         construction_units=factor * link.two_photon_units,
         weave_cs=weave_cs_per_gate(m),
-        n=n,
-        m=m,
     )
 
 
@@ -169,7 +162,6 @@ def cluster_resources_per_unit(n: int) -> ResourceRates:
     return ResourceRates(
         two_photon_units=Fraction((n + 1) ** 4, denom),
         cs_states=Fraction((n + 1) * (n + 1) * (n * n + 3 * n + 3), denom),
-        cs_order=n,
     )
 
 

@@ -37,6 +37,10 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
+# the convergence gate of `walk` and `weave`: both bounds must hold
+REL_TOL = 0.01
+SIGMAS = 3
+
 
 @dataclass(frozen=True)
 class Report:
@@ -88,16 +92,16 @@ def _at_least(low: int):
     return count
 
 
-def _close(results: float, target: float, stderr: float,
-           rel_tol: float = 0.01, sigmas: float = 3.0) -> bool:
+def _close(results: float, target: float, stderr: float) -> bool:
     if math.isnan(results):
         return False
-    return (abs(results - target) <= rel_tol * abs(target)
-            and abs(results - target) <= sigmas * stderr + 1e-12)
+    return (abs(results - target) <= REL_TOL * abs(target)
+            and abs(results - target) <= SIGMAS * stderr + 1e-12)
 
 
 def _convergence(passed: bool) -> str:
-    return f"convergence: {'pass' if passed else 'FAIL'} (1% relative and 3 standard errors)"
+    return (f"convergence: {'pass' if passed else 'FAIL'} "
+            f"({REL_TOL:.0%} relative and {SIGMAS} standard errors)")
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +383,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # bad parameters and an unwritable --output are usage errors; any other
+    # exception is an internal fault and keeps its traceback.  The report
+    # comes first, so a usage error leaves an existing --output file alone.
+    try:
+        report = args.func(args)
+    except analytics.InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         sink = (open(args.output, "w", newline="") if args.output
                 else contextlib.nullcontext(sys.stdout))
         with sink as out:
-            report = args.func(args)
             render(report, args.command, args.format, out)
-    except (OSError, analytics.InputError) as exc:
-        # bad parameters and an unwritable --output are usage errors; any
-        # other exception is an internal fault and keeps its traceback
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_VERIFICATION_FAILED if report.passed is False else EXIT_OK

@@ -229,19 +229,16 @@ class TeleportBranch:
     output_mode: int | None
 
 
-def f_teleport(state: FockState, input_mode: int, ancilla: FockState, n: int
-               ) -> list[TeleportBranch]:
-    """Teleport the photon-number qubit in ``input_mode`` through ``ancilla``.
+def f_teleport(state: FockState, input_mode: int, n: int) -> list[TeleportBranch]:
+    """Teleport the photon-number qubit in ``input_mode`` through the 2n-mode
+    resource :func:`make_t_resource`, appended after the modes of ``state``.
 
-    The ancilla is the 2n-mode teleportation resource.  The input mode joins
-    its first n modes under the (n+1)-mode Fourier transform and those modes
-    are photon-counted.  Success branches (detected total k with 0 < k < n+1)
-    carry the input amplitudes on ancilla mode n+k, with the unit phase
-    T[p, 0, k] / T[p, 1, k-1] of the transfer tensor corrected; failures
-    collapse the input (k = 0 reads |0>, k = n+1 reads |1>).
+    The input mode joins its first n modes under the (n+1)-mode Fourier
+    transform and those modes are photon-counted.  Success branches (detected
+    total k with 0 < k < n+1) carry the input amplitudes on ancilla mode n+k,
+    with the unit phase T[p, 0, k] / T[p, 1, k-1] of the transfer tensor
+    corrected; failures collapse the input (k = 0 reads |0>, k = n+1 reads |1>).
     """
-    if ancilla.modes != 2 * n or ancilla.fidelity(make_t_resource(n)) < 1 - 1e-10:
-        raise FockError(f"ancilla must be the {2 * n}-mode teleportation resource")
     if not 0 <= input_mode < state.modes:
         raise FockError("input mode out of range")
     if any(occ[input_mode] > 1 for occ in state.terms):
@@ -250,7 +247,7 @@ def f_teleport(state: FockState, input_mode: int, ancilla: FockState, n: int
     row = {p: r for r, p in enumerate(patterns)}
     anc_start = state.modes
     targets = (input_mode,) + tuple(range(anc_start, anc_start + n))
-    transformed = apply_mode_unitary(state.tensor(ancilla),
+    transformed = apply_mode_unitary(state.tensor(make_t_resource(n)),
                                      ModeUnitary(targets, fourier_matrix(n + 1)))
     branches = []
     for pattern, prob, cond in measure_modes(transformed, targets):
@@ -274,37 +271,19 @@ def _apply_mode_phase(state: FockState, mode: int, phase: complex) -> FockState:
 
 
 @dataclass
-class CzBranch:
-    """A pair of teleportation outcomes for one conditional-phase attempt."""
-
-    pattern_a: tuple[int, ...]
-    pattern_b: tuple[int, ...]
-    probability: float
-    success: bool
-    rails: np.ndarray | None        # corrected c_xy amplitudes on joint success
-
-
-@dataclass
 class CzBranches:
     """The outcomes of one gate attempt in lexicographic (pattern_a, pattern_b)
-    order, held as arrays; iterating builds one ``CzBranch`` at a time."""
+    order, held as arrays; ``len()`` is the branch count."""
 
     patterns: list[tuple[int, ...]]
     index_a: np.ndarray             # row of pattern_a in ``patterns``, per branch
     index_b: np.ndarray
     probability: np.ndarray
     success: np.ndarray
-    rails: np.ndarray               # (joint successes, 2, 2) corrected amplitudes
+    rails: np.ndarray               # corrected c_xy of each joint success, (successes, 2, 2)
 
     def __len__(self) -> int:
         return len(self.probability)
-
-    def __iter__(self):
-        rails = iter(self.rails)
-        for a, b, prob, ok in zip(self.index_a, self.index_b, self.probability,
-                                  self.success):
-            yield CzBranch(self.patterns[a], self.patterns[b], float(prob), bool(ok),
-                           next(rails) if ok else None)
 
 
 def _rail_vector(qubit: FockState) -> np.ndarray:
@@ -356,13 +335,6 @@ def cz_via_cs(qubit_a: FockState, qubit_b: FockState, n: int) -> CzBranches:
     fix_b = np.stack([np.ones_like(phase_b), phase_b], axis=1)[:, None, :]
     rails = amps[sa, sb] * fix_a * fix_b / np.sqrt(prob[sa, sb])[:, None, None]
     return CzBranches(patterns, index_a, index_b, prob[index_a, index_b], success, rails)
-
-
-def rail_amplitudes(branch: CzBranch) -> np.ndarray:
-    """The corrected 2x2 qubit amplitudes c_xy of a joint-success branch."""
-    if branch.rails is None:
-        raise FockError("only joint-success branches carry rail amplitudes")
-    return branch.rails
 
 
 def cz_ideal(qubit_a: FockState, qubit_b: FockState) -> np.ndarray:

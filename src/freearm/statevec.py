@@ -519,10 +519,6 @@ class EvolveReport:
     probability_sum: float
 
 
-def _pull_bracket(state: PureState, chain: str, link: int) -> PureState:
-    return state.tensor(bracket_state(chain, link))
-
-
 def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int):
     """Yield (probability, corrected state) for each of the 64 measurement
     branches of one conditional-phase gadget on carriers ``ca`` and ``cb``.
@@ -531,7 +527,7 @@ def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int):
     carriers forward through the woven photons, applying every
     measurement-dependent correction.
     """
-    pulled = _pull_bracket(_pull_bracket(state, a, ca), b, cb)
+    pulled = state.tensor(bracket_state(a, ca)).tensor(bracket_state(b, cb))
     for wb in weave_joint(pulled, arm(a, ca + 1), arm(b, cb + 1)):
         for r_a, st_a, fr_a in bell_teleport(wb.state, a, ca):
             st_a = fr_a.apply(st_a, pol(a, ca + 1))
@@ -602,29 +598,8 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Program (de)serialization and random program generation
+# Program serialization and random program generation
 # ---------------------------------------------------------------------------
-
-
-def _c(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
-def program_from_json(doc: dict) -> Program:
-    try:
-        qubits = tuple(doc["qubits"])
-        inputs = {q: (_c(v[0]), _c(v[1])) for q, v in doc.get("inputs", {}).items()}
-        ops = []
-        for g in doc.get("gates", []):
-            if g["type"] == "unitary":
-                ops.append(Rotation(g["qubit"], [[_c(e) for e in row] for row in g["matrix"]]))
-            elif g["type"] == "cphase":
-                ops.append(Cphase(*g["qubits"]))
-            else:
-                raise MalformedProgramError(f"unknown gate type {g['type']!r}")
-    except (KeyError, TypeError, IndexError) as exc:
-        raise MalformedProgramError(f"malformed program document: {exc}") from exc
-    return Program(qubits, inputs, tuple(ops))
 
 
 def program_to_json(program: Program) -> dict:

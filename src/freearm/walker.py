@@ -333,7 +333,12 @@ def _run_block(params: WalkParams, trials: np.ndarray) -> list[TrialResult]:
 
 
 def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
-    """Means and sample-corrected standard errors over a homogeneous trial list."""
+    """Means and sample-corrected standard errors over a homogeneous trial list.
+
+    Per-link rates are measured after the chain first reaches ``warmup_links``,
+    excluding the reflecting-boundary transient so they estimate the long-run
+    rates the closed forms describe.
+    """
     if not trials:
         raise ValueError("cannot aggregate an empty list of trials")
     done = [t for t in trials if not t.capped]
@@ -392,16 +397,6 @@ def run_trials(params: WalkParams) -> list[TrialResult]:
     return [result for block in results for result in block]
 
 
-def build_chain(params: WalkParams) -> WalkStats:
-    """Run all trials and aggregate.
-
-    Per-link rates are measured after the chain first reaches ``warmup_links``,
-    excluding the reflecting-boundary transient so they estimate the long-run
-    rates the closed forms describe.
-    """
-    return aggregate(run_trials(params), params)
-
-
 @dataclass
 class StepFrequencies:
     steps: int
@@ -445,7 +440,6 @@ class WeaveModel(Enum):
 
 @dataclass
 class WeaveStats:
-    model: WeaveModel
     count: int
     cs_mean: Estimate
     arms_per_side: Estimate
@@ -477,7 +471,7 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
                 arms[active[failed], side] += 1
                 active = active[failed]
         cs = arms.max(axis=1)
-    return WeaveStats(model, count, mean_stderr(cs), mean_stderr(arms.ravel()))
+    return WeaveStats(count, mean_stderr(cs), mean_stderr(arms.ravel()))
 
 
 @dataclass
@@ -485,7 +479,6 @@ class ClusterStats:
     count: int
     units_per_net_unit: float
     cs_per_net_unit: float
-    net_links: int
 
 
 def cluster_batch(n: int, count: int, seed: int) -> ClusterStats:
@@ -507,5 +500,5 @@ def cluster_batch(n: int, count: int, seed: int) -> ClusterStats:
     cs = np.where(first, 1, np.where(second, 2, 3)).sum()
     net = int(success.sum()) - int((~success).sum())
     if net <= 0:
-        return ClusterStats(count, math.inf, math.inf, net)
-    return ClusterStats(count, count / net, float(cs) / net, net)
+        return ClusterStats(count, math.inf, math.inf)
+    return ClusterStats(count, count / net, float(cs) / net)

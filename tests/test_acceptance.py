@@ -42,7 +42,7 @@ def test_02_walk_convergence():
     t0 = time.perf_counter()
     params = walker.WalkParams(n=2, target_links=100, trials=10_000, seed=0,
                                threads=4)
-    stats = walker.build_chain(params)
+    stats = walker.aggregate(walker.run_trials(params), params)
     checks = [(stats.attempts_per_net_link, 6.0), (stats.units_per_link, 13.5),
               (stats.cs_per_link, 22.5)]
     ok = all(abs(est.mean - target) <= 0.01 * target

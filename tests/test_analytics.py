@@ -66,7 +66,6 @@ class TestWalkRates:
         r = analytics.resources_per_link(2)
         assert r.two_photon_units == Fraction(27, 2)
         assert r.cs_states == Fraction(45, 2)
-        assert r.cs_order == 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_per_link_closed_forms(self, n):
@@ -142,7 +141,7 @@ class TestDomainErrors:
 
     def test_resource_rates_positive(self):
         with pytest.raises(ValueError):
-            analytics.ResourceRates(Fraction(0), Fraction(1), 2)
+            analytics.ResourceRates(Fraction(0), Fraction(1))
 
 
 class TestSerialization:

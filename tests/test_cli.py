@@ -238,6 +238,26 @@ class TestOutputBoundary:
         code, err = run_failing(["verify-weave", "--output", str(target)], capsys)
         assert code == 2 and len(err) == 1 and str(target) in err[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["walk", "--n", "0", "--trials", "1", "--target-links", "1"],
+        ["fock-cz", "--n", "4"],
+    ])
+    def test_usage_error_leaves_existing_output_alone(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        target.write_bytes(b'{"earlier": "report"}\n')
+        code, err = run_failing(argv + ["--output", str(target)], capsys)
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+        assert target.read_bytes() == b'{"earlier": "report"}\n'
+
+    def test_engine_os_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        def boom(n):
+            raise OSError("boom")
+
+        monkeypatch.setattr(fock, "cz_success_report", boom)
+        with pytest.raises(OSError, match="boom"):
+            cli.main(["fock-cz", "--n", "1"])
+        assert capsys.readouterr().err == ""
+
     def test_non_finite_json_fails_loudly(self):
         report = cli.Report({"x": float("nan")}, [{}], [])
         with pytest.raises(ValueError):

@@ -423,13 +423,13 @@ class TestBuildChain:
 
     def test_thread_count_does_not_change_results(self):
         base = dict(n=2, target_links=30, trials=24, seed=5)
-        one = walker.build_chain(walker.WalkParams(**base, threads=1))
-        four = walker.build_chain(walker.WalkParams(**base, threads=4))
-        assert one == four
+        one, four = (walker.WalkParams(**base, threads=t) for t in (1, 4))
+        assert (walker.aggregate(walker.run_trials(one), one)
+                == walker.aggregate(walker.run_trials(four), four))
 
     def test_convergence_to_closed_forms(self):
         params = walker.WalkParams(n=2, target_links=100, trials=1500, seed=21)
-        stats = walker.build_chain(params)
+        stats = walker.aggregate(walker.run_trials(params), params)
         for est, target in [(stats.attempts_per_net_link, 6.0),
                             (stats.units_per_link, 13.5),
                             (stats.cs_per_link, 22.5)]:
@@ -438,7 +438,7 @@ class TestBuildChain:
     def test_max_steps_cap_flags_trials(self):
         params = walker.WalkParams(n=1, target_links=50, trials=5, seed=1,
                                    max_steps=2000, warmup_links=0)
-        stats = walker.build_chain(params)
+        stats = walker.aggregate(walker.run_trials(params), params)
         assert stats.capped_trials == 5
         assert math.isnan(stats.attempts_per_net_link.mean)
         assert stats.drift.mean < 0

@@ -5,11 +5,12 @@ photonic degrees of freedom (path or polarization of a named photon).  The
 module builds chain states, performs weaving (conditional-phase on two free
 arms followed by x-basis measurements and local phase fix-ups), exercises the
 failure path, teleports data along a chain via Bell measurements, and runs
-whole logical programs, verifying every measurement branch of each
-conditional-phase gadget, against a direct-circuit oracle.
+whole logical programs against a direct-circuit oracle.  Each branch of a
+conditional-phase gadget is checked on an exact 4-label probe: its two
+carriers, with the rest of the program folded into two reference qubits.
 
-Measured degrees of freedom are removed immediately so enumeration stays
-within the label cap ``DOF_CAP``.  All operations return new states.
+Measured degrees of freedom are removed immediately, so programs of up to
+``DOF_CAP`` qubits stay within the label cap.  All operations return new states.
 """
 
 from __future__ import annotations
@@ -260,13 +261,15 @@ class PureState:
     def fidelity(self, other: "PureState") -> float:
         return abs(self.overlap(other)) ** 2
 
-    def schmidt_coefficients(self, subset) -> np.ndarray:
-        """Singular values of the bipartition (subset | rest)."""
-        subset = list(subset)
+    def _matrix(self, subset) -> np.ndarray:
+        """The amplitudes as a (subset | rest) matrix; rows follow ``subset``."""
         axes = [self.axis(d) for d in subset]
         others = [i for i in range(len(self.labels)) if i not in axes]
-        mat = self._grid().transpose(axes + others).reshape(1 << len(axes), -1)
-        return np.linalg.svd(mat, compute_uv=False)
+        return self._grid().transpose(axes + others).reshape(1 << len(axes), -1)
+
+    def schmidt_coefficients(self, subset) -> np.ndarray:
+        """Singular values of the bipartition (subset | rest)."""
+        return np.linalg.svd(self._matrix(subset), compute_uv=False)
 
     def relabel(self, mapping: dict[Dof, Dof]) -> "PureState":
         new = tuple(mapping.get(l, l) for l in self.labels)
@@ -519,6 +522,22 @@ class EvolveReport:
     probability_sum: float
 
 
+def _probe(state: PureState, x: Dof, y: Dof) -> PureState:
+    """Fold the spectators of carriers ``x`` and ``y`` into two reference qubits.
+
+    The (carriers | rest) matrix is M = R^dagger Q^dagger, from the QR of
+    M^dagger, and Q^dagger is an isometry on the spectators, so every map
+    K (x) I gives the same norms and overlaps on R^dagger as on the state.
+    The references reuse two spectator labels.  A state of at most 4 labels
+    is its own probe.
+    """
+    if len(state.labels) <= 4:
+        return state
+    r = np.linalg.qr(state._matrix((x, y)).conj().T, mode="r")
+    refs = [l for l in state.labels if l not in (x, y)][:2]
+    return PureState((x, y, *refs), r.conj().T.reshape(-1))
+
+
 def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int):
     """Yield (probability, corrected state) for each of the 64 measurement
     branches of one conditional-phase gadget on carriers ``ca`` and ``cb``.
@@ -557,10 +576,9 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
     64^c branch tree ends in the same state; the final comparison with
     :func:`ideal_circuit` ties that state to the independent oracle.  The
     report counts the 64^c branches so covered, their total probability
-    (the product of the per-gadget sums) and the least fidelity seen.
-
-    Chain links are pulled in lazily (the chain state is a product of its
-    links), so the active label count stays within the cap.
+    (the product of the per-gadget sums) and the least fidelity seen.  The
+    branches run on the carriers' :func:`_probe` with both chains' next
+    links pulled in, so a gadget holds at most 10 labels at any width.
     """
     for q in program.qubits:
         if program.cphase_count(q) > links_per_qubit:
@@ -580,13 +598,15 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
             continue
         a, b = op.a, op.b
         ca, cb = carriers[a], carriers[b]
-        want = state.apply_cz(pol(a, ca), pol(b, cb)).relabel(
-            {pol(a, ca): pol(a, ca + 1), pol(b, cb): pol(b, cb + 1)})
+        x, y = pol(a, ca), pol(b, cb)
+        moved = {x: pol(a, ca + 1), y: pol(b, cb + 1)}
+        probe = _probe(state, x, y)
+        want, probe_want = (s.apply_cz(x, y).relabel(moved) for s in (state, probe))
         leaves, gadget_sum = 0, 0.0
-        for prob, leaf in _cphase_branches(state, a, ca, b, cb):
+        for prob, leaf in _cphase_branches(probe, a, ca, b, cb):
             leaves += 1
             gadget_sum += prob
-            min_fid = min(min_fid, leaf.fidelity(want))
+            min_fid = min(min_fid, leaf.fidelity(probe_want))
         branch_count *= leaves
         prob_sum *= gadget_sum
         state = want

@@ -68,6 +68,8 @@ SINGLES = [
     (["verify-evolve", "--qubits", "21", "--cphases", "0", "--rotations", "0"], {}),
     (["verify-evolve", "--qubits", "15", "--cphases", "1"], {}),
     (["verify-evolve", "--links", "-3", "--cphases", "0"], {}),
+    (["verify-evolve", "--qubits", "20", "--cphases", "1", "--rotations", "2", "--seed", "0"],
+     {}),
 ]
 
 CASES = [(argv + ["--format", fmt], {}) for argv in REPORTS

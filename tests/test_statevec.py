@@ -215,6 +215,21 @@ class TestEvolution:
         assert (rep.branch_count, rep.probability_sum) == (1, 1.0)
         assert rep.min_fidelity == pytest.approx(1, abs=1e-12)
 
+    @pytest.mark.parametrize("n_qubits, width", [(2, 8), (3, 9), (4, 10), (13, 10)])
+    def test_gadget_width_does_not_grow_with_the_program(self, monkeypatch,
+                                                         n_qubits, width):
+        honest = sv.weave_joint
+        widths = []
+
+        def spy(joint, arm_a, arm_b):
+            widths.append(len(joint.labels))
+            return honest(joint, arm_a, arm_b)
+
+        monkeypatch.setattr(sv, "weave_joint", spy)
+        prog = sv.random_program(n_qubits, 1, 2, np.random.default_rng(8))
+        sv.evolve_program(prog, links_per_qubit=1)
+        assert widths == [width]
+
     def test_twenty_cphases_on_six_qubits(self):
         prog = sv.random_program(6, 20, 10, np.random.default_rng(20))
         rep = sv.evolve_program(prog, links_per_qubit=20)
@@ -277,6 +292,59 @@ def enumerate_program(program, links_per_qubit):
     return (len(results), min(f for _, f in results), sum(p for p, _ in results))
 
 
+def evolve_whole_state(program, links_per_qubit):
+    """Per-gadget oracle without the probe: each gadget's 64 branches run on
+    the whole program state plus the 6 labels pulled from the two chains.
+
+    Returns (branch count, least fidelity, probability sum).
+    """
+    target = sv.ideal_circuit(program)
+    state = None
+    for q in program.qubits:
+        d = sv.data_state(q, 1, *program.input_pair(q))
+        state = d if state is None else state.tensor(d)
+    carriers = {q: 1 for q in program.qubits}
+    branch_count, prob_sum, min_fid = 1, 1.0, math.inf
+    for op in program.ops:
+        if isinstance(op, sv.Rotation):
+            state = state.apply_one(sv.pol(op.qubit, carriers[op.qubit]), op.matrix)
+            continue
+        a, b = op.a, op.b
+        ca, cb = carriers[a], carriers[b]
+        want = state.apply_cz(sv.pol(a, ca), sv.pol(b, cb)).relabel(
+            {sv.pol(a, ca): sv.pol(a, ca + 1), sv.pol(b, cb): sv.pol(b, cb + 1)})
+        leaves, gadget_sum = 0, 0.0
+        for prob, leaf in sv._cphase_branches(state, a, ca, b, cb):
+            leaves += 1
+            gadget_sum += prob
+            min_fid = min(min_fid, leaf.fidelity(want))
+        branch_count *= leaves
+        prob_sum *= gadget_sum
+        state = want
+        carriers[a], carriers[b] = ca + 1, cb + 1
+    mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in program.qubits}
+    min_fid = min(min_fid, state.relabel(mapping).fidelity(target))
+    return branch_count, min_fid, prob_sum
+
+
+def cphase_first(n_qubits, n_cphases, seed):
+    """A random program behind a leading conditional phase.  Its carriers are
+    then a product with the spectators: the (carriers | rest) matrix has rank 1."""
+    prog = sv.random_program(n_qubits, n_cphases, 3, np.random.default_rng(seed))
+    return sv.Program(prog.qubits, prog.inputs, (sv.Cphase("q1", "q3"),) + prog.ops)
+
+
+def drop_x_byproducts(monkeypatch):
+    """Break every gadget: Bell teleports forget their X byproduct."""
+    honest = sv.bell_teleport
+
+    def no_x(state, chain, photon):
+        return [(rec, st, sv.CorrectionFrame(x=0, z=frame.z))
+                for rec, st, frame in honest(state, chain, photon)]
+
+    monkeypatch.setattr(sv, "bell_teleport", no_x)
+
+
 T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]])
 
 
@@ -298,7 +366,8 @@ class TestOracles:
                    (sv.Rotation("b", H), sv.Rotation("a", T), sv.Cphase("b", "a"))),
         sv.random_program(2, 2, 2, np.random.default_rng(12)),
         sv.random_program(3, 2, 3, np.random.default_rng(5)),
-    ], ids=["cphase-first", "cphase-last", "2q-2c", "3q-2c"])
+        sv.random_program(5, 2, 3, np.random.default_rng(9)),
+    ], ids=["cphase-first", "cphase-last", "2q-2c", "3q-2c", "5q-2c"])
     def test_merge_matches_enumeration(self, program):
         want = enumerate_program(program, 2)
         rep = sv.evolve_program(program, 2)
@@ -308,13 +377,35 @@ class TestOracles:
         assert rep.probability_sum == pytest.approx(want[2], abs=1e-12)
 
     def test_dropped_x_byproduct_is_caught_by_both(self, monkeypatch):
-        honest = sv.bell_teleport
-
-        def no_x(state, chain, photon):
-            return [(rec, st, sv.CorrectionFrame(x=0, z=frame.z))
-                    for rec, st, frame in honest(state, chain, photon)]
-
-        monkeypatch.setattr(sv, "bell_teleport", no_x)
+        drop_x_byproducts(monkeypatch)
         prog = sv.random_program(2, 1, 2, np.random.default_rng(11))
         assert enumerate_program(prog, 1)[1] < 1 - 1e-9
         assert sv.evolve_program(prog, 1).min_fidelity < 1 - 1e-9
+        # six qubits: the gadget runs on a probe of its carriers
+        prog = sv.random_program(6, 1, 2, np.random.default_rng(11))
+        assert enumerate_program(prog, 1)[1] < 1 - 1e-9
+        assert evolve_whole_state(prog, 1)[1] < 1 - 1e-9
+        assert sv.evolve_program(prog, 1).min_fidelity < 1 - 1e-9
+
+    @pytest.mark.parametrize("program", [
+        sv.random_program(5, 1, 3, np.random.default_rng(1)),
+        sv.random_program(5, 3, 4, np.random.default_rng(2)),
+        sv.random_program(6, 2, 3, np.random.default_rng(3)),
+        cphase_first(6, 1, 4),
+        sv.random_program(12, 2, 3, np.random.default_rng(5)),
+        sv.random_program(12, 3, 2, np.random.default_rng(6)),
+        sv.random_program(13, 1, 3, np.random.default_rng(7)),
+        cphase_first(13, 2, 8),
+    ], ids=["5q-1c", "5q-3c", "6q-2c", "6q-cphase-first", "12q-2c", "12q-3c",
+            "13q-1c", "13q-cphase-first"])
+    @pytest.mark.parametrize("gadget", ["honest", "dropped-x"])
+    def test_probe_matches_whole_state(self, monkeypatch, program, gadget):
+        # a broken gadget gives branch fidelities well below 1, which the
+        # probe must reproduce as exactly as the 1s of an honest one
+        if gadget == "dropped-x":
+            drop_x_byproducts(monkeypatch)
+        want = evolve_whole_state(program, 3)
+        rep = sv.evolve_program(program, 3)
+        assert rep.branch_count == want[0]
+        assert rep.min_fidelity == pytest.approx(want[1], abs=1e-12)
+        assert rep.probability_sum == pytest.approx(want[2], abs=1e-12)

@@ -24,24 +24,24 @@ def main():
     sa, sb = sv.bracket_state("p", 1), sv.bracket_state("q", 1)
     target = sv.woven_target("p", 2, "q", 2)
     for b in sv.weave(sa, sb, sv.arm("p", 2), sv.arm("q", 2)):
-        signs = "".join("+-"[o] for o in b.outcomes)
+        signs = "".join("+-"[o] for o in b.outcome)
         print(f"   outcomes {signs}  probability {b.probability:.4f}  "
               f"fidelity to target {sv.fidelity(b.state, target):.12f}")
 
     print("\n2. When a weave fails, the chain survives")
     print("   The failed arm is z-measured; both outcomes leave the link")
     print("   maximally entangled (Schmidt coefficients 1/sqrt(2) each):")
-    for rec, after in sv.fail_weave(sv.bracket_state("p", 1), sv.arm("p", 2)):
-        coeffs = after.schmidt_coefficients([sv.path("p", 1)])
-        print(f"   outcome {rec.outcome}: schmidt {coeffs.round(6)}")
+    for b in sv.fail_weave(sv.bracket_state("p", 1), sv.arm("p", 2)):
+        coeffs = b.state.schmidt_coefficients([sv.path("p", 1)])
+        print(f"   outcome {b.outcome}: schmidt {coeffs.round(6)}")
 
     data = (0.6, 0.8j)
     chain = sv.build_chain_state(1, data)
     want = sv.data_state("p", 2, *data)
     worst = 1.0
-    for _, after in sv.disconnect_arm(chain, sv.arm("p", 2)):
-        for _, out, frame in sv.bell_teleport(after, "p", 1):
-            worst = min(worst, sv.fidelity(frame.apply(out, sv.pol("p", 2)), want))
+    for d in sv.disconnect_arm(chain, sv.arm("p", 2)):
+        for t in sv.bell_teleport(d.state, "p", 1):
+            worst = min(worst, sv.fidelity(t.state, want))
     print(f"   teleporting data through the surviving link: worst branch "
           f"fidelity {worst:.12f}")
 

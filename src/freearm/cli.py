@@ -255,7 +255,7 @@ def cmd_verify_weave(args) -> Report:
     probs = [b.probability for b in branches]
     ok = (len(branches) == 4 and min(fids) >= 1 - 1e-10
           and max(abs(p - 0.25) for p in probs) <= 1e-12)
-    rows = [{"outcome_a": b.outcomes[0], "outcome_b": b.outcomes[1],
+    rows = [{"outcome_a": b.outcome[0], "outcome_b": b.outcome[1],
              "probability": f"{p:.17g}", "fidelity": f"{f:.17g}"}
             for b, p, f in zip(branches, probs, fids)]
     body = {"branch_count": len(branches), "min_fidelity": min(fids),

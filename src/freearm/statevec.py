@@ -2,13 +2,16 @@
 
 States are dense complex amplitude vectors over a labeled set of two-level
 photonic degrees of freedom (path or polarization of a named photon).  The
-module builds chain states, performs weaving (conditional-phase on two free
-arms followed by x-basis measurements and local phase fix-ups), exercises the
-failure path, teleports data along a chain via Bell measurements, and runs
-whole logical programs against a direct-circuit oracle.  Each branch of a
-conditional-phase gadget is checked on an exact 4-label probe: its two
-carriers, with the rest of the program folded into two reference qubits.
+protocol is a short list of measurement events: a weave (conditional phase
+on two free arms, x-measure both, Z fix-ups), the failure or disconnection
+of an arm (z-measure, Z fix-up) and the Bell teleport that moves data along
+a chain.  Each event is one call of :meth:`PureState.measure` with a basis
+matrix (``Z_BASIS``, ``X_BASIS`` or ``BELL_BASIS``) and returns a list of
+:class:`Branch` records with the event's corrections already applied.
 
+Whole logical programs run against a direct-circuit oracle.  Each branch of
+a conditional-phase gadget is checked on an exact 4-label probe: its two
+carriers, with the rest of the program folded into two reference qubits.
 Measured degrees of freedom are removed immediately, so programs of up to
 ``DOF_CAP`` qubits stay within the label cap.  All operations return new states.
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -95,35 +97,15 @@ def arm(chain: str, photon: int) -> Dof:
     return Dof(chain, photon, True, PATH)
 
 
-class Basis(Enum):
-    Z = "z"
-    X = "x"
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    outcome: int
-    probability: float
-
-
-@dataclass(frozen=True)
-class CorrectionFrame:
-    """Accumulated Pauli correction: the branch state equals X^x Z^z (data)."""
-
-    x: int = 0
-    z: int = 0
-
-    def apply(self, state: "PureState", dof: Dof) -> "PureState":
-        out = state
-        if self.x:
-            out = out.apply_one(dof, _X)
-        if self.z:
-            out = out.apply_one(dof, _Z)
-        return out
-
-
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# Measurement bases, one row per outcome.  Z and X outcome 0 is |0> and |+>;
+# Bell row k is (|0, x> + (-1)^z |1, 1-x>)/sqrt(2) with (x, z) = (k >> 1, k & 1).
+Z_BASIS = np.eye(2, dtype=complex)
+X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) / SQ2
+BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                       [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / SQ2
 
 
 def _norm2(v: np.ndarray) -> float:
@@ -165,9 +147,6 @@ class PureState:
         except ValueError:
             raise UnknownDofError(f"unknown degree of freedom {dof}") from None
 
-    def norm(self) -> float:
-        return math.sqrt(_norm2(self.vec))
-
     def _grid(self) -> np.ndarray:
         return self.vec.reshape([2] * len(self.labels))
 
@@ -205,49 +184,20 @@ class PureState:
 
     # -- measurement -------------------------------------------------------
 
-    def _components(self, dof: Dof) -> tuple[np.ndarray, np.ndarray, tuple[Dof, ...]]:
-        ax = self.axis(dof)
-        grid = np.moveaxis(self._grid(), ax, 0)
-        rest = tuple(l for l in self.labels if l != dof)
-        return grid[0].reshape(-1), grid[1].reshape(-1), rest
+    def measure(self, dofs, basis: np.ndarray) -> list["Branch"]:
+        """Project the labels ``dofs`` onto the rows of ``basis``.
 
-    def measure(self, dof: Dof, basis: Basis) -> list[tuple[MeasurementRecord, "PureState"]]:
-        """Enumerate both outcomes of a z- or x-basis measurement of ``dof``.
-
-        Each branch is renormalized and the measured label is removed.
-        Zero-probability branches are dropped.
+        Row k of the basis matrix is outcome k.  Each branch is renormalized
+        and the measured labels are removed; zero-probability branches are
+        dropped.
         """
-        c0, c1, rest = self._components(dof)
-        comps = [c0, c1] if basis is Basis.Z else [(c0 + c1) / SQ2, (c0 - c1) / SQ2]
+        rest = tuple(l for l in self.labels if l not in dofs)
         branches = []
-        for outcome, comp in enumerate(comps):
+        for outcome, comp in enumerate(basis.conj() @ self._matrix(dofs)):
             prob = _norm2(comp)
-            if prob < 1e-14:
-                continue
-            state = PureState(rest, comp / math.sqrt(prob), _checked=True)
-            branches.append((MeasurementRecord(outcome, prob), state))
-        return branches
-
-    def measure_bell(self, a: Dof, b: Dof) -> list[tuple[tuple[int, int], float, "PureState"]]:
-        """Project the pair (a, b) onto the four Bell states.
-
-        Outcomes are labeled (x, z): the projectors are
-        (|0, x> + (-1)^z |1, 1-x>)/sqrt(2).
-        """
-        ia, ib = self.axis(a), self.axis(b)
-        grid = self._grid()
-        grid = np.moveaxis(grid, (ia, ib), (0, 1))
-        rest = tuple(l for l in self.labels if l not in (a, b))
-        c = {(i, j): grid[i, j].reshape(-1) for i in (0, 1) for j in (0, 1)}
-        branches = []
-        for x in (0, 1):
-            for z in (0, 1):
-                comp = (c[(0, x)] + (-1) ** z * c[(1, 1 - x)]) / SQ2
-                prob = _norm2(comp)
-                if prob < 1e-14:
-                    continue
+            if prob >= 1e-14:
                 state = PureState(rest, comp / math.sqrt(prob), _checked=True)
-                branches.append(((x, z), prob, state))
+                branches.append(Branch(outcome, prob, state))
         return branches
 
     # -- comparison --------------------------------------------------------
@@ -274,6 +224,17 @@ class PureState:
     def relabel(self, mapping: dict[Dof, Dof]) -> "PureState":
         new = tuple(mapping.get(l, l) for l in self.labels)
         return PureState(new, self.vec)
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One outcome of a measurement event and the state it leaves, with the
+    event's corrections applied.  ``outcome`` is a row of the measured basis,
+    or a pair for a weave (the two arms) and a Bell teleport (x, z)."""
+
+    outcome: int | tuple[int, int]
+    probability: float
+    state: PureState
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -325,20 +286,13 @@ def build_chain_state(links: int, data: tuple[complex, complex], chain: str = "p
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeaveBranch:
-    outcomes: tuple[int, int]  # x-basis outcomes on (armA, armB); 0 = plus
-    probability: float
-    state: PureState
-
-
 def _require_arm(state: PureState, dof: Dof) -> None:
     state.axis(dof)
     if not (dof.primed and dof.kind == PATH):
         raise ArmNotFreeError(f"{dof} is not a free-arm path degree of freedom")
 
 
-def weave(state_a: PureState, state_b: PureState, arm_a: Dof, arm_b: Dof) -> list[WeaveBranch]:
+def weave(state_a: PureState, state_b: PureState, arm_a: Dof, arm_b: Dof) -> list[Branch]:
     """Entangle two chains through their free arms.
 
     Applies a conditional phase to the two arms, x-measures both, and applies
@@ -353,26 +307,24 @@ def weave(state_a: PureState, state_b: PureState, arm_a: Dof, arm_b: Dof) -> lis
     return weave_joint(joint, arm_a, arm_b)
 
 
-def weave_joint(joint: PureState, arm_a: Dof, arm_b: Dof) -> list[WeaveBranch]:
-    """Weave two arms that already live in one joint state."""
+def weave_joint(joint: PureState, arm_a: Dof, arm_b: Dof) -> list[Branch]:
+    """Weave two arms that already live in one joint state; the outcome is
+    the pair of x-basis outcomes on (arm_a, arm_b), 0 meaning plus."""
     _require_arm(joint, arm_a)
     _require_arm(joint, arm_b)
     woven = joint.apply_cz(arm_a, arm_b)
     pol_a = pol(arm_a.chain, arm_a.photon)
     pol_b = pol(arm_b.chain, arm_b.photon)
     branches = []
-    for rec_a, after_a in woven.measure(arm_a, Basis.X):
-        for rec_b, after_b in after_a.measure(arm_b, Basis.X):
-            out = after_b
-            if rec_b.outcome == 1:
+    for ma in woven.measure((arm_a,), X_BASIS):
+        for mb in ma.state.measure((arm_b,), X_BASIS):
+            out = mb.state
+            if mb.outcome:
                 out = out.apply_one(pol_a, _Z)
-            if rec_a.outcome == 1:
+            if ma.outcome:
                 out = out.apply_one(pol_b, _Z)
-            branches.append(WeaveBranch(
-                outcomes=(rec_a.outcome, rec_b.outcome),
-                probability=rec_a.probability * rec_b.probability,
-                state=out,
-            ))
+            branches.append(Branch((ma.outcome, mb.outcome),
+                                   ma.probability * mb.probability, out))
     return branches
 
 
@@ -388,22 +340,17 @@ def woven_target(chain_a: str, photon_a: int, chain_b: str, photon_b: int) -> Pu
     return PureState(labels, vec)
 
 
-def fail_weave(state: PureState, arm_dof: Dof) -> list[tuple[MeasurementRecord, PureState]]:
-    """Failure path: the arm is measured in the z basis.
+def fail_weave(state: PureState, arm_dof: Dof) -> list[Branch]:
+    """Failure path: the arm is measured in the z basis and corrected as in
+    :func:`disconnect_arm`.
 
     Both outcomes leave the parent link maximally entangled, so the chain
     still transmits data.
     """
-    _require_arm(state, arm_dof)
-    return state.measure(arm_dof, Basis.Z)
+    return disconnect_arm(state, arm_dof)
 
 
-# ---------------------------------------------------------------------------
-# Evolution: teleportation and logical programs
-# ---------------------------------------------------------------------------
-
-
-def disconnect_arm(state: PureState, arm_dof: Dof) -> list[tuple[MeasurementRecord, PureState]]:
+def disconnect_arm(state: PureState, arm_dof: Dof) -> list[Branch]:
     """Remove an unused free arm by a z-basis measurement.
 
     The arm is |+> or |-> depending on the link sector, so an x measurement
@@ -413,28 +360,29 @@ def disconnect_arm(state: PureState, arm_dof: Dof) -> list[tuple[MeasurementReco
     """
     _require_arm(state, arm_dof)
     pol_dof = pol(arm_dof.chain, arm_dof.photon)
-    branches = []
-    for rec, st in state.measure(arm_dof, Basis.Z):
-        if rec.outcome == 1:
-            st = st.apply_one(pol_dof, _Z)
-        branches.append((rec, st))
-    return branches
+    return [Branch(m.outcome, m.probability,
+                   m.state.apply_one(pol_dof, _Z) if m.outcome else m.state)
+            for m in state.measure((arm_dof,), Z_BASIS)]
 
 
-def bell_teleport(state: PureState, chain: str, photon: int
-                  ) -> list[tuple[MeasurementRecord, PureState, CorrectionFrame]]:
+# ---------------------------------------------------------------------------
+# Evolution: teleportation and logical programs
+# ---------------------------------------------------------------------------
+
+
+def bell_teleport(state: PureState, chain: str, photon: int) -> list[Branch]:
     """Bell-measure (path, pol) of the data carrier ``photon``.
 
-    In every branch the data reappears on the next photon's polarization as
-    X^x Z^z (data); the returned frame undoes it (apply X^x, then Z^z).
+    Outcome (x, z) leaves X^x Z^z (data) on the next photon's polarization;
+    each branch has X^x, then Z^z, applied there, so it carries the data.
     """
-    p_dof, d_dof = path(chain, photon), pol(chain, photon)
-    state.axis(p_dof)
-    state.axis(d_dof)
+    nxt = pol(chain, photon + 1)
     branches = []
-    for (x, z), prob, st in state.measure_bell(p_dof, d_dof):
-        rec = MeasurementRecord(x << 1 | z, prob)
-        branches.append((rec, st, CorrectionFrame(x=x, z=z)))
+    for m in state.measure((path(chain, photon), pol(chain, photon)), BELL_BASIS):
+        x, z = m.outcome >> 1, m.outcome & 1
+        out = m.state.apply_one(nxt, _X) if x else m.state
+        branches.append(Branch((x, z), m.probability,
+                               out.apply_one(nxt, _Z) if z else out))
     return branches
 
 
@@ -471,6 +419,9 @@ class Program:
     def __post_init__(self):
         if len(set(self.qubits)) != len(self.qubits) or not self.qubits:
             raise MalformedProgramError("qubit names must be non-empty and unique")
+        for q in self.inputs:
+            if q not in self.qubits:
+                raise MalformedProgramError(f"input names undeclared qubit {q!r}")
         for q in self.qubits:
             a, b = self.inputs.get(q, (1.0, 0.0))
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
@@ -501,14 +452,13 @@ def ideal_circuit(program: Program) -> PureState:
     for op in program.ops:
         if isinstance(op, Rotation):
             ax = index[op.qubit]
-            grid = np.moveaxis(np.moveaxis(grid, ax, -1) @ op.matrix.T, -1, ax)
+            grid = np.moveaxis(np.tensordot(op.matrix, grid, axes=([1], [ax])), 0, ax)
         elif isinstance(op, Cphase):
             ia, ib = index[op.a], index[op.b]
             idx = [slice(None)] * n
             idx[ia] = 1
             idx[ib] = 1
-            grid = grid.copy()
-            grid[tuple(idx)] *= -1
+            grid[tuple(idx)] *= -1  # grid is always a freshly built array
         else:
             raise MalformedProgramError(f"unknown operation {op!r}")
     labels = [pol(q, 0) for q in program.qubits]
@@ -548,17 +498,17 @@ def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int):
     """
     pulled = state.tensor(bracket_state(a, ca)).tensor(bracket_state(b, cb))
     for wb in weave_joint(pulled, arm(a, ca + 1), arm(b, cb + 1)):
-        for r_a, st_a, fr_a in bell_teleport(wb.state, a, ca):
-            st_a = fr_a.apply(st_a, pol(a, ca + 1))
-            if fr_a.x:
+        for ta in bell_teleport(wb.state, a, ca):
+            st_a = ta.state
+            if ta.outcome[0]:
                 # an X byproduct commuted through the woven conditional
                 # phase picks up a Z on the partner chain
                 st_a = st_a.apply_one(pol(b, cb + 1), _Z)
-            for r_b, st_b, fr_b in bell_teleport(st_a, b, cb):
-                st_b = fr_b.apply(st_b, pol(b, cb + 1))
-                if fr_b.x:
+            for tb in bell_teleport(st_a, b, cb):
+                st_b = tb.state
+                if tb.outcome[0]:
                     st_b = st_b.apply_one(pol(a, ca + 1), _Z)
-                yield wb.probability * r_a.probability * r_b.probability, st_b
+                yield wb.probability * ta.probability * tb.probability, st_b
 
 
 def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:

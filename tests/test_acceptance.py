@@ -109,17 +109,16 @@ def test_07_weave_verification():
 
 def test_08_failure_path():
     ok = True
-    for _, after in sv.fail_weave(sv.bracket_state("p", 1), sv.arm("p", 2)):
-        coeffs = after.schmidt_coefficients([sv.path("p", 1)])
+    for b in sv.fail_weave(sv.bracket_state("p", 1), sv.arm("p", 2)):
+        coeffs = b.state.schmidt_coefficients([sv.path("p", 1)])
         ok = ok and np.allclose(coeffs, [1 / SQ2, 1 / SQ2], atol=1e-10)
     data = (0.6, 0.8j)
     chain = sv.build_chain_state(1, data)
     target = sv.data_state("p", 2, *data)
     count = 0
-    for _, after in sv.disconnect_arm(chain, sv.arm("p", 2)):
-        for _, out, frame in sv.bell_teleport(after, "p", 1):
-            fixed = frame.apply(out, sv.pol("p", 2))
-            ok = ok and sv.fidelity(fixed, target) >= 1 - 1e-9
+    for d in sv.disconnect_arm(chain, sv.arm("p", 2)):
+        for t in sv.bell_teleport(d.state, "p", 1):
+            ok = ok and sv.fidelity(t.state, target) >= 1 - 1e-9
             count += 1
     ok = ok and count == 8
     verdict(8, "failure path keeps the chain alive", ok)
@@ -156,8 +155,8 @@ def test_10_determinism_across_threads(tmp_path, capsys):
 def test_branch_probability_partition():
     """Cross-cutting sanity: enumerated measurement branches partition unity."""
     chain = sv.build_chain_state(1, (1 / SQ2, 1j / SQ2))
-    total = sum(rec.probability for rec, _ in sv.fail_weave(chain, sv.arm("p", 2)))
+    total = sum(b.probability for b in sv.fail_weave(chain, sv.arm("p", 2)))
     assert abs(total - 1) < 1e-12
-    bell = sum(prob for _, prob, _ in
-               chain.measure_bell(sv.path("p", 1), sv.pol("p", 1)))
+    bell = sum(b.probability for b in
+               chain.measure((sv.path("p", 1), sv.pol("p", 1)), sv.BELL_BASIS))
     assert abs(bell - 1) < 1e-12

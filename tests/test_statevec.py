@@ -56,6 +56,34 @@ class TestChainStates:
             sv.build_chain_state(9, (1, 0))
 
 
+class TestBases:
+    @pytest.mark.parametrize("basis", [sv.Z_BASIS, sv.X_BASIS, sv.BELL_BASIS],
+                             ids=["z", "x", "bell"])
+    def test_rows_are_orthonormal(self, basis):
+        assert np.abs(basis @ basis.conj().T - np.eye(len(basis))).max() <= 1e-15
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_bell_row_is_labelled_x_z(self, k):
+        x, z = k >> 1, k & 1
+        want = np.zeros(4)
+        want[x] = 1  # |0, x>
+        want[2 | (1 - x)] = (-1) ** z  # |1, 1-x>
+        assert np.abs(sv.BELL_BASIS[k] - want / SQ2).max() <= 1e-16
+
+    def test_outcome_zero_is_zero_and_plus(self):
+        assert np.array_equal(sv.Z_BASIS[0], [1, 0])
+        assert np.abs(sv.X_BASIS[0] - np.array([1, 1]) / SQ2).max() <= 1e-16
+
+    def test_measure_reads_the_row_it_projects_on(self):
+        # |0>|+> on (pol a, pol b): z reads 0 on a, x reads plus on b
+        st = sv.PureState((sv.pol("a", 1), sv.pol("b", 1)), np.array([1, 1, 0, 0]) / SQ2)
+        (za,) = st.measure((sv.pol("a", 1),), sv.Z_BASIS)
+        (xb,) = st.measure((sv.pol("b", 1),), sv.X_BASIS)
+        assert (za.outcome, xb.outcome) == (0, 0)
+        assert za.probability == pytest.approx(1, abs=1e-15)
+        assert za.state.labels == (sv.pol("b", 1),)
+
+
 class TestWeave:
     def setup_method(self):
         self.sa = sv.bracket_state("p", 1)
@@ -65,7 +93,7 @@ class TestWeave:
     def test_four_uniform_branches(self):
         branches = sv.weave(self.sa, self.sb, sv.arm("p", 2), sv.arm("q", 2))
         assert len(branches) == 4
-        assert {b.outcomes for b in branches} == set(itertools.product((0, 1), (0, 1)))
+        assert {b.outcome for b in branches} == set(itertools.product((0, 1), (0, 1)))
         for b in branches:
             assert b.probability == pytest.approx(0.25, abs=1e-12)
             assert sv.fidelity(b.state, self.target) == pytest.approx(1, abs=1e-10)
@@ -79,16 +107,16 @@ class TestWeave:
         """
         joint = self.sa.tensor(self.sb).apply_cz(sv.arm("p", 2), sv.arm("q", 2))
         Z = np.diag([1, -1]).astype(complex)
-        for rec_a, after_a in joint.measure(sv.arm("p", 2), sv.Basis.X):
-            for rec_b, after_b in after_a.measure(sv.arm("q", 2), sv.Basis.X):
-                raw = after_b
+        for ma in joint.measure((sv.arm("p", 2),), sv.X_BASIS):
+            for mb in ma.state.measure((sv.arm("q", 2),), sv.X_BASIS):
+                raw = mb.state
                 fixed = raw
-                if rec_b.outcome:
+                if mb.outcome:
                     fixed = fixed.apply_one(sv.pol("p", 2), Z)
-                if rec_a.outcome:
+                if ma.outcome:
                     fixed = fixed.apply_one(sv.pol("q", 2), Z)
                 assert sv.fidelity(fixed, self.target) == pytest.approx(1, abs=1e-12)
-                if rec_a.outcome or rec_b.outcome:
+                if ma.outcome or mb.outcome:
                     assert sv.fidelity(raw, self.target) < 0.999
 
     def test_woven_target_structure(self):
@@ -108,9 +136,9 @@ class TestFailurePaths:
         st = sv.bracket_state("p", 1)
         branches = sv.fail_weave(st, sv.arm("p", 2))
         assert len(branches) == 2
-        for rec, after in branches:
-            assert rec.probability == pytest.approx(0.5, abs=1e-12)
-            coeffs = after.schmidt_coefficients([sv.path("p", 1)])
+        for b in branches:
+            assert b.probability == pytest.approx(0.5, abs=1e-12)
+            coeffs = b.state.schmidt_coefficients([sv.path("p", 1)])
             assert np.allclose(coeffs, [1 / SQ2, 1 / SQ2], atol=1e-10)
 
     def test_disconnect_arm_fixes_phase(self):
@@ -118,18 +146,17 @@ class TestFailurePaths:
         st = sv.bracket_state("p", 1)
         bare = sv.PureState((sv.path("p", 1), sv.pol("p", 2)),
                             np.array([1, 0, 0, 1]) / SQ2)
-        for rec, after in sv.disconnect_arm(st, sv.arm("p", 2)):
-            assert sv.fidelity(after, bare) == pytest.approx(1, abs=1e-12)
+        for b in sv.disconnect_arm(st, sv.arm("p", 2)):
+            assert sv.fidelity(b.state, bare) == pytest.approx(1, abs=1e-12)
 
     @pytest.mark.parametrize("data", [(1, 0), (1 / SQ2, 1j / SQ2), (0.6, 0.8j)])
     def test_teleport_through_failed_link(self, data):
         st = sv.build_chain_state(1, data)
         target = sv.data_state("p", 2, *data)
-        for _, after in sv.disconnect_arm(st, sv.arm("p", 2)):
-            for rec, out, frame in sv.bell_teleport(after, "p", 1):
-                assert rec.probability == pytest.approx(0.25, abs=1e-12)
-                fixed = frame.apply(out, sv.pol("p", 2))
-                assert sv.fidelity(fixed, target) == pytest.approx(1, abs=1e-9)
+        for d in sv.disconnect_arm(st, sv.arm("p", 2)):
+            for t in sv.bell_teleport(d.state, "p", 1):
+                assert t.probability == pytest.approx(0.25, abs=1e-12)
+                assert sv.fidelity(t.state, target) == pytest.approx(1, abs=1e-9)
 
 
 class TestBellTeleport:
@@ -142,12 +169,9 @@ class TestBellTeleport:
             st_branches = []
             states = [st] if k == 1 else branches
             for s in states:
-                for _, out, frame in sv.bell_teleport(s, "p", k):
-                    st_branches.append(frame.apply(out, sv.pol("p", k + 1)))
-            branches = []
-            for s in st_branches:
-                for _, cleaned in sv.disconnect_arm(s, sv.arm("p", k + 1)):
-                    branches.append(cleaned)
+                st_branches += [t.state for t in sv.bell_teleport(s, "p", k)]
+            branches = [d.state for s in st_branches
+                        for d in sv.disconnect_arm(s, sv.arm("p", k + 1))]
         assert len(branches) == 8 ** hops
         target = sv.data_state("p", hops + 1, *data)
         for s in branches:
@@ -172,6 +196,28 @@ class TestPrograms:
             sv.Program(("a",), {}, (sv.Rotation("missing", np.eye(2)),))
         with pytest.raises(sv.MalformedProgramError):
             sv.Rotation("a", np.array([[1, 1], [0, 1]]))
+
+    def test_inputs_must_name_declared_qubits(self):
+        with pytest.raises(sv.MalformedProgramError, match="'zz'"):
+            sv.Program(("a", "b"), {"zz": (5, 5)}, (sv.Cphase("a", "b"),))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_ideal_circuit_matches_gate_by_gate(self, seed):
+        """The oracle's tensordot rotations and in-place phases against
+        ``apply_one`` and ``apply_cz`` on the same input, gate by gate."""
+        prog = sv.random_program(6, 5, 8, np.random.default_rng(seed))
+        state = None
+        for q in prog.qubits:
+            d = sv.data_state(q, 0, *prog.input_pair(q))
+            state = d if state is None else state.tensor(d)
+        for op in prog.ops:
+            if isinstance(op, sv.Rotation):
+                state = state.apply_one(sv.pol(op.qubit, 0), op.matrix)
+            else:
+                state = state.apply_cz(sv.pol(op.a, 0), sv.pol(op.b, 0))
+        got = sv.ideal_circuit(prog)
+        assert got.labels == state.labels
+        assert np.abs(got.vec - state.vec).max() <= 1e-14
 
     def test_json_document(self):
         """Complex numbers are [real, imag] pairs; qubits without an input
@@ -277,16 +323,16 @@ def enumerate_program(program, links_per_qubit):
         ca, cb = carriers[a], carriers[b]
         pulled = state.tensor(sv.bracket_state(a, ca)).tensor(sv.bracket_state(b, cb))
         for wb in sv.weave_joint(pulled, sv.arm(a, ca + 1), sv.arm(b, cb + 1)):
-            for r_a, st_a, fr_a in sv.bell_teleport(wb.state, a, ca):
-                st_a = fr_a.apply(st_a, sv.pol(a, ca + 1))
-                if fr_a.x:
+            for ta in sv.bell_teleport(wb.state, a, ca):
+                st_a = ta.state
+                if ta.outcome[0]:
                     st_a = st_a.apply_one(sv.pol(b, cb + 1), Z)
-                for r_b, st_b, fr_b in sv.bell_teleport(st_a, b, cb):
-                    st_b = fr_b.apply(st_b, sv.pol(b, cb + 1))
-                    if fr_b.x:
+                for tb in sv.bell_teleport(st_a, b, cb):
+                    st_b = tb.state
+                    if tb.outcome[0]:
                         st_b = st_b.apply_one(sv.pol(a, ca + 1), Z)
                     run(st_b, ops[1:], {**carriers, a: ca + 1, b: cb + 1},
-                        prob * wb.probability * r_a.probability * r_b.probability)
+                        prob * wb.probability * ta.probability * tb.probability)
 
     run(init, tuple(program.ops), {q: 1 for q in program.qubits}, 1.0)
     return (len(results), min(f for _, f in results), sum(p for p, _ in results))
@@ -335,12 +381,16 @@ def cphase_first(n_qubits, n_cphases, seed):
 
 
 def drop_x_byproducts(monkeypatch):
-    """Break every gadget: Bell teleports forget their X byproduct."""
+    """Break every gadget: Bell teleports forget their X byproduct.  The
+    wrapper undoes the X correction and reports x = 0, so the partner-chain
+    Z that an X byproduct calls for is skipped too."""
     honest = sv.bell_teleport
 
     def no_x(state, chain, photon):
-        return [(rec, st, sv.CorrectionFrame(x=0, z=frame.z))
-                for rec, st, frame in honest(state, chain, photon)]
+        nxt = sv.pol(chain, photon + 1)
+        return [sv.Branch((0, t.outcome[1]), t.probability,
+                          t.state.apply_one(nxt, sv._X) if t.outcome[0] else t.state)
+                for t in honest(state, chain, photon)]
 
     monkeypatch.setattr(sv, "bell_teleport", no_x)
 

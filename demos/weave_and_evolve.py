@@ -26,12 +26,12 @@ def main():
     for b in sv.weave(sa, sb, sv.arm("p", 2), sv.arm("q", 2)):
         signs = "".join("+-"[o] for o in b.outcome)
         print(f"   outcomes {signs}  probability {b.probability:.4f}  "
-              f"fidelity to target {sv.fidelity(b.state, target):.12f}")
+              f"fidelity to target {b.state.fidelity(target):.12f}")
 
     print("\n2. When a weave fails, the chain survives")
     print("   The failed arm is z-measured; both outcomes leave the link")
     print("   maximally entangled (Schmidt coefficients 1/sqrt(2) each):")
-    for b in sv.fail_weave(sv.bracket_state("p", 1), sv.arm("p", 2)):
+    for b in sv.disconnect_arm(sv.bracket_state("p", 1), sv.arm("p", 2)):
         coeffs = b.state.schmidt_coefficients([sv.path("p", 1)])
         print(f"   outcome {b.outcome}: schmidt {coeffs.round(6)}")
 
@@ -41,7 +41,7 @@ def main():
     worst = 1.0
     for d in sv.disconnect_arm(chain, sv.arm("p", 2)):
         for t in sv.bell_teleport(d.state, "p", 1):
-            worst = min(worst, sv.fidelity(t.state, want))
+            worst = min(worst, t.state.fidelity(want))
     print(f"   teleporting data through the surviving link: worst branch "
           f"fidelity {worst:.12f}")
 

@@ -251,7 +251,7 @@ def cmd_verify_weave(args) -> Report:
     branches = statevec.weave(statevec.bracket_state("p", 1), statevec.bracket_state("q", 1),
                               statevec.arm("p", 2), statevec.arm("q", 2))
     target = statevec.woven_target("p", 2, "q", 2)
-    fids = [statevec.fidelity(b.state, target) for b in branches]
+    fids = [b.state.fidelity(target) for b in branches]
     probs = [b.probability for b in branches]
     ok = (len(branches) == 4 and min(fids) >= 1 - 1e-10
           and max(abs(p - 0.25) for p in probs) <= 1e-12)

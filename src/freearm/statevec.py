@@ -9,11 +9,13 @@ a chain.  Each event is one call of :meth:`PureState.measure` with a basis
 matrix (``Z_BASIS``, ``X_BASIS`` or ``BELL_BASIS``) and returns a list of
 :class:`Branch` records with the event's corrections already applied.
 
-Whole logical programs run against a direct-circuit oracle.  Each branch of
-a conditional-phase gadget is checked on an exact 4-label probe: its two
-carriers, with the rest of the program folded into two reference qubits.
-Measured degrees of freedom are removed immediately, so programs of up to
-``DOF_CAP`` qubits stay within the label cap.  All operations return new states.
+Whole logical programs run against a direct-circuit oracle.  Each
+conditional-phase gadget is checked once as a channel: its 64 branches run
+on a fixed 4-label Choi input, each carrier maximally entangled with an
+untouched reference qubit, so the check holds for every program input and
+a gadget's cost does not depend on the program's width.  Measured degrees
+of freedom are removed immediately, so programs of up to ``DOF_CAP`` qubits
+stay within the label cap.  All operations return new states.
 """
 
 from __future__ import annotations
@@ -237,11 +239,6 @@ class Branch:
     state: PureState
 
 
-def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2, invariant under global phase; labels must match."""
-    return a.fidelity(b)
-
-
 # ---------------------------------------------------------------------------
 # Chain states
 # ---------------------------------------------------------------------------
@@ -338,16 +335,6 @@ def woven_target(chain_a: str, photon_a: int, chain_b: str, photon_b: int) -> Pu
         for b in (0, 1):
             vec[a << 3 | a << 2 | b << 1 | b] = 0.5 * (-1) ** (a * b)
     return PureState(labels, vec)
-
-
-def fail_weave(state: PureState, arm_dof: Dof) -> list[Branch]:
-    """Failure path: the arm is measured in the z basis and corrected as in
-    :func:`disconnect_arm`.
-
-    Both outcomes leave the parent link maximally entangled, so the chain
-    still transmits data.
-    """
-    return disconnect_arm(state, arm_dof)
 
 
 def disconnect_arm(state: PureState, arm_dof: Dof) -> list[Branch]:
@@ -465,27 +452,15 @@ def ideal_circuit(program: Program) -> PureState:
     return PureState(labels, grid.reshape(-1))
 
 
+# |Phi>|Phi> on (carrier, reference, carrier, reference), |Phi> = (|00> + |11>)/sqrt(2)
+_PHI_PHI = np.kron([1, 0, 0, 1], [1, 0, 0, 1]) / 2
+
+
 @dataclass
 class EvolveReport:
     branch_count: int
     min_fidelity: float
     probability_sum: float
-
-
-def _probe(state: PureState, x: Dof, y: Dof) -> PureState:
-    """Fold the spectators of carriers ``x`` and ``y`` into two reference qubits.
-
-    The (carriers | rest) matrix is M = R^dagger Q^dagger, from the QR of
-    M^dagger, and Q^dagger is an isometry on the spectators, so every map
-    K (x) I gives the same norms and overlaps on R^dagger as on the state.
-    The references reuse two spectator labels.  A state of at most 4 labels
-    is its own probe.
-    """
-    if len(state.labels) <= 4:
-        return state
-    r = np.linalg.qr(state._matrix((x, y)).conj().T, mode="r")
-    refs = [l for l in state.labels if l not in (x, y)][:2]
-    return PureState((x, y, *refs), r.conj().T.reshape(-1))
 
 
 def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int):
@@ -518,17 +493,18 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
     the two chains and teleports both data carriers forward.  Rotations act on
     the current carrier polarization.
 
-    Each gadget is verified once: every one of its 64 branches is compared
-    with ``want``, the conditional phase applied directly to the gadget's
-    input and moved onto the new carriers, and the run continues from
-    ``want``.  Every branch map is linear, so if each branch of each gadget
-    equals the logical image of that gadget's input, every path through the
-    64^c branch tree ends in the same state; the final comparison with
-    :func:`ideal_circuit` ties that state to the independent oracle.  The
-    report counts the 64^c branches so covered, their total probability
-    (the product of the per-gadget sums) and the least fidelity seen.  The
-    branches run on the carriers' :func:`_probe` with both chains' next
-    links pulled in, so a gadget holds at most 10 labels at any width.
+    Each gadget is verified once, as a channel: its 64 branches run on the
+    Choi state |Phi>|Phi> that pairs each carrier with a reference label
+    ``pol(q, 0)`` no gadget touches, and each branch is compared with the
+    conditional phase applied to that state and moved onto the new carriers.
+    A branch map K is fixed by its image of |Phi>|Phi> (Choi-Jamiolkowski),
+    so fidelity 1 on every branch with probabilities summing to 1 means
+    every branch map is proportional to the conditional phase on every
+    input.  The program state then advances by the conditional phase alone,
+    and the final comparison with :func:`ideal_circuit` ties it to the
+    independent oracle.  The report counts the 64^c branches so covered,
+    their total probability (the product of the per-gadget sums) and the
+    least fidelity seen.  A gadget holds 10 labels at any program width.
     """
     for q in program.qubits:
         if program.cphase_count(q) > links_per_qubit:
@@ -536,10 +512,10 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
                 f"qubit {q} needs {program.cphase_count(q)} links, has {links_per_qubit}")
     target = ideal_circuit(program)
 
-    state = None
+    vec = np.ones(1, dtype=complex)
     for q in program.qubits:
-        d = data_state(q, 1, *program.input_pair(q))
-        state = d if state is None else state.tensor(d)
+        vec = np.kron(vec, program.input_pair(q))
+    state = PureState([pol(q, 1) for q in program.qubits], vec)
     carriers = {q: 1 for q in program.qubits}
     branch_count, prob_sum, min_fid = 1, 1.0, math.inf
     for op in program.ops:
@@ -550,16 +526,16 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
         ca, cb = carriers[a], carriers[b]
         x, y = pol(a, ca), pol(b, cb)
         moved = {x: pol(a, ca + 1), y: pol(b, cb + 1)}
-        probe = _probe(state, x, y)
-        want, probe_want = (s.apply_cz(x, y).relabel(moved) for s in (state, probe))
+        choi = PureState((x, pol(a, 0), y, pol(b, 0)), _PHI_PHI)
+        want = choi.apply_cz(x, y).relabel(moved)
         leaves, gadget_sum = 0, 0.0
-        for prob, leaf in _cphase_branches(probe, a, ca, b, cb):
+        for prob, leaf in _cphase_branches(choi, a, ca, b, cb):
             leaves += 1
             gadget_sum += prob
-            min_fid = min(min_fid, leaf.fidelity(probe_want))
+            min_fid = min(min_fid, leaf.fidelity(want))
         branch_count *= leaves
         prob_sum *= gadget_sum
-        state = want
+        state = state.apply_cz(x, y).relabel(moved)
         carriers[a], carriers[b] = ca + 1, cb + 1
     mapping = {pol(q, carriers[q]): pol(q, 0) for q in program.qubits}
     min_fid = min(min_fid, state.relabel(mapping).fidelity(target))

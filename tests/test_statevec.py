@@ -96,7 +96,7 @@ class TestWeave:
         assert {b.outcome for b in branches} == set(itertools.product((0, 1), (0, 1)))
         for b in branches:
             assert b.probability == pytest.approx(0.25, abs=1e-12)
-            assert sv.fidelity(b.state, self.target) == pytest.approx(1, abs=1e-10)
+            assert b.state.fidelity(self.target) == pytest.approx(1, abs=1e-10)
 
     def test_correction_table_rederived(self):
         """Brute-force the uncorrected branches and confirm the fix-up rule.
@@ -115,9 +115,9 @@ class TestWeave:
                     fixed = fixed.apply_one(sv.pol("p", 2), Z)
                 if ma.outcome:
                     fixed = fixed.apply_one(sv.pol("q", 2), Z)
-                assert sv.fidelity(fixed, self.target) == pytest.approx(1, abs=1e-12)
+                assert fixed.fidelity(self.target) == pytest.approx(1, abs=1e-12)
                 if ma.outcome or mb.outcome:
-                    assert sv.fidelity(raw, self.target) < 0.999
+                    assert raw.fidelity(self.target) < 0.999
 
     def test_woven_target_structure(self):
         t = sv.woven_target("p", 2, "q", 2)
@@ -134,7 +134,7 @@ class TestWeave:
 class TestFailurePaths:
     def test_fail_weave_preserves_link_entanglement(self):
         st = sv.bracket_state("p", 1)
-        branches = sv.fail_weave(st, sv.arm("p", 2))
+        branches = sv.disconnect_arm(st, sv.arm("p", 2))
         assert len(branches) == 2
         for b in branches:
             assert b.probability == pytest.approx(0.5, abs=1e-12)
@@ -147,7 +147,7 @@ class TestFailurePaths:
         bare = sv.PureState((sv.path("p", 1), sv.pol("p", 2)),
                             np.array([1, 0, 0, 1]) / SQ2)
         for b in sv.disconnect_arm(st, sv.arm("p", 2)):
-            assert sv.fidelity(b.state, bare) == pytest.approx(1, abs=1e-12)
+            assert b.state.fidelity(bare) == pytest.approx(1, abs=1e-12)
 
     @pytest.mark.parametrize("data", [(1, 0), (1 / SQ2, 1j / SQ2), (0.6, 0.8j)])
     def test_teleport_through_failed_link(self, data):
@@ -156,7 +156,7 @@ class TestFailurePaths:
         for d in sv.disconnect_arm(st, sv.arm("p", 2)):
             for t in sv.bell_teleport(d.state, "p", 1):
                 assert t.probability == pytest.approx(0.25, abs=1e-12)
-                assert sv.fidelity(t.state, target) == pytest.approx(1, abs=1e-9)
+                assert t.state.fidelity(target) == pytest.approx(1, abs=1e-9)
 
 
 class TestBellTeleport:
@@ -175,7 +175,7 @@ class TestBellTeleport:
         assert len(branches) == 8 ** hops
         target = sv.data_state("p", hops + 1, *data)
         for s in branches:
-            assert sv.fidelity(s, target) == pytest.approx(1, abs=1e-9)
+            assert s.fidelity(target) == pytest.approx(1, abs=1e-9)
 
 
 class TestPrograms:
@@ -261,9 +261,9 @@ class TestEvolution:
         assert (rep.branch_count, rep.probability_sum) == (1, 1.0)
         assert rep.min_fidelity == pytest.approx(1, abs=1e-12)
 
-    @pytest.mark.parametrize("n_qubits, width", [(2, 8), (3, 9), (4, 10), (13, 10)])
-    def test_gadget_width_does_not_grow_with_the_program(self, monkeypatch,
-                                                         n_qubits, width):
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 13])
+    def test_gadget_width_does_not_grow_with_the_program(self, monkeypatch, n_qubits):
+        # 4 Choi labels plus the 6 pulled from the two chains
         honest = sv.weave_joint
         widths = []
 
@@ -274,7 +274,22 @@ class TestEvolution:
         monkeypatch.setattr(sv, "weave_joint", spy)
         prog = sv.random_program(n_qubits, 1, 2, np.random.default_rng(8))
         sv.evolve_program(prog, links_per_qubit=1)
-        assert widths == [width]
+        assert widths == [10]
+
+    def test_weave_without_conditional_phase_is_caught(self, monkeypatch):
+        """On |0>|0> the conditional phase acts as the identity, so only a
+        check on every input sees a weave that never entangles the arms."""
+        honest = sv.weave_joint
+
+        def no_cz(joint, arm_a, arm_b):
+            # the conditional phase is its own inverse: this cancels the weave's
+            return honest(joint.apply_cz(arm_a, arm_b), arm_a, arm_b)
+
+        monkeypatch.setattr(sv, "weave_joint", no_cz)
+        rep = sv.evolve_program(sv.Program(("a", "b"), {}, (sv.Cphase("a", "b"),)), 1)
+        assert rep.min_fidelity < 1 - 1e-9
+        assert rep.branch_count == 64
+        assert rep.probability_sum == pytest.approx(1, abs=1e-12)
 
     def test_twenty_cphases_on_six_qubits(self):
         prog = sv.random_program(6, 20, 10, np.random.default_rng(20))
@@ -296,6 +311,15 @@ def apply_one_oracle(state, dof, u):
     return np.moveaxis(grid, -1, ax).reshape(-1)
 
 
+def program_input(program):
+    """The program's input, one data qubit per chain, tensored one by one."""
+    state = None
+    for q in program.qubits:
+        d = sv.data_state(q, 1, *program.input_pair(q))
+        state = d if state is None else state.tensor(d)
+    return state
+
+
 def enumerate_program(program, links_per_qubit):
     """Depth-first oracle: follow every branch of every gadget to the end.
 
@@ -303,10 +327,7 @@ def enumerate_program(program, links_per_qubit):
     (branch count, least fidelity, probability sum).
     """
     target = sv.ideal_circuit(program)
-    init = None
-    for q in program.qubits:
-        d = sv.data_state(q, 1, *program.input_pair(q))
-        init = d if init is None else init.tensor(d)
+    init = program_input(program)
     results = []
     Z = np.diag([1, -1]).astype(complex)
 
@@ -339,16 +360,13 @@ def enumerate_program(program, links_per_qubit):
 
 
 def evolve_whole_state(program, links_per_qubit):
-    """Per-gadget oracle without the probe: each gadget's 64 branches run on
+    """Per-gadget oracle on the real input: each gadget's 64 branches run on
     the whole program state plus the 6 labels pulled from the two chains.
 
     Returns (branch count, least fidelity, probability sum).
     """
     target = sv.ideal_circuit(program)
-    state = None
-    for q in program.qubits:
-        d = sv.data_state(q, 1, *program.input_pair(q))
-        state = d if state is None else state.tensor(d)
+    state = program_input(program)
     carriers = {q: 1 for q in program.qubits}
     branch_count, prob_sum, min_fid = 1, 1.0, math.inf
     for op in program.ops:
@@ -371,6 +389,53 @@ def evolve_whole_state(program, links_per_qubit):
     mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in program.qubits}
     min_fid = min(min_fid, state.relabel(mapping).fidelity(target))
     return branch_count, min_fid, prob_sum
+
+
+def lift_choi_branches(monkeypatch, program, links_per_qubit):
+    """Apply each Choi branch that ``evolve_program`` runs, as a map, to the
+    gadget's real input.
+
+    A branch of probability p leaves (K (x) I)|Phi>|Phi> / sqrt(p), and
+    |Phi>|Phi> = sum_ij |ij>_carriers |ij>_references / 2, so the branch map
+    K is 2 sqrt(p) times the leaf's amplitudes as a (new carriers) x
+    (references) matrix.  Returns (least fidelity, probability sum) of the
+    lifted branches against the conditional phase on the real input.
+    """
+    gadgets = []
+    honest = sv._cphase_branches
+
+    def spy(*args):
+        gadgets.append(list(honest(*args)))
+        return gadgets[-1]
+
+    monkeypatch.setattr(sv, "_cphase_branches", spy)
+    sv.evolve_program(program, links_per_qubit)
+    state = program_input(program)
+    carriers = {q: 1 for q in program.qubits}
+    prob_sum, min_fid = 1.0, math.inf
+    for op in program.ops:
+        if isinstance(op, sv.Rotation):
+            state = state.apply_one(sv.pol(op.qubit, carriers[op.qubit]), op.matrix)
+            continue
+        a, b = op.a, op.b
+        ca, cb = carriers[a], carriers[b]
+        x, y, nx, ny = sv.pol(a, ca), sv.pol(b, cb), sv.pol(a, ca + 1), sv.pol(b, cb + 1)
+        want = state.apply_cz(x, y).relabel({x: nx, y: ny})
+        # both matrices' columns are the spectators in canonical order
+        psi, w = state._matrix((x, y)), want._matrix((nx, ny))
+        gadget_sum = 0.0
+        for prob, leaf in gadgets.pop(0):
+            k = 2 * math.sqrt(prob) * leaf._matrix(
+                (nx, ny, sv.pol(a, 0), sv.pol(b, 0))).reshape(4, 4)
+            out = k @ psi
+            norm2 = np.vdot(out, out).real
+            gadget_sum += norm2
+            min_fid = min(min_fid, abs(np.vdot(w, out)) ** 2 / norm2)
+        prob_sum *= gadget_sum
+        state = want
+        carriers[a], carriers[b] = ca + 1, cb + 1
+    assert not gadgets
+    return min_fid, prob_sum
 
 
 def cphase_first(n_qubits, n_cphases, seed):
@@ -431,7 +496,7 @@ class TestOracles:
         prog = sv.random_program(2, 1, 2, np.random.default_rng(11))
         assert enumerate_program(prog, 1)[1] < 1 - 1e-9
         assert sv.evolve_program(prog, 1).min_fidelity < 1 - 1e-9
-        # six qubits: the gadget runs on a probe of its carriers
+        # six qubits: the whole-state oracle carries four spectators
         prog = sv.random_program(6, 1, 2, np.random.default_rng(11))
         assert enumerate_program(prog, 1)[1] < 1 - 1e-9
         assert evolve_whole_state(prog, 1)[1] < 1 - 1e-9
@@ -449,13 +514,20 @@ class TestOracles:
     ], ids=["5q-1c", "5q-3c", "6q-2c", "6q-cphase-first", "12q-2c", "12q-3c",
             "13q-1c", "13q-cphase-first"])
     @pytest.mark.parametrize("gadget", ["honest", "dropped-x"])
-    def test_probe_matches_whole_state(self, monkeypatch, program, gadget):
-        # a broken gadget gives branch fidelities well below 1, which the
-        # probe must reproduce as exactly as the 1s of an honest one
+    def test_choi_check_matches_whole_state(self, monkeypatch, program, gadget):
+        # a broken gadget gives branch fidelities well below 1 on the real
+        # input; the Choi branches, lifted to maps, must reproduce them as
+        # exactly as the 1s of an honest gadget
         if gadget == "dropped-x":
             drop_x_byproducts(monkeypatch)
         want = evolve_whole_state(program, 3)
         rep = sv.evolve_program(program, 3)
         assert rep.branch_count == want[0]
-        assert rep.min_fidelity == pytest.approx(want[1], abs=1e-12)
         assert rep.probability_sum == pytest.approx(want[2], abs=1e-12)
+        if gadget == "honest":
+            assert rep.min_fidelity == pytest.approx(want[1], abs=1e-12)
+        else:
+            assert rep.min_fidelity < 1 - 1e-9
+        lifted_fid, lifted_sum = lift_choi_branches(monkeypatch, program, 3)
+        assert lifted_fid == pytest.approx(want[1], abs=1e-12)
+        assert lifted_sum == pytest.approx(want[2], abs=1e-12)

@@ -29,11 +29,15 @@ def main():
         print(f"  n = {n}:  {p:.12f}   (exact {n}/{n + 1})")
 
     print("\nOne teleportation, n = 1, input 0.6|0> + 0.8|1>, all outcomes:")
-    st = fock.FockState(1, {(0,): 0.6, (1,): 0.8})
-    for br in fock.f_teleport(st, 0, 1):
-        kind = "success" if br.success else ("read |0>" if br.photon_total == 0
-                                             else "read |1>")
-        print(f"  counts {br.pattern}  p = {br.probability:.4f}  {kind}")
+    # outcome p holds x + i photons; each i leaves its own leftover modes,
+    # so the x = 0 and x = 1 weights of one pattern add
+    n, a, b = 1, 0.6, 0.8
+    patterns, t = fock.transfer_tensor(n)
+    probs = (np.abs(a * t[:, 0]) ** 2 + np.abs(b * t[:, 1]) ** 2).sum(axis=1) / (n + 1)
+    for pattern, p in zip(patterns, probs):
+        k = sum(pattern)
+        kind = "read |0>" if k == 0 else "read |1>" if k == n + 1 else "success"
+        print(f"  counts {pattern}  p = {p:.4f}  {kind}")
 
     print("\nThe full gate: both rails teleported through one conditional-sign")
     print("resource; every joint success reproduces the ideal gate exactly:")
@@ -45,9 +49,17 @@ def main():
               f"  min fidelity {rep['min_success_fidelity']:.12f}")
 
     print("\nThe conditional sign is really there: send in |1>|1>, compare")
-    print("against |0>|0> -- the two-excitation amplitude flips sign after")
-    print("the per-branch phase corrections, which is what makes the gate")
-    print("entangling rather than a pair of independent teleportations.")
+    print("against |0>|0> branch by branch -- the two-excitation amplitude")
+    print("flips sign after the per-branch phase corrections, which is what")
+    print("makes the gate entangling rather than a pair of independent")
+    print("teleportations:")
+    one, zero = fock.dual_rail(0, 1), fock.dual_rail(1, 0)
+    for n in (1, 2):
+        ratio = (fock.cz_via_cs(one, one, n).rails[:, 1, 1]
+                 / fock.cz_via_cs(zero, zero, n).rails[:, 0, 0])
+        flipped = np.count_nonzero(np.abs(ratio + 1) <= 1e-12)
+        print(f"  n = {n}: c_11 / c_00 = -1 (to 1e-12) on {flipped} of "
+              f"{len(ratio)} joint successes")
 
 
 if __name__ == "__main__":

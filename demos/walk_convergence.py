@@ -30,12 +30,17 @@ def main():
                   f" = {float(exact):.4f}")
 
     print("\nn = 1: the drift p - q = 1/4 - 3/8 is negative, so the chain")
-    print("shrinks no matter how long we run.  One million independent steps:")
-    freq = walker.step_frequencies(1, 1_000_000, seed=0)
-    print(f"  forward {freq.forward}  backward {freq.backward}  "
-          f"neutral {freq.neutral}")
-    print(f"  drift {freq.drift.mean:+.5f} +- {freq.drift.stderr:.5f}  "
-          "(expected -0.12500)")
+    print("shrinks no matter how long we run.  Ten walks aiming at 100 links,")
+    print("capped at 100,000 steps each:")
+    params = walker.WalkParams(n=1, target_links=100, warmup_links=0, max_steps=100_000,
+                               trials=10, seed=0)
+    trials = walker.run_trials(params)
+    steps = sum(t.steps for t in trials)
+    forward, backward = sum(t.forward for t in trials), sum(t.backward for t in trials)
+    drift = walker.aggregate(trials, params).drift
+    print(f"  {steps} steps: forward {forward}  backward {backward}  "
+          f"neutral {steps - forward - backward}")
+    print(f"  drift {drift.mean:+.5f} +- {drift.stderr:.5f}  (expected -0.12500)")
 
     print("\nweaving two chains into a gate, order m = 2, both event models:")
     for model in walker.WeaveModel:

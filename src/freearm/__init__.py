@@ -11,7 +11,9 @@ Layers:
   weaving, failure paths, and full program evolution with per-gadget
   verification of every measurement branch against an ideal-circuit oracle.
 - :mod:`freearm.fock` — photon-level (occupation-number) simulation of the
-  teleportation primitives and the probabilistic conditional-phase gate.
+  probabilistic conditional-phase gate through the single-teleport transfer
+  tensor; its sparse expansion over the full resource states is the oracle
+  in ``tests/test_fock.py``.
 - :mod:`freearm.cli` — command-line front end (``freearm``).
 """
 

@@ -85,7 +85,11 @@ def _seed_arg(value: str) -> int:
 def _at_least(low: int):
     """argparse type: an integer >= ``low``."""
     def count(value: str) -> int:
-        n = int(value)
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {value!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
         return n

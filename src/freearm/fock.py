@@ -1,16 +1,18 @@
 """Photon-level simulation of the teleportation-based gate primitives.
 
-Occupation vectors are small integer tuples mapped to complex amplitudes.
-The module builds the |t_n^i> ancilla configurations and the 2n-photon
-conditional-sign state |CS_n>, applies passive mode unitaries exactly
-(including the (n+1)-mode Fourier transform) and enumerates photon-counting
-outcomes of a teleportation.
-
-The conditional-phase gate teleports both rails through the two halves of
-one |CS_n> on disjoint modes, so each joint branch amplitude factorizes over
-the single-teleport transfer tensor T[p, x, i] = <p| F_{n+1} |x, 1^i 0^{n-i}>,
-built from 2(n+1) basis inputs by the same mode-unitary code, and the gate
-report is a few array operations on T.  Desk scale only: orders up to 3.
+Occupation vectors are small integer tuples mapped to complex amplitudes,
+and passive mode unitaries (the (n+1)-mode Fourier transform among them)
+act on them exactly.  The n-photon ancilla |t_n^i> holds 1^i 0^{n-i} on its
+first n modes and 0^i 1^{n-i} on the last n; neither it nor the 2n-photon
+conditional-sign state |CS_n> = sum_ij s_ij |t_n^i>|t_n^j> is built as a
+state.  A teleportation Fourier-transforms the input mode with the first n
+ancilla modes and counts them, so every outcome is read from the
+single-teleport transfer tensor T[p, x, i] = <p| F_{n+1} |x, 1^i 0^{n-i}>,
+built from 2(n+1) basis inputs by the mode-unitary code.  The
+conditional-phase gate teleports both rails through the two halves of one
+|CS_n> on disjoint modes, so each joint branch amplitude factorizes over T
+and the gate report is a few array operations on T.  Desk scale only:
+orders up to 3.
 """
 
 from __future__ import annotations
@@ -53,29 +55,8 @@ class FockState:
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.terms.values())
 
-    def tensor(self, other: "FockState") -> "FockState":
-        terms = {}
-        for o1, a1 in self.terms.items():
-            for o2, a2 in other.terms.items():
-                terms[o1 + o2] = a1 * a2
-        return FockState(self.modes + other.modes, terms, check_norm=False)
-
     def photon_numbers(self) -> set[int]:
         return {sum(o) for o in self.terms}
-
-    def overlap(self, other: "FockState") -> complex:
-        if self.modes != other.modes:
-            raise FockError("mode counts differ")
-        return sum(a * other.terms.get(o, 0j).conjugate() for o, a in self.terms.items())
-
-    def fidelity(self, other: "FockState") -> float:
-        return abs(self.overlap(other)) ** 2
-
-
-def single_photon(modes: int, mode: int) -> FockState:
-    occ = [0] * modes
-    occ[mode] = 1
-    return FockState(modes, {tuple(occ): 1.0})
 
 
 def dual_rail(alpha: complex, beta: complex) -> FockState:
@@ -83,39 +64,10 @@ def dual_rail(alpha: complex, beta: complex) -> FockState:
     return FockState(2, {(1, 0): alpha, (0, 1): beta})
 
 
-def make_tn_state(n: int, i: int) -> FockState:
-    """|t_n^i>: 2n modes, i occupied, n-i empty, i empty, n-i occupied."""
-    if not 0 <= i <= n:
-        raise FockError(f"index i must be in [0, {n}], got {i}")
-    occ = (1,) * i + (0,) * (n - i) + (0,) * i + (1,) * (n - i)
-    return FockState(2 * n, {occ: 1.0})
-
-
-def make_t_resource(n: int) -> FockState:
-    """Teleportation resource sum_i |t_n^i> / sqrt(n+1) on 2n modes."""
-    if n < 1:
-        raise OrderCapError("order must be >= 1")
-    amp = 1.0 / math.sqrt(n + 1)
-    terms = {}
-    for i in range(n + 1):
-        terms.update({occ: amp for occ in make_tn_state(n, i).terms})
-    return FockState(2 * n, terms)
-
-
 def cs_amplitudes(n: int) -> np.ndarray:
     """s_ij = (-1)^{(n-i)(n-j)} / (n+1), the |CS_n> amplitude of |t_n^i>|t_n^j>."""
     empty = n - np.arange(n + 1)
     return (-1.0) ** np.outer(empty, empty) / (n + 1)
-
-
-def make_cs_state(n: int) -> FockState:
-    """|CS_n> = sum_{i,j} s_ij |t_n^i>|t_n^j> on 4n modes."""
-    if n < 1:
-        raise OrderCapError("order must be >= 1")
-    s = cs_amplitudes(n)
-    occ = [next(iter(make_tn_state(n, i).terms)) for i in range(n + 1)]
-    return FockState(4 * n, {occ[i] + occ[j]: s[i, j]
-                             for i in range(n + 1) for j in range(n + 1)})
 
 
 @dataclass(frozen=True)
@@ -175,27 +127,6 @@ def apply_mode_unitary(state: FockState, u: ModeUnitary) -> FockState:
     return FockState(state.modes, out, check_norm=False)
 
 
-def measure_modes(state: FockState, modes: tuple[int, ...]
-                  ) -> list[tuple[tuple[int, ...], float, FockState]]:
-    """Photon-count all listed modes; branch states keep the measured modes
-    pinned at the detected occupation."""
-    groups: dict[tuple[int, ...], dict] = {}
-    for occ, amp in state.terms.items():
-        pattern = tuple(occ[m] for m in modes)
-        groups.setdefault(pattern, {})[occ] = amp
-    branches = []
-    for pattern in sorted(groups):
-        sub = groups[pattern]
-        prob = sum(abs(a) ** 2 for a in sub.values())
-        if prob < 1e-20:
-            continue
-        scale = 1.0 / math.sqrt(prob)
-        branches.append((pattern, prob,
-                         FockState(state.modes, {o: a * scale for o, a in sub.items()},
-                                   check_norm=False)))
-    return branches
-
-
 def transfer_tensor(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Single-teleport transfer tensor over the n+1 measured modes.
 
@@ -215,59 +146,6 @@ def transfer_tensor(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
         for p, amp in terms.items():
             t[row[p], x, i] = amp
     return patterns, t
-
-
-@dataclass
-class TeleportBranch:
-    """One photon-counting outcome of a teleportation attempt."""
-
-    pattern: tuple[int, ...]        # counts on the measured modes
-    photon_total: int               # k; success iff 0 < k < n+1
-    success: bool
-    probability: float
-    state: FockState                # conditional state, phase-corrected on success
-    output_mode: int | None
-
-
-def f_teleport(state: FockState, input_mode: int, n: int) -> list[TeleportBranch]:
-    """Teleport the photon-number qubit in ``input_mode`` through the 2n-mode
-    resource :func:`make_t_resource`, appended after the modes of ``state``.
-
-    The input mode joins its first n modes under the (n+1)-mode Fourier
-    transform and those modes are photon-counted.  Success branches (detected
-    total k with 0 < k < n+1) carry the input amplitudes on ancilla mode n+k,
-    with the unit phase T[p, 0, k] / T[p, 1, k-1] of the transfer tensor
-    corrected; failures collapse the input (k = 0 reads |0>, k = n+1 reads |1>).
-    """
-    if not 0 <= input_mode < state.modes:
-        raise FockError("input mode out of range")
-    if any(occ[input_mode] > 1 for occ in state.terms):
-        raise FockError("input mode must hold at most one photon")
-    patterns, t = transfer_tensor(n)
-    row = {p: r for r, p in enumerate(patterns)}
-    anc_start = state.modes
-    targets = (input_mode,) + tuple(range(anc_start, anc_start + n))
-    transformed = apply_mode_unitary(state.tensor(make_t_resource(n)),
-                                     ModeUnitary(targets, fourier_matrix(n + 1)))
-    branches = []
-    for pattern, prob, cond in measure_modes(transformed, targets):
-        k = sum(pattern)
-        success = 0 < k < n + 1
-        output_mode = anc_start + n + k - 1 if success else None
-        if success:
-            m0, m1 = t[row[pattern], 0, k], t[row[pattern], 1, k - 1]
-            if abs(abs(m0) - abs(m1)) > 1e-10:
-                raise FockError("success branch amplitudes are unbalanced")
-            cond = _apply_mode_phase(cond, output_mode, complex(m0 / m1))
-        branches.append(TeleportBranch(pattern, k, success, prob, cond, output_mode))
-    return branches
-
-
-def _apply_mode_phase(state: FockState, mode: int, phase: complex) -> FockState:
-    """Multiply amplitudes by phase^(occupation of mode)."""
-    return FockState(state.modes,
-                     {occ: amp * phase ** occ[mode] for occ, amp in state.terms.items()},
-                     check_norm=False)
 
 
 @dataclass

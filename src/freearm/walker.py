@@ -397,33 +397,6 @@ def run_trials(params: WalkParams) -> list[TrialResult]:
     return [result for block in results for result in block]
 
 
-@dataclass
-class StepFrequencies:
-    steps: int
-    forward: int
-    backward: int
-    neutral: int
-    drift: Estimate
-
-
-def step_frequencies(n: int, steps: int, seed: int) -> StepFrequencies:
-    """Vectorized batch of independent walk steps; used for drift studies."""
-    rng = substream(seed, 0, _STREAM_STEP)
-    bounds = _step_bounds(n)
-    fwd = bwd = 0
-    left = steps
-    while left > 0:
-        k = min(1 << 20, left)
-        forward, back = _classify(rng.random((k, 3)) < bounds)
-        fwd += int(forward.sum())
-        bwd += int(back.sum())
-        left -= k
-    mean = (fwd - bwd) / steps
-    var = (fwd + bwd) / steps - mean * mean
-    return StepFrequencies(steps, fwd, bwd, steps - fwd - bwd,
-                           Estimate(mean, math.sqrt(max(var, 0.0) / steps)))
-
-
 class WeaveModel(Enum):
     """How a weave of two free arms with an order-m gate retries.
 

@@ -54,8 +54,14 @@ def test_02_walk_convergence():
 
 def test_03_order_one_divergence():
     t0 = time.perf_counter()
-    freq = walker.step_frequencies(1, 1_000_000, seed=0)
-    ok = (abs(freq.drift.mean - (-0.125)) <= 3 * freq.drift.stderr
+    # the floor at 0 keeps an order-1 chain far below 100 links: every trial
+    # runs its 100,000 steps
+    params = walker.WalkParams(n=1, target_links=100, warmup_links=0, max_steps=100_000,
+                               trials=10, seed=0)
+    trials = walker.run_trials(params)
+    drift = walker.aggregate(trials, params).drift
+    ok = (sum(t.steps for t in trials) == 1_000_000
+          and abs(drift.mean - (-0.125)) <= 3 * drift.stderr
           and time.perf_counter() - t0 < 10)
     verdict(3, "order-1 negative drift", ok)
 

@@ -61,7 +61,7 @@ def hook_calls():
         "statevec.bell_teleport": ((statevec.build_chain_state(1, (1, 0)), "p", 1), {},
                                    {"statevec.teleports": 1}),
         "fock.cz_via_cs": ((plus, plus, 1), {}, {"fock.branches": 25}),
-        "fock.apply_mode_unitary": ((fock.single_photon(2, 0), splitter), {},
+        "fock.apply_mode_unitary": ((fock.FockState(2, {(1, 0): 1.0}), splitter), {},
                                     {"fock.mode_unitaries": 1, "fock.peak_terms": 2}),
     }
 

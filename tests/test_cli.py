@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import freearm
 from freearm import cli, fock
 
 
@@ -262,3 +267,24 @@ class TestOutputBoundary:
         report = cli.Report({"x": float("nan")}, [{}], [])
         with pytest.raises(ValueError):
             cli.render(report, "test", "json", io.StringIO())
+
+
+class TestEntryPoint:
+    """``python -m freearm`` in a fresh interpreter, as the installed script runs."""
+
+    @staticmethod
+    def module(*argv):
+        root = str(Path(freearm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "freearm", *argv], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+    def test_report_exits_zero(self):
+        proc = self.module("fock-cz", "--n", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "verification: pass"
+
+    def test_usage_error_is_one_line_without_traceback(self):
+        proc = self.module("fock-cz", "--n", "4")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: desk-scale cap: order must be 1, 2 or 3"]

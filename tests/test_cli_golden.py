@@ -70,6 +70,7 @@ SINGLES = [
     (["verify-evolve", "--links", "-3", "--cphases", "0"], {}),
     (["verify-evolve", "--qubits", "20", "--cphases", "1", "--rotations", "2", "--seed", "0"],
      {}),
+    (["walk", "--n", "2", "--trials", "abc", "--target-links", "5"], {}),
 ]
 
 CASES = [(argv + ["--format", fmt], {}) for argv in REPORTS

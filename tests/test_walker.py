@@ -28,6 +28,17 @@ def geometric_prep_expectations(n, cutoff=400):
     return float(e_attempts), float(e_cs)
 
 
+def capped_walk(n, steps, trials, seed):
+    """A walk whose target needs every step forward, so each trial runs all
+    ``steps`` steps; a fixed length keeps the step counts free of the bias
+    that stopping at the target would add."""
+    params = walker.WalkParams(n=n, target_links=steps, warmup_links=0, max_steps=steps,
+                               trials=trials, seed=seed)
+    results = walker.run_trials(params)
+    assert all(t.capped and t.steps == steps for t in results)
+    return params, results
+
+
 def usable_cpus(monkeypatch, count):
     """Let the walker see ``count`` usable CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
@@ -249,20 +260,23 @@ class TestPrepAndStep:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_step_frequencies_match_probabilities(self, n):
-        freq = walker.step_frequencies(n, 200000, seed=13)
+        _, trials = capped_walk(n, 20_000, 10, seed=13)
+        steps = sum(t.steps for t in trials)
+        forward = sum(t.forward for t in trials)
+        backward = sum(t.backward for t in trials)
         p = float(analytics.cz_success(n))
         q = float(analytics.step_back_prob(n))
-        for observed, expected in [(freq.forward, p), (freq.backward, q),
-                                   (freq.neutral, q)]:
-            rate = observed / freq.steps
-            sigma = math.sqrt(expected * (1 - expected) / freq.steps)
+        for observed, expected in [(forward, p), (backward, q),
+                                   (steps - forward - backward, q)]:
+            rate = observed / steps
+            sigma = math.sqrt(expected * (1 - expected) / steps)
             assert abs(rate - expected) < 4 * sigma
-        assert freq.forward + freq.backward + freq.neutral == freq.steps
 
     def test_order_one_drift_negative(self):
-        freq = walker.step_frequencies(1, 500000, seed=2)
-        assert freq.drift.mean < 0
-        assert abs(freq.drift.mean - (-0.125)) < 3 * freq.drift.stderr
+        params, trials = capped_walk(1, 50_000, 10, seed=2)
+        drift = walker.aggregate(trials, params).drift
+        assert drift.mean < 0
+        assert abs(drift.mean - (-0.125)) < 3 * drift.stderr
 
 
 class TestFlooredWalk:

@@ -237,7 +237,33 @@ def oracle_rail_amplitudes(branch):
     return out
 
 
+class TestOracleTensor:
+    def test_tensor_of_single_photons(self):
+        ab = oracle_tensor(fock.FockState(2, {(1, 0): 1.0}), fock.FockState(2, {(0, 1): 1.0}))
+        assert ab.modes == 4
+        assert ab.terms == {(1, 0, 0, 1): (1 + 0j)}
+        assert ab.photon_numbers() == {2}
+
+
 class TestAncillaStates:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_resource_state_structure(self, n):
+        """sum_i |t_n^i> / sqrt(n+1) spans 2n modes in n+1 terms of n photons,
+        and teleporting through it succeeds with the probability the
+        transfer tensor gives."""
+        t = fock.FockState(2 * n, {oracle_tn_occupation(n, i): 1 / math.sqrt(n + 1)
+                                   for i in range(n + 1)})
+        assert t.modes == 2 * n
+        assert len(t.terms) == n + 1
+        assert t.photon_numbers() == {n}
+        assert t.norm_sq() == pytest.approx(1)
+        a, b = 0.6, 0.8j
+        state = oracle_tensor(fock.dual_rail(a, b), t)
+        p = math.fsum(prob for _, k, prob, _ in oracle_teleport_events(state, 1, 2, n)
+                      if 0 < k < n + 1)
+        assert p == pytest.approx(n / (n + 1), abs=1e-12)
+        assert p == pytest.approx(fock.teleport_success_probability(n, a, b), abs=1e-12)
+
     @pytest.mark.parametrize("n,i,occ", [
         (2, 0, (0, 0, 1, 1)),
         (2, 1, (1, 0, 0, 1)),

@@ -23,25 +23,27 @@ def main():
     print("   a minus outcome is repaired by a Z on the opposite link:")
     sa, sb = sv.bracket_state("p", 1), sv.bracket_state("q", 1)
     target = sv.woven_target("p", 2, "q", 2)
-    for b in sv.weave(sa, sb, sv.arm("p", 2), sv.arm("q", 2)):
-        signs = "".join("+-"[o] for o in b.outcome)
-        print(f"   outcomes {signs}  probability {b.probability:.4f}  "
-              f"fidelity to target {b.state.fidelity(target):.12f}")
+    woven = sv.weave(sa, sb, sv.arm("p", 2), sv.arm("q", 2))
+    # one stacked record: row i of each array is branch i
+    for outcome, p, f in zip(woven.outcome.tolist(), woven.probability,
+                             woven.state.fidelity(target)):
+        signs = "".join("+-"[o] for o in outcome)
+        print(f"   outcomes {signs}  probability {p:.4f}  fidelity to target {f:.12f}")
 
     print("\n2. When a weave fails, the chain survives")
     print("   The failed arm is z-measured; both outcomes leave the link")
     print("   maximally entangled (Schmidt coefficients 1/sqrt(2) each):")
-    for b in sv.disconnect_arm(sv.bracket_state("p", 1), sv.arm("p", 2)):
-        coeffs = b.state.schmidt_coefficients([sv.path("p", 1)])
-        print(f"   outcome {b.outcome}: schmidt {coeffs.round(6)}")
+    cut = sv.disconnect_arm(sv.bracket_state("p", 1), sv.arm("p", 2))
+    for outcome, coeffs in zip(cut.outcome.tolist(),
+                               cut.state.schmidt_coefficients([sv.path("p", 1)])):
+        print(f"   outcome {outcome}: schmidt {coeffs.round(6)}")
 
     data = (0.6, 0.8j)
     chain = sv.build_chain_state(1, data)
     want = sv.data_state("p", 2, *data)
-    worst = 1.0
-    for d in sv.disconnect_arm(chain, sv.arm("p", 2)):
-        for t in sv.bell_teleport(d.state, "p", 1):
-            worst = min(worst, t.state.fidelity(want))
+    # both disconnect outcomes, then all four Bell outcomes of each: 8 branches
+    teleported = sv.bell_teleport(sv.disconnect_arm(chain, sv.arm("p", 2)).state, "p", 1)
+    worst = min(1.0, teleported.state.fidelity(want).min())
     print(f"   teleporting data through the surviving link: worst branch "
           f"fidelity {worst:.12f}")
 

@@ -255,13 +255,13 @@ def cmd_verify_weave(args) -> Report:
     branches = statevec.weave(statevec.bracket_state("p", 1), statevec.bracket_state("q", 1),
                               statevec.arm("p", 2), statevec.arm("q", 2))
     target = statevec.woven_target("p", 2, "q", 2)
-    fids = [b.state.fidelity(target) for b in branches]
-    probs = [b.probability for b in branches]
+    fids = branches.state.fidelity(target).tolist()
+    probs = branches.probability.tolist()
     ok = (len(branches) == 4 and min(fids) >= 1 - 1e-10
           and max(abs(p - 0.25) for p in probs) <= 1e-12)
-    rows = [{"outcome_a": b.outcome[0], "outcome_b": b.outcome[1],
+    rows = [{"outcome_a": a, "outcome_b": b,
              "probability": f"{p:.17g}", "fidelity": f"{f:.17g}"}
-            for b, p, f in zip(branches, probs, fids)]
+            for (a, b), p, f in zip(branches.outcome.tolist(), probs, fids)]
     body = {"branch_count": len(branches), "min_fidelity": min(fids),
             "probabilities": probs, "passed": ok, "branches": rows}
     lines = [f"min branch fidelity {min(fids):.6f} ({len(branches)} branches)",

@@ -1,27 +1,34 @@
 """Exact pure-state verification of the linked-state protocol at desk scale.
 
 States are dense complex amplitude vectors over a labeled set of two-level
-photonic degrees of freedom (path or polarization of a named photon).  The
-protocol is a short list of measurement events: a weave (conditional phase
-on two free arms, x-measure both, Z fix-ups), the failure or disconnection
-of an arm (z-measure, Z fix-up) and the Bell teleport that moves data along
-a chain.  Each event is one call of :meth:`PureState.measure` with a basis
-matrix (``Z_BASIS``, ``X_BASIS`` or ``BELL_BASIS``) and returns a list of
-:class:`Branch` records with the event's corrections already applied.
+photonic degrees of freedom (path or polarization of a named photon),
+stacked along a leading branch axis: a :class:`PureState` holds one vector
+per measurement branch, and a single state is a stack of one.  The protocol
+is a short list of measurement events: a weave (conditional phase on two
+free arms, x-measure both, Z fix-ups), the failure or disconnection of an
+arm (z-measure, Z fix-up) and the Bell teleport that moves data along a
+chain.  Each event is one call of :meth:`PureState.measure` with a basis
+matrix (``Z_BASIS``, ``X_BASIS`` or ``BELL_BASIS``).  It returns one
+:class:`Branches` record: every outcome of every input branch as one stacked
+state, with outcome, probability and parent-branch arrays, and the event's
+outcome-dependent corrections applied as one stack of per-branch 2x2
+matrices.
 
 Whole logical programs run against a direct-circuit oracle.  Each
 conditional-phase gadget is checked once as a channel: its 64 branches run
-on a fixed 4-label Choi input, each carrier maximally entangled with an
-untouched reference qubit, so the check holds for every program input and
-a gadget's cost does not depend on the program's width.  Measured degrees
-of freedom are removed immediately, so programs of up to ``DOF_CAP`` qubits
-stay within the label cap.  All operations return new states.
+as one stack on a fixed 4-label Choi input, each carrier maximally
+entangled with an untouched reference qubit, so the check holds for every
+program input and a gadget's cost does not depend on the program's width.
+Measured degrees of freedom are removed immediately, so programs of up to
+``DOF_CAP`` qubits stay within the label cap.  All operations return new
+states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,24 +74,19 @@ class MalformedProgramError(StateError, InputError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Dof:
-    """One two-level degree of freedom of a named photon.
+class Dof(NamedTuple):
+    """One two-level degree of freedom of a named photon; build one with
+    :func:`path`, :func:`pol` or :func:`arm`.
 
     ``photon`` is the position along the chain; ``primed`` marks a free-arm
-    photon, which only ever exposes a path degree of freedom.
+    photon, which only ever exposes a path degree of freedom.  Labels compare
+    and sort as tuples of their fields.
     """
 
     chain: str
     photon: int
     primed: bool
     kind: str
-
-    def __post_init__(self):
-        if self.kind not in (PATH, POL):
-            raise ValueError(f"kind must be {PATH!r} or {POL!r}")
-        if self.primed and self.kind != PATH:
-            raise ValueError("free-arm photons expose only a path degree of freedom")
 
 
 def path(chain: str, photon: int) -> Dof:
@@ -109,118 +111,132 @@ X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) / SQ2
 BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
                        [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / SQ2
 
+# Corrections indexed by an array of outcomes: Z^k, and Z^z X^x for Bell row k
+_Z_POW = np.array([np.eye(2), _Z])
+_BELL_FIX = np.array([np.eye(2), _Z, _X, _Z @ _X])
 
-def _norm2(v: np.ndarray) -> float:
-    """Squared norm of a complex vector: one einsum over its real and
-    imaginary parts, which unlike BLAS ``vdot`` runs on one thread."""
+
+def _norm2(v: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a complex array: one einsum over the real
+    and imaginary parts, which unlike BLAS ``vdot`` runs on one thread."""
     parts = np.ascontiguousarray(v).view(np.float64)
-    return float(np.einsum("i,i->", parts, parts))
+    return np.einsum("...i,...i->...", parts, parts)
 
 
 class PureState:
-    """Labeled multi-qubit amplitude vector; labels are kept in canonical order."""
+    """A stack of labeled multi-qubit amplitude vectors, one row of ``vec``
+    per branch; labels are kept in canonical order."""
 
     __slots__ = ("labels", "vec")
 
     def __init__(self, labels, vec, _checked: bool = False):
         labels = tuple(labels)
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
+        vec = np.asarray(vec, dtype=complex)
         if not _checked:
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate degree-of-freedom labels")
             if len(labels) > DOF_CAP:
                 raise CapExceededError(f"{len(labels)} labels exceeds cap {DOF_CAP}")
-            if vec.size != 1 << len(labels):
+            if vec.ndim not in (1, 2) or vec.shape[-1] != 1 << len(labels):
                 raise ValueError("amplitude vector length does not match label count")
+            vec = vec.reshape(-1, vec.shape[-1])
             order = sorted(range(len(labels)), key=lambda i: labels[i])
             if order != list(range(len(labels))):
-                vec = vec.reshape([2] * len(labels)).transpose(order).reshape(-1)
+                grid = vec.reshape([len(vec)] + [2] * len(labels))
+                vec = grid.transpose([0] + [i + 1 for i in order]).reshape(len(vec), -1)
                 labels = tuple(labels[i] for i in order)
-            if abs(_norm2(vec) - 1.0) > 1e-9:
+            if np.abs(_norm2(vec) - 1.0).max() > 1e-9:
                 raise NonNormalizedError("state is not normalized")
         self.labels = labels
-        self.vec = vec
+        self.vec = vec.reshape(-1, 1 << len(labels))
 
     # -- basic queries -----------------------------------------------------
 
     def axis(self, dof: Dof) -> int:
+        """Position of ``dof`` among the labels (the branch axis not counted)."""
         try:
             return self.labels.index(dof)
         except ValueError:
             raise UnknownDofError(f"unknown degree of freedom {dof}") from None
 
     def _grid(self) -> np.ndarray:
-        return self.vec.reshape([2] * len(self.labels))
+        return self.vec.reshape([len(self.vec)] + [2] * len(self.labels))
 
     # -- construction ------------------------------------------------------
 
     def tensor(self, other: "PureState") -> "PureState":
+        """Branch-wise tensor product; a stack of one pairs with every branch."""
         if set(self.labels) & set(other.labels):
             raise ValueError("tensor factors share labels")
         if len(self.labels) + len(other.labels) > DOF_CAP:
             raise CapExceededError(f"tensor product of {len(self.labels)} and "
                                    f"{len(other.labels)} labels exceeds cap {DOF_CAP}")
-        return PureState(self.labels + other.labels,
-                         np.kron(self.vec, other.vec))
+        vec = self.vec[:, :, None] * other.vec[:, None, :]
+        return PureState(self.labels + other.labels, vec.reshape(len(vec), -1))
 
     # -- unitaries ---------------------------------------------------------
 
     def apply_one(self, dof: Dof, u: np.ndarray) -> "PureState":
-        # (before, 2, after) view: row i of u mixes the two slices of the axis
-        g = self.vec.reshape(1 << self.axis(dof), 2, -1)
+        """Apply the 2x2 matrix ``u`` to ``dof`` on every branch, or row i of
+        a stack of matrices to branch i."""
+        u = np.asarray(u).reshape(-1, 2, 2, 1, 1)
+        # (branch, before, 2, after) view: row i of u mixes the two slices of the axis
+        g = self.vec.reshape(len(self.vec), 1 << self.axis(dof), 2, -1)
         out = np.empty_like(g)
-        out[:, 0] = u[0, 0] * g[:, 0] + u[0, 1] * g[:, 1]
-        out[:, 1] = u[1, 0] * g[:, 0] + u[1, 1] * g[:, 1]
-        return PureState(self.labels, out.reshape(-1), _checked=True)
+        out[:, :, 0] = u[:, 0, 0] * g[:, :, 0] + u[:, 0, 1] * g[:, :, 1]
+        out[:, :, 1] = u[:, 1, 0] * g[:, :, 0] + u[:, 1, 1] * g[:, :, 1]
+        return PureState(self.labels, out.reshape(len(out), -1), _checked=True)
 
     def apply_cz(self, a: Dof, b: Dof) -> "PureState":
         if a == b:
             raise ValueError("conditional phase needs two distinct labels")
         ia, ib = self.axis(a), self.axis(b)
         grid = self._grid().copy()
-        idx = [slice(None)] * len(self.labels)
-        idx[ia] = 1
-        idx[ib] = 1
+        idx = [slice(None)] * (len(self.labels) + 1)
+        idx[ia + 1] = 1
+        idx[ib + 1] = 1
         grid[tuple(idx)] *= -1
-        return PureState(self.labels, grid.reshape(-1), _checked=True)
+        return PureState(self.labels, grid.reshape(len(grid), -1), _checked=True)
 
     # -- measurement -------------------------------------------------------
 
-    def measure(self, dofs, basis: np.ndarray) -> list["Branch"]:
-        """Project the labels ``dofs`` onto the rows of ``basis``.
+    def measure(self, dofs, basis: np.ndarray) -> "Branches":
+        """Project the labels ``dofs`` of every branch onto the rows of ``basis``.
 
         Row k of the basis matrix is outcome k.  Each branch is renormalized
         and the measured labels are removed; zero-probability branches are
         dropped.
         """
         rest = tuple(l for l in self.labels if l not in dofs)
-        branches = []
-        for outcome, comp in enumerate(basis.conj() @ self._matrix(dofs)):
-            prob = _norm2(comp)
-            if prob >= 1e-14:
-                state = PureState(rest, comp / math.sqrt(prob), _checked=True)
-                branches.append(Branch(outcome, prob, state))
-        return branches
+        # (branch, outcome, rest) flattened: rows follow branches, then outcomes
+        comp = (basis.conj() @ self._matrix(dofs)).reshape(-1, 1 << len(rest))
+        prob = _norm2(comp)
+        keep = np.flatnonzero(prob >= 1e-14)
+        prob = prob[keep]
+        state = PureState(rest, comp[keep] / np.sqrt(prob)[:, None], _checked=True)
+        return Branches(keep % len(basis), prob, state, keep // len(basis))
 
     # -- comparison --------------------------------------------------------
 
-    def overlap(self, other: "PureState") -> complex:
+    def overlap(self, other: "PureState") -> np.ndarray:
+        """<other|self> branch by branch; a stack of one pairs with every branch."""
         if self.labels != other.labels:
             raise LabelMismatchError(
                 f"label sets differ: {self.labels} vs {other.labels}")
-        return complex(np.einsum("i,i->", other.vec.conj(), self.vec))
+        return np.einsum("...i,...i->...", other.vec.conj(), self.vec)
 
-    def fidelity(self, other: "PureState") -> float:
-        return abs(self.overlap(other)) ** 2
+    def fidelity(self, other: "PureState") -> np.ndarray:
+        return np.abs(self.overlap(other)) ** 2
 
     def _matrix(self, subset) -> np.ndarray:
-        """The amplitudes as a (subset | rest) matrix; rows follow ``subset``."""
-        axes = [self.axis(d) for d in subset]
-        others = [i for i in range(len(self.labels)) if i not in axes]
-        return self._grid().transpose(axes + others).reshape(1 << len(axes), -1)
+        """Each branch's amplitudes as a (subset | rest) matrix; rows follow ``subset``."""
+        axes = [self.axis(d) + 1 for d in subset]
+        others = [i for i in range(1, len(self.labels) + 1) if i not in axes]
+        grid = self._grid().transpose([0] + axes + others)
+        return grid.reshape(len(self.vec), 1 << len(axes), -1)
 
     def schmidt_coefficients(self, subset) -> np.ndarray:
-        """Singular values of the bipartition (subset | rest)."""
+        """Singular values of each branch's bipartition (subset | rest)."""
         return np.linalg.svd(self._matrix(subset), compute_uv=False)
 
     def relabel(self, mapping: dict[Dof, Dof]) -> "PureState":
@@ -229,14 +245,23 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One outcome of a measurement event and the state it leaves, with the
-    event's corrections applied.  ``outcome`` is a row of the measured basis,
-    or a pair for a weave (the two arms) and a Bell teleport (x, z)."""
+class Branches:
+    """Every outcome of a measurement event on every input branch, stacked.
 
-    outcome: int | tuple[int, int]
-    probability: float
+    Row i is outcome ``outcome[i]`` of input branch ``parent[i]``, with its
+    probability given that input and branch i of ``state``, the event's
+    corrections applied.  An outcome is a row of the measured basis, or a
+    pair for a weave (the two arms) and a Bell teleport (x, z).  Rows follow
+    the input branches, then the outcomes.
+    """
+
+    outcome: np.ndarray
+    probability: np.ndarray
     state: PureState
+    parent: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probability)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +314,7 @@ def _require_arm(state: PureState, dof: Dof) -> None:
         raise ArmNotFreeError(f"{dof} is not a free-arm path degree of freedom")
 
 
-def weave(state_a: PureState, state_b: PureState, arm_a: Dof, arm_b: Dof) -> list[Branch]:
+def weave(state_a: PureState, state_b: PureState, arm_a: Dof, arm_b: Dof) -> Branches:
     """Entangle two chains through their free arms.
 
     Applies a conditional phase to the two arms, x-measures both, and applies
@@ -304,25 +329,18 @@ def weave(state_a: PureState, state_b: PureState, arm_a: Dof, arm_b: Dof) -> lis
     return weave_joint(joint, arm_a, arm_b)
 
 
-def weave_joint(joint: PureState, arm_a: Dof, arm_b: Dof) -> list[Branch]:
+def weave_joint(joint: PureState, arm_a: Dof, arm_b: Dof) -> Branches:
     """Weave two arms that already live in one joint state; the outcome is
     the pair of x-basis outcomes on (arm_a, arm_b), 0 meaning plus."""
     _require_arm(joint, arm_a)
     _require_arm(joint, arm_b)
-    woven = joint.apply_cz(arm_a, arm_b)
-    pol_a = pol(arm_a.chain, arm_a.photon)
-    pol_b = pol(arm_b.chain, arm_b.photon)
-    branches = []
-    for ma in woven.measure((arm_a,), X_BASIS):
-        for mb in ma.state.measure((arm_b,), X_BASIS):
-            out = mb.state
-            if mb.outcome:
-                out = out.apply_one(pol_a, _Z)
-            if ma.outcome:
-                out = out.apply_one(pol_b, _Z)
-            branches.append(Branch((ma.outcome, mb.outcome),
-                                   ma.probability * mb.probability, out))
-    return branches
+    ma = joint.apply_cz(arm_a, arm_b).measure((arm_a,), X_BASIS)
+    mb = ma.state.measure((arm_b,), X_BASIS)
+    first = ma.outcome[mb.parent]
+    out = (mb.state.apply_one(pol(arm_a.chain, arm_a.photon), _Z_POW[mb.outcome])
+           .apply_one(pol(arm_b.chain, arm_b.photon), _Z_POW[first]))
+    return Branches(np.stack([first, mb.outcome], axis=1),
+                    ma.probability[mb.parent] * mb.probability, out, ma.parent[mb.parent])
 
 
 def woven_target(chain_a: str, photon_a: int, chain_b: str, photon_b: int) -> PureState:
@@ -337,7 +355,7 @@ def woven_target(chain_a: str, photon_a: int, chain_b: str, photon_b: int) -> Pu
     return PureState(labels, vec)
 
 
-def disconnect_arm(state: PureState, arm_dof: Dof) -> list[Branch]:
+def disconnect_arm(state: PureState, arm_dof: Dof) -> Branches:
     """Remove an unused free arm by a z-basis measurement.
 
     The arm is |+> or |-> depending on the link sector, so an x measurement
@@ -346,10 +364,9 @@ def disconnect_arm(state: PureState, arm_dof: Dof) -> list[Branch]:
     sign of the link's |11> term, fixed by a Z on the link polarization.
     """
     _require_arm(state, arm_dof)
-    pol_dof = pol(arm_dof.chain, arm_dof.photon)
-    return [Branch(m.outcome, m.probability,
-                   m.state.apply_one(pol_dof, _Z) if m.outcome else m.state)
-            for m in state.measure((arm_dof,), Z_BASIS)]
+    m = state.measure((arm_dof,), Z_BASIS)
+    return replace(m, state=m.state.apply_one(pol(arm_dof.chain, arm_dof.photon),
+                                              _Z_POW[m.outcome]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +374,16 @@ def disconnect_arm(state: PureState, arm_dof: Dof) -> list[Branch]:
 # ---------------------------------------------------------------------------
 
 
-def bell_teleport(state: PureState, chain: str, photon: int) -> list[Branch]:
+def bell_teleport(state: PureState, chain: str, photon: int) -> Branches:
     """Bell-measure (path, pol) of the data carrier ``photon``.
 
     Outcome (x, z) leaves X^x Z^z (data) on the next photon's polarization;
-    each branch has X^x, then Z^z, applied there, so it carries the data.
+    each branch has Z^z X^x applied there, so it carries the data.
     """
-    nxt = pol(chain, photon + 1)
-    branches = []
-    for m in state.measure((path(chain, photon), pol(chain, photon)), BELL_BASIS):
-        x, z = m.outcome >> 1, m.outcome & 1
-        out = m.state.apply_one(nxt, _X) if x else m.state
-        branches.append(Branch((x, z), m.probability,
-                               out.apply_one(nxt, _Z) if z else out))
-    return branches
+    m = state.measure((path(chain, photon), pol(chain, photon)), BELL_BASIS)
+    return Branches(np.stack([m.outcome >> 1, m.outcome & 1], axis=1), m.probability,
+                    m.state.apply_one(pol(chain, photon + 1), _BELL_FIX[m.outcome]),
+                    m.parent)
 
 
 @dataclass(frozen=True)
@@ -422,6 +435,13 @@ class Program:
     def input_pair(self, q: str) -> tuple[complex, complex]:
         return self.inputs.get(q, (1.0, 0.0))
 
+    def input_grid(self) -> np.ndarray:
+        """The product input state, one axis per qubit in declaration order."""
+        grid = np.ones((), dtype=complex)
+        for q in self.qubits:
+            grid = np.multiply.outer(grid, np.array(self.input_pair(q), dtype=complex))
+        return grid
+
     def cphase_count(self, q: str) -> int:
         return sum(1 for op in self.ops
                    if isinstance(op, Cphase) and q in (op.a, op.b))
@@ -431,11 +451,7 @@ def ideal_circuit(program: Program) -> PureState:
     """Direct application of the program to the logical input state (oracle)."""
     n = len(program.qubits)
     index = {q: i for i, q in enumerate(program.qubits)}
-    vec = np.array([1.0 + 0j])
-    for q in program.qubits:
-        a, b = program.input_pair(q)
-        vec = np.kron(vec, np.array([a, b], dtype=complex))
-    grid = vec.reshape([2] * n)
+    grid = program.input_grid()
     for op in program.ops:
         if isinstance(op, Rotation):
             ax = index[op.qubit]
@@ -463,27 +479,26 @@ class EvolveReport:
     probability_sum: float
 
 
-def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int):
-    """Yield (probability, corrected state) for each of the 64 measurement
-    branches of one conditional-phase gadget on carriers ``ca`` and ``cb``.
+def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int) -> Branches:
+    """The 64 measurement branches of one conditional-phase gadget on
+    carriers ``ca`` and ``cb``, as one stack per input branch.
 
     The gadget weaves the next links of both chains and teleports both data
     carriers forward through the woven photons, applying every
-    measurement-dependent correction.
+    measurement-dependent correction.  A branch's outcome is (weave a,
+    weave b, x_a, z_a, x_b, z_b) and its probability that of the whole path.
     """
     pulled = state.tensor(bracket_state(a, ca)).tensor(bracket_state(b, cb))
-    for wb in weave_joint(pulled, arm(a, ca + 1), arm(b, cb + 1)):
-        for ta in bell_teleport(wb.state, a, ca):
-            st_a = ta.state
-            if ta.outcome[0]:
-                # an X byproduct commuted through the woven conditional
-                # phase picks up a Z on the partner chain
-                st_a = st_a.apply_one(pol(b, cb + 1), _Z)
-            for tb in bell_teleport(st_a, b, cb):
-                st_b = tb.state
-                if tb.outcome[0]:
-                    st_b = st_b.apply_one(pol(a, ca + 1), _Z)
-                yield wb.probability * ta.probability * tb.probability, st_b
+    w = weave_joint(pulled, arm(a, ca + 1), arm(b, cb + 1))
+    ta = bell_teleport(w.state, a, ca)
+    # an X byproduct commuted through the woven conditional phase picks up a
+    # Z on the partner chain
+    tb = bell_teleport(ta.state.apply_one(pol(b, cb + 1), _Z_POW[ta.outcome[:, 0]]), b, cb)
+    leaves = tb.state.apply_one(pol(a, ca + 1), _Z_POW[tb.outcome[:, 0]])
+    woven = ta.parent[tb.parent]
+    return Branches(np.hstack([w.outcome[woven], ta.outcome[tb.parent], tb.outcome]),
+                    w.probability[woven] * ta.probability[tb.parent] * tb.probability,
+                    leaves, w.parent[woven])
 
 
 def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
@@ -493,10 +508,11 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
     the two chains and teleports both data carriers forward.  Rotations act on
     the current carrier polarization.
 
-    Each gadget is verified once, as a channel: its 64 branches run on the
-    Choi state |Phi>|Phi> that pairs each carrier with a reference label
-    ``pol(q, 0)`` no gadget touches, and each branch is compared with the
-    conditional phase applied to that state and moved onto the new carriers.
+    Each gadget is verified once, as a channel: its 64 branches run as one
+    stack on the Choi state |Phi>|Phi> that pairs each carrier with a
+    reference label ``pol(q, 0)`` no gadget touches, and each branch is
+    compared with the conditional phase applied to that state and moved onto
+    the new carriers.
     A branch map K is fixed by its image of |Phi>|Phi> (Choi-Jamiolkowski),
     so fidelity 1 on every branch with probabilities summing to 1 means
     every branch map is proportional to the conditional phase on every
@@ -512,10 +528,7 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
                 f"qubit {q} needs {program.cphase_count(q)} links, has {links_per_qubit}")
     target = ideal_circuit(program)
 
-    vec = np.ones(1, dtype=complex)
-    for q in program.qubits:
-        vec = np.kron(vec, program.input_pair(q))
-    state = PureState([pol(q, 1) for q in program.qubits], vec)
+    state = PureState([pol(q, 1) for q in program.qubits], program.input_grid().reshape(-1))
     carriers = {q: 1 for q in program.qubits}
     branch_count, prob_sum, min_fid = 1, 1.0, math.inf
     for op in program.ops:
@@ -528,17 +541,15 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
         moved = {x: pol(a, ca + 1), y: pol(b, cb + 1)}
         choi = PureState((x, pol(a, 0), y, pol(b, 0)), _PHI_PHI)
         want = choi.apply_cz(x, y).relabel(moved)
-        leaves, gadget_sum = 0, 0.0
-        for prob, leaf in _cphase_branches(choi, a, ca, b, cb):
-            leaves += 1
-            gadget_sum += prob
-            min_fid = min(min_fid, leaf.fidelity(want))
-        branch_count *= leaves
-        prob_sum *= gadget_sum
+        leaves = _cphase_branches(choi, a, ca, b, cb)
+        branch_count *= len(leaves)
+        # a running sum adds the probabilities left to right, in branch order
+        prob_sum *= float(np.cumsum(leaves.probability)[-1])
+        min_fid = min(min_fid, float(leaves.state.fidelity(want).min()))
         state = state.apply_cz(x, y).relabel(moved)
         carriers[a], carriers[b] = ca + 1, cb + 1
     mapping = {pol(q, carriers[q]): pol(q, 0) for q in program.qubits}
-    min_fid = min(min_fid, state.relabel(mapping).fidelity(target))
+    min_fid = min(min_fid, float(state.relabel(mapping).fidelity(target).min()))
     return EvolveReport(branch_count=branch_count, min_fidelity=min_fid,
                         probability_sum=prob_sum)
 

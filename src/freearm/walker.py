@@ -183,20 +183,24 @@ class _Streams:
     constructing a ``Philox`` also seeds a ``SeedSequence`` from OS entropy."""
 
     def __init__(self, seed: int):
-        self._seed = seed
         self._bits = np.random.Philox(0)
         self._gen = np.random.Generator(self._bits)
         self._state = self._bits.state
+        # written in place by each seek; the state setter copies them in
+        self._key = np.array([seed, 0], dtype=np.uint64)
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state["state"]["key"] = self._key
+        self._state["state"]["counter"] = self._counter
 
     def seek(self, trial: int, stream: int, word: int) -> np.random.Generator:
         """The generator of substream (seed, trial, stream) after ``word`` doubles."""
-        state = self._state
-        state["state"]["key"] = np.array([self._seed, trial * 4 + stream], dtype=np.uint64)
+        self._key[1] = trial * 4 + stream
         # Philox advances its counter before it computes each block of 4 words
-        state["state"]["counter"] = np.array([word // 4, 0, 0, 0], dtype=np.uint64)
-        state["buffer_pos"] = 4
-        self._bits.state = state
-        self._bits.random_raw(word % 4)
+        self._counter[0] = word // 4
+        self._state["buffer_pos"] = 4
+        self._bits.state = self._state
+        if word % 4:
+            self._bits.random_raw(word % 4)
         return self._gen
 
     def draw(self, trials, stream: int, drawn, rows, bounds: np.ndarray) -> np.ndarray:
@@ -443,7 +447,7 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
                 failed = u >= s
                 arms[active[failed], side] += 1
                 active = active[failed]
-        cs = arms.max(axis=1)
+        cs = np.maximum(arms[:, 0], arms[:, 1])
     return WeaveStats(count, mean_stderr(cs), mean_stderr(arms.ravel()))
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -77,11 +78,21 @@ class TestBases:
     def test_measure_reads_the_row_it_projects_on(self):
         # |0>|+> on (pol a, pol b): z reads 0 on a, x reads plus on b
         st = sv.PureState((sv.pol("a", 1), sv.pol("b", 1)), np.array([1, 1, 0, 0]) / SQ2)
-        (za,) = st.measure((sv.pol("a", 1),), sv.Z_BASIS)
-        (xb,) = st.measure((sv.pol("b", 1),), sv.X_BASIS)
-        assert (za.outcome, xb.outcome) == (0, 0)
-        assert za.probability == pytest.approx(1, abs=1e-15)
+        za = st.measure((sv.pol("a", 1),), sv.Z_BASIS)
+        xb = st.measure((sv.pol("b", 1),), sv.X_BASIS)
+        assert (za.outcome.tolist(), xb.outcome.tolist()) == ([0], [0])
+        assert za.probability[0] == pytest.approx(1, abs=1e-15)
         assert za.state.labels == (sv.pol("b", 1),)
+
+    def test_measure_stacks_every_outcome_of_every_branch(self):
+        # two input branches, |0>|+> and |1>|+>: the z outcome follows the branch
+        labels = (sv.pol("a", 1), sv.pol("b", 1))
+        st = sv.PureState(labels, np.array([[1, 1, 0, 0], [0, 0, 1, 1]]) / SQ2)
+        m = st.measure((sv.pol("a", 1),), sv.Z_BASIS)
+        assert (m.outcome.tolist(), m.parent.tolist()) == ([0, 1], [0, 1])
+        assert np.abs(m.state.vec - np.array([1, 1]) / SQ2).max() <= 1e-15
+        x = st.measure((sv.pol("b", 1),), sv.X_BASIS)
+        assert (x.outcome.tolist(), x.parent.tolist()) == ([0, 0], [0, 1])
 
 
 class TestWeave:
@@ -93,10 +104,10 @@ class TestWeave:
     def test_four_uniform_branches(self):
         branches = sv.weave(self.sa, self.sb, sv.arm("p", 2), sv.arm("q", 2))
         assert len(branches) == 4
-        assert {b.outcome for b in branches} == set(itertools.product((0, 1), (0, 1)))
-        for b in branches:
-            assert b.probability == pytest.approx(0.25, abs=1e-12)
-            assert b.state.fidelity(self.target) == pytest.approx(1, abs=1e-10)
+        assert branches.outcome.tolist() == [list(o) for o in
+                                             itertools.product((0, 1), (0, 1))]
+        assert np.abs(branches.probability - 0.25).max() <= 1e-12
+        assert np.abs(branches.state.fidelity(self.target) - 1).max() <= 1e-10
 
     def test_correction_table_rederived(self):
         """Brute-force the uncorrected branches and confirm the fix-up rule.
@@ -107,17 +118,17 @@ class TestWeave:
         """
         joint = self.sa.tensor(self.sb).apply_cz(sv.arm("p", 2), sv.arm("q", 2))
         Z = np.diag([1, -1]).astype(complex)
-        for ma in joint.measure((sv.arm("p", 2),), sv.X_BASIS):
-            for mb in ma.state.measure((sv.arm("q", 2),), sv.X_BASIS):
+        for ma in measure_oracle(joint, (sv.arm("p", 2),), sv.X_BASIS):
+            for mb in measure_oracle(ma.state, (sv.arm("q", 2),), sv.X_BASIS):
                 raw = mb.state
                 fixed = raw
                 if mb.outcome:
                     fixed = fixed.apply_one(sv.pol("p", 2), Z)
                 if ma.outcome:
                     fixed = fixed.apply_one(sv.pol("q", 2), Z)
-                assert fixed.fidelity(self.target) == pytest.approx(1, abs=1e-12)
+                assert fixed.fidelity(self.target)[0] == pytest.approx(1, abs=1e-12)
                 if ma.outcome or mb.outcome:
-                    assert raw.fidelity(self.target) < 0.999
+                    assert raw.fidelity(self.target)[0] < 0.999
 
     def test_woven_target_structure(self):
         t = sv.woven_target("p", 2, "q", 2)
@@ -136,27 +147,42 @@ class TestFailurePaths:
         st = sv.bracket_state("p", 1)
         branches = sv.disconnect_arm(st, sv.arm("p", 2))
         assert len(branches) == 2
-        for b in branches:
-            assert b.probability == pytest.approx(0.5, abs=1e-12)
-            coeffs = b.state.schmidt_coefficients([sv.path("p", 1)])
-            assert np.allclose(coeffs, [1 / SQ2, 1 / SQ2], atol=1e-10)
+        assert np.abs(branches.probability - 0.5).max() <= 1e-12
+        coeffs = branches.state.schmidt_coefficients([sv.path("p", 1)])
+        assert coeffs.shape == (2, 2)
+        assert np.allclose(coeffs, 1 / SQ2, atol=1e-10)
 
     def test_disconnect_arm_fixes_phase(self):
         """After the z-outcome-conditioned Z, both branches equal the bare link."""
         st = sv.bracket_state("p", 1)
         bare = sv.PureState((sv.path("p", 1), sv.pol("p", 2)),
                             np.array([1, 0, 0, 1]) / SQ2)
-        for b in sv.disconnect_arm(st, sv.arm("p", 2)):
-            assert b.state.fidelity(bare) == pytest.approx(1, abs=1e-12)
+        fids = sv.disconnect_arm(st, sv.arm("p", 2)).state.fidelity(bare)
+        assert fids.shape == (2,) and np.abs(fids - 1).max() <= 1e-12
+
+    def test_zero_probability_outcomes_are_dropped(self):
+        """A stacked measurement keeps only the outcomes at or above the
+        1e-14 floor: here the second branch's arm is |0>, so z never reads 1."""
+        link = sv.bracket_state("p", 1)
+        fixed = np.zeros(8)
+        fixed[0b000] = 1  # |0>_path |0>_pol |0>_arm
+        st = sv.PureState(link.labels, np.stack([link.vec[0], fixed]))
+        branches = sv.disconnect_arm(st, sv.arm("p", 2))
+        assert branches.outcome.tolist() == [0, 1, 0]
+        assert branches.parent.tolist() == [0, 0, 1]
+        assert np.abs(branches.probability - [0.5, 0.5, 1]).max() <= 1e-15
+        assert branches.state.vec.shape == (3, 4)
+        assert np.abs(branches.state.vec[2] - [1, 0, 0, 0]).max() == 0
 
     @pytest.mark.parametrize("data", [(1, 0), (1 / SQ2, 1j / SQ2), (0.6, 0.8j)])
     def test_teleport_through_failed_link(self, data):
         st = sv.build_chain_state(1, data)
         target = sv.data_state("p", 2, *data)
-        for d in sv.disconnect_arm(st, sv.arm("p", 2)):
-            for t in sv.bell_teleport(d.state, "p", 1):
-                assert t.probability == pytest.approx(0.25, abs=1e-12)
-                assert t.state.fidelity(target) == pytest.approx(1, abs=1e-9)
+        d = sv.disconnect_arm(st, sv.arm("p", 2))
+        t = sv.bell_teleport(d.state, "p", 1)
+        assert len(t) == 8 and t.parent.tolist() == [0] * 4 + [1] * 4
+        assert np.abs(t.probability - 0.25).max() <= 1e-12
+        assert np.abs(t.state.fidelity(target) - 1).max() <= 1e-9
 
 
 class TestBellTeleport:
@@ -166,16 +192,10 @@ class TestBellTeleport:
         data = (0.48 + 0.36j, 0.8)
         st = sv.build_chain_state(hops, data)
         for k in range(1, hops + 1):
-            st_branches = []
-            states = [st] if k == 1 else branches
-            for s in states:
-                st_branches += [t.state for t in sv.bell_teleport(s, "p", k)]
-            branches = [d.state for s in st_branches
-                        for d in sv.disconnect_arm(s, sv.arm("p", k + 1))]
-        assert len(branches) == 8 ** hops
+            st = sv.disconnect_arm(sv.bell_teleport(st, "p", k).state, sv.arm("p", k + 1)).state
+        assert st.vec.shape[0] == 8 ** hops
         target = sv.data_state("p", hops + 1, *data)
-        for s in branches:
-            assert s.fidelity(target) == pytest.approx(1, abs=1e-9)
+        assert np.abs(st.fidelity(target) - 1).max() <= 1e-9
 
 
 class TestPrograms:
@@ -311,6 +331,77 @@ def apply_one_oracle(state, dof, u):
     return np.moveaxis(grid, -1, ax).reshape(-1)
 
 
+@dataclass(frozen=True)
+class Branch:
+    """One outcome of a scalar measurement event and the state it leaves,
+    with the event's corrections applied."""
+
+    outcome: int | tuple
+    probability: float
+    state: sv.PureState
+
+
+def measure_oracle(state, dofs, basis):
+    """Project the labels ``dofs`` of a single state onto the rows of
+    ``basis``, one outcome at a time; zero-probability outcomes are dropped."""
+    rest = tuple(l for l in state.labels if l not in dofs)
+    branches = []
+    for outcome, comp in enumerate(basis.conj() @ state._matrix(dofs)[0]):
+        prob = float(sv._norm2(comp))
+        if prob >= 1e-14:
+            branches.append(Branch(outcome, prob,
+                                   sv.PureState(rest, comp / math.sqrt(prob), _checked=True)))
+    return branches
+
+
+def weave_joint_oracle(joint, arm_a, arm_b):
+    """The weave branch by branch, each fix-up applied where its outcome asks."""
+    woven = joint.apply_cz(arm_a, arm_b)
+    pol_a = sv.pol(arm_a.chain, arm_a.photon)
+    pol_b = sv.pol(arm_b.chain, arm_b.photon)
+    branches = []
+    for ma in measure_oracle(woven, (arm_a,), sv.X_BASIS):
+        for mb in measure_oracle(ma.state, (arm_b,), sv.X_BASIS):
+            out = mb.state
+            if mb.outcome:
+                out = out.apply_one(pol_a, sv._Z)
+            if ma.outcome:
+                out = out.apply_one(pol_b, sv._Z)
+            branches.append(Branch((ma.outcome, mb.outcome),
+                                   ma.probability * mb.probability, out))
+    return branches
+
+
+def bell_teleport_oracle(state, chain, photon):
+    """The Bell teleport branch by branch: X^x, then Z^z, on the next photon."""
+    nxt = sv.pol(chain, photon + 1)
+    branches = []
+    for m in measure_oracle(state, (sv.path(chain, photon), sv.pol(chain, photon)),
+                            sv.BELL_BASIS):
+        x, z = m.outcome >> 1, m.outcome & 1
+        out = m.state.apply_one(nxt, sv._X) if x else m.state
+        branches.append(Branch((x, z), m.probability,
+                               out.apply_one(nxt, sv._Z) if z else out))
+    return branches
+
+
+def cphase_branches_oracle(state, a, ca, b, cb):
+    """Yield (outcome, probability, corrected state) for each of the 64
+    branches of one conditional-phase gadget, one branch at a time."""
+    pulled = state.tensor(sv.bracket_state(a, ca)).tensor(sv.bracket_state(b, cb))
+    for wb in weave_joint_oracle(pulled, sv.arm(a, ca + 1), sv.arm(b, cb + 1)):
+        for ta in bell_teleport_oracle(wb.state, a, ca):
+            st_a = ta.state
+            if ta.outcome[0]:
+                st_a = st_a.apply_one(sv.pol(b, cb + 1), sv._Z)
+            for tb in bell_teleport_oracle(st_a, b, cb):
+                st_b = tb.state
+                if tb.outcome[0]:
+                    st_b = st_b.apply_one(sv.pol(a, ca + 1), sv._Z)
+                yield (wb.outcome + ta.outcome + tb.outcome,
+                       wb.probability * ta.probability * tb.probability, st_b)
+
+
 def program_input(program):
     """The program's input, one data qubit per chain, tensored one by one."""
     state = None
@@ -329,7 +420,6 @@ def enumerate_program(program, links_per_qubit):
     target = sv.ideal_circuit(program)
     init = program_input(program)
     results = []
-    Z = np.diag([1, -1]).astype(complex)
 
     def run(state, ops, carriers, prob):
         while ops and isinstance(ops[0], sv.Rotation):
@@ -338,22 +428,14 @@ def enumerate_program(program, links_per_qubit):
             ops = ops[1:]
         if not ops:
             mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in program.qubits}
-            results.append((prob, state.relabel(mapping).fidelity(target)))
+            results.append((prob, state.relabel(mapping).fidelity(target)[0]))
             return
         a, b = ops[0].a, ops[0].b
         ca, cb = carriers[a], carriers[b]
-        pulled = state.tensor(sv.bracket_state(a, ca)).tensor(sv.bracket_state(b, cb))
-        for wb in sv.weave_joint(pulled, sv.arm(a, ca + 1), sv.arm(b, cb + 1)):
-            for ta in sv.bell_teleport(wb.state, a, ca):
-                st_a = ta.state
-                if ta.outcome[0]:
-                    st_a = st_a.apply_one(sv.pol(b, cb + 1), Z)
-                for tb in sv.bell_teleport(st_a, b, cb):
-                    st_b = tb.state
-                    if tb.outcome[0]:
-                        st_b = st_b.apply_one(sv.pol(a, ca + 1), Z)
-                    run(st_b, ops[1:], {**carriers, a: ca + 1, b: cb + 1},
-                        prob * wb.probability * ta.probability * tb.probability)
+        leaves = sv._cphase_branches(state, a, ca, b, cb)
+        for p, vec in zip(leaves.probability, leaves.state.vec):
+            run(sv.PureState(leaves.state.labels, vec, _checked=True), ops[1:],
+                {**carriers, a: ca + 1, b: cb + 1}, prob * p)
 
     run(init, tuple(program.ops), {q: 1 for q in program.qubits}, 1.0)
     return (len(results), min(f for _, f in results), sum(p for p, _ in results))
@@ -377,17 +459,14 @@ def evolve_whole_state(program, links_per_qubit):
         ca, cb = carriers[a], carriers[b]
         want = state.apply_cz(sv.pol(a, ca), sv.pol(b, cb)).relabel(
             {sv.pol(a, ca): sv.pol(a, ca + 1), sv.pol(b, cb): sv.pol(b, cb + 1)})
-        leaves, gadget_sum = 0, 0.0
-        for prob, leaf in sv._cphase_branches(state, a, ca, b, cb):
-            leaves += 1
-            gadget_sum += prob
-            min_fid = min(min_fid, leaf.fidelity(want))
-        branch_count *= leaves
-        prob_sum *= gadget_sum
+        leaves = sv._cphase_branches(state, a, ca, b, cb)
+        branch_count *= len(leaves)
+        prob_sum *= leaves.probability.sum()
+        min_fid = min(min_fid, leaves.state.fidelity(want).min())
         state = want
         carriers[a], carriers[b] = ca + 1, cb + 1
     mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in program.qubits}
-    min_fid = min(min_fid, state.relabel(mapping).fidelity(target))
+    min_fid = min(min_fid, state.relabel(mapping).fidelity(target)[0])
     return branch_count, min_fid, prob_sum
 
 
@@ -405,7 +484,7 @@ def lift_choi_branches(monkeypatch, program, links_per_qubit):
     honest = sv._cphase_branches
 
     def spy(*args):
-        gadgets.append(list(honest(*args)))
+        gadgets.append(honest(*args))
         return gadgets[-1]
 
     monkeypatch.setattr(sv, "_cphase_branches", spy)
@@ -422,11 +501,12 @@ def lift_choi_branches(monkeypatch, program, links_per_qubit):
         x, y, nx, ny = sv.pol(a, ca), sv.pol(b, cb), sv.pol(a, ca + 1), sv.pol(b, cb + 1)
         want = state.apply_cz(x, y).relabel({x: nx, y: ny})
         # both matrices' columns are the spectators in canonical order
-        psi, w = state._matrix((x, y)), want._matrix((nx, ny))
+        psi, w = state._matrix((x, y))[0], want._matrix((nx, ny))[0]
         gadget_sum = 0.0
-        for prob, leaf in gadgets.pop(0):
-            k = 2 * math.sqrt(prob) * leaf._matrix(
-                (nx, ny, sv.pol(a, 0), sv.pol(b, 0))).reshape(4, 4)
+        leaves = gadgets.pop(0)
+        maps = leaves.state._matrix((nx, ny, sv.pol(a, 0), sv.pol(b, 0))).reshape(-1, 4, 4)
+        for prob, leaf in zip(leaves.probability, maps):
+            k = 2 * math.sqrt(prob) * leaf
             out = k @ psi
             norm2 = np.vdot(out, out).real
             gadget_sum += norm2
@@ -447,15 +527,17 @@ def cphase_first(n_qubits, n_cphases, seed):
 
 def drop_x_byproducts(monkeypatch):
     """Break every gadget: Bell teleports forget their X byproduct.  The
-    wrapper undoes the X correction and reports x = 0, so the partner-chain
-    Z that an X byproduct calls for is skipped too."""
+    wrapper applies X again on every x = 1 branch of the stacked teleport and
+    reports x = 0, so the partner-chain Z that an X byproduct calls for is
+    skipped too."""
     honest = sv.bell_teleport
 
     def no_x(state, chain, photon):
-        nxt = sv.pol(chain, photon + 1)
-        return [sv.Branch((0, t.outcome[1]), t.probability,
-                          t.state.apply_one(nxt, sv._X) if t.outcome[0] else t.state)
-                for t in honest(state, chain, photon)]
+        t = honest(state, chain, photon)
+        x = t.outcome[:, 0]
+        undone = t.state.apply_one(sv.pol(chain, photon + 1), np.array([np.eye(2), sv._X])[x])
+        return sv.Branches(np.stack([0 * x, t.outcome[:, 1]], axis=1), t.probability,
+                           undone, t.parent)
 
     monkeypatch.setattr(sv, "bell_teleport", no_x)
 
@@ -531,3 +613,69 @@ class TestOracles:
         lifted_fid, lifted_sum = lift_choi_branches(monkeypatch, program, 3)
         assert lifted_fid == pytest.approx(want[1], abs=1e-12)
         assert lifted_sum == pytest.approx(want[2], abs=1e-12)
+
+
+def choi_input(ca, cb, a="a", b="b"):
+    """|Phi>|Phi> on carriers ``pol(a, ca)``, ``pol(b, cb)`` and their references."""
+    labels = (sv.pol(a, ca), sv.pol(a, 0), sv.pol(b, cb), sv.pol(b, 0))
+    return sv.PureState(labels, sv._PHI_PHI)
+
+
+class TestStackedAgainstScalar:
+    """The stacked events against the scalar oracles, outcome by outcome."""
+
+    @staticmethod
+    def assert_same(got, want):
+        """``want`` holds (outcome, probability, state) per branch, in order."""
+        assert len(got) == len(want)
+        assert [tuple(o) for o in got.outcome.tolist()] == [o for o, _, _ in want]
+        assert np.abs(got.probability - [p for _, p, _ in want]).max() <= 1e-15
+        assert all(s.labels == got.state.labels for _, _, s in want)
+        assert np.abs(got.state.vec - np.vstack([s.vec for _, _, s in want])).max() <= 1e-12
+
+    @pytest.mark.parametrize("ca, cb", [(1, 1), (2, 3), (3, 1)])
+    def test_gadget_matches_scalar_oracle(self, ca, cb):
+        choi = choi_input(ca, cb)
+        got = sv._cphase_branches(choi, "a", ca, "b", cb)
+        self.assert_same(got, list(cphase_branches_oracle(choi, "a", ca, "b", cb)))
+        assert len(got) == 64 and got.parent.tolist() == [0] * 64
+
+    def test_weave_matches_scalar_oracle(self):
+        """The four branches that ``verify-weave`` reports."""
+        sa, sb = sv.bracket_state("p", 1), sv.bracket_state("q", 1)
+        arms = (sv.arm("p", 2), sv.arm("q", 2))
+        want = weave_joint_oracle(sa.tensor(sb), *arms)
+        self.assert_same(sv.weave(sa, sb, *arms),
+                         [(b.outcome, b.probability, b.state) for b in want])
+
+    def test_gadget_on_a_stack_is_the_gadget_on_each_input(self):
+        labels = choi_input(2, 3).labels
+        rng = np.random.default_rng(17)
+        vecs = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        got = sv._cphase_branches(sv.PureState(labels, vecs), "a", 2, "b", 3)
+        assert got.parent.tolist() == [0] * 64 + [1] * 64
+        for i, vec in enumerate(vecs):
+            one = sv._cphase_branches(sv.PureState(labels, vec), "a", 2, "b", 3)
+            rows = slice(64 * i, 64 * (i + 1))
+            assert np.array_equal(got.outcome[rows], one.outcome)
+            assert np.abs(got.probability[rows] - one.probability).max() <= 1e-15
+            assert np.abs(got.state.vec[rows] - one.state.vec).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_probability_sum_is_the_scalar_running_sum(self, seed):
+        """Each gadget's probabilities are added left to right in the scalar
+        branch order, so the report's sum is the same float."""
+        prog = sv.random_program(4, 3, 4, np.random.default_rng(seed))
+        carriers = {q: 1 for q in prog.qubits}
+        want = 1.0
+        for op in prog.ops:
+            if isinstance(op, sv.Cphase):
+                ca, cb = carriers[op.a], carriers[op.b]
+                gadget_sum = 0.0
+                choi = choi_input(ca, cb, op.a, op.b)
+                for _, p, _ in cphase_branches_oracle(choi, op.a, ca, op.b, cb):
+                    gadget_sum += p
+                want *= gadget_sum
+                carriers[op.a], carriers[op.b] = ca + 1, cb + 1
+        assert sv.evolve_program(prog, 3).probability_sum == want

@@ -17,7 +17,8 @@ expected draws plus a few standard deviations, and finds every trial's first
 hits in one pass along the rows; trials that need more rows continue in later
 rounds.  Blocks run on a thread per usable CPU: numpy releases the GIL in the
 fills and array passes that make up most of a block.  :func:`simulate_step`
-and :func:`simulate_prep` read the same streams one event at a time.
+and :func:`simulate_prep` read the same streams one event at a time, and the
+weave and cluster batches read trial 0, stream 0 through :meth:`_Streams.draw`.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class WalkStats:
 
 def mean_stderr(values) -> Estimate:
     """Sample mean with sample-corrected (ddof=1) standard error; 0 for a single value."""
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(values)  # integers stay integers: numpy still sums them in float64
     if arr.size == 0:
         raise ValueError("cannot aggregate an empty list")
     if arr.size == 1:
@@ -210,8 +211,8 @@ class _Streams:
         pass through a buffer of ``_CHUNK_UNIFORMS``: one byte per uniform stays."""
         width = len(bounds)
         out = np.zeros((len(trials), max(rows), width), bool)
-        # full-shape bounds: a compare broadcast along rows loops over the columns
-        limits = np.tile(bounds, (min(max(rows), _CHUNK_UNIFORMS // width), 1))
+        # full-shape bounds, at least a row: a compare broadcast along rows loops over columns
+        limits = np.tile(bounds, (max(1, min(max(rows), _CHUNK_UNIFORMS // width)), 1))
         buf = np.empty(limits.shape)
         for row, trial, start, k in zip(out, trials, drawn, rows):
             gen = self.seek(trial, stream, width * start)
@@ -423,30 +424,29 @@ class WeaveStats:
 
 
 def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
-    """Vectorized lockstep batch of independent weaves (see :class:`WeaveModel`)."""
+    """Vectorized lockstep batch of independent weaves (see :class:`WeaveModel`), drawn
+    round by round, in weave order, from trial 0, stream 0 of the walker's streams."""
     s = m / (m + 1)
-    rng = substream(seed, 0, _STREAM_STEP)
+    streams, drawn = _Streams(seed), 0
+    arms = np.ones((count, 2), np.uint16)  # wraps at 2^16 rounds: odds (3/4)^65535 at m >= 1
     if model is WeaveModel.FULL_CZ_RETRY:
+        cs = np.zeros(count, np.uint16)
         active = np.arange(count)
-        cs = np.zeros(count, dtype=np.int64)
-        fails = np.zeros((count, 2), dtype=np.int64)
         while active.size:
-            u = rng.random((active.size, 2))
+            ok = streams.draw([0], _STREAM_STEP, [drawn], [active.size], np.array([s, s]))[0]
+            drawn += active.size
             cs[active] += 1
-            ok = u < s
-            fails[active, 0] += ~ok[:, 0]
-            fails[active, 1] += ~ok[:, 1]
+            arms[active, 0] += ~ok[:, 0]
+            arms[active, 1] += ~ok[:, 1]
             active = active[~(ok[:, 0] & ok[:, 1])]
-        arms = fails + 1
     else:
-        arms = np.ones((count, 2), dtype=np.int64)
         for side in range(2):
             active = np.arange(count)
             while active.size:
-                u = rng.random(active.size)
-                failed = u >= s
-                arms[active[failed], side] += 1
-                active = active[failed]
+                ok = streams.draw([0], _STREAM_STEP, [drawn], [active.size], np.array([s]))
+                drawn += active.size
+                active = active[~ok[0, :, 0]]
+                arms[active, side] += 1
         cs = np.maximum(arms[:, 0], arms[:, 1])
     return WeaveStats(count, mean_stderr(cs), mean_stderr(arms.ravel()))
 
@@ -468,14 +468,14 @@ def cluster_batch(n: int, count: int, seed: int) -> ClusterStats:
     compared to, not asserted against, ``cluster_resources_per_unit``.
     """
     p = float(analytics.cz_success(n))
-    rng = substream(seed, 0, _STREAM_STEP)
-    u = rng.random((count, 3)) < p
-    first = u[:, 0]
-    second = ~first & u[:, 1]
-    third = ~first & ~u[:, 1] & u[:, 2]
-    success = first | second | third
-    cs = np.where(first, 1, np.where(second, 2, 3)).sum()
-    net = int(success.sum()) - int((~success).sum())
+    tries = _Streams(seed).draw([0], _STREAM_STEP, [0], [count], np.array([p] * 3))[0]
+    # an attempt costs one ancilla per try up to its first success, at most three
+    miss = ~tries[:, 0]
+    cs = count + int(np.count_nonzero(miss))
+    miss &= ~tries[:, 1]
+    cs += int(np.count_nonzero(miss))
+    miss &= ~tries[:, 2]
+    net = count - 2 * int(np.count_nonzero(miss))
     if net <= 0:
         return ClusterStats(count, math.inf, math.inf)
-    return ClusterStats(count, count / net, float(cs) / net)
+    return ClusterStats(count, count / net, cs / net)

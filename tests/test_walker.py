@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -188,14 +189,108 @@ class ClusterAttempt:
 
 
 def simulate_cluster_attach(n, rng):
-    """One attempt to add a four-photon unit (see ``walker.cluster_batch``)."""
+    """One attempt to add a four-photon unit (see ``walker.cluster_batch``);
+    like the batch, it draws all three tries' uniforms."""
     p = float(analytics.cz_success(n))
     cs = 0
-    for _ in range(3):
+    for u in rng.random(3):
         cs += 1
-        if rng.random() < p:
+        if u < p:
             return ClusterAttempt(1, cs, 1)
     return ClusterAttempt(1, cs, -1)
+
+
+def lockstep_weaves(m, model, count, rng):
+    """``count`` weaves one draw at a time, in the batch's order: each round,
+    every weave still retrying draws in weave order; with independent sides,
+    every weave's side 0 retries before any side 1.  Returns the ancillas of
+    each weave and the arms of each side, weave by weave."""
+    s = m / (m + 1)
+    cs, arms = [0] * count, [[1, 1] for _ in range(count)]
+    if model is walker.WeaveModel.FULL_CZ_RETRY:
+        active = list(range(count))
+        while active:
+            retry = []
+            for w in active:
+                ok = rng.random(2) < s
+                cs[w] += 1
+                arms[w][0] += not ok[0]
+                arms[w][1] += not ok[1]
+                if not (ok[0] and ok[1]):
+                    retry.append(w)
+            active = retry
+    else:
+        for side in range(2):
+            active = list(range(count))
+            while active:
+                active = [w for w in active if rng.random() >= s]
+                for w in active:
+                    arms[w][side] += 1
+        cs = [max(pair) for pair in arms]
+    return cs, [a for pair in arms for a in pair]
+
+
+def float_mean_stderr(values):
+    """``walker.mean_stderr`` on a float64 copy of ``values``."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 1:
+        return walker.Estimate(float(arr[0]), 0.0)
+    return walker.Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))
+
+
+def whole_weave_batch(m, model, count, seed):
+    """``walker.weave_batch`` with each round's uniforms as one float64 array
+    from ``substream`` and int64 counters."""
+    s = m / (m + 1)
+    rng = walker.substream(seed, 0, 0)
+    if model is walker.WeaveModel.FULL_CZ_RETRY:
+        active = np.arange(count)
+        cs = np.zeros(count, dtype=np.int64)
+        fails = np.zeros((count, 2), dtype=np.int64)
+        while active.size:
+            u = rng.random((active.size, 2))
+            cs[active] += 1
+            ok = u < s
+            fails[active, 0] += ~ok[:, 0]
+            fails[active, 1] += ~ok[:, 1]
+            active = active[~(ok[:, 0] & ok[:, 1])]
+        arms = fails + 1
+    else:
+        arms = np.ones((count, 2), dtype=np.int64)
+        for side in range(2):
+            active = np.arange(count)
+            while active.size:
+                u = rng.random(active.size)
+                failed = u >= s
+                arms[active[failed], side] += 1
+                active = active[failed]
+        cs = np.maximum(arms[:, 0], arms[:, 1])
+    return walker.WeaveStats(count, float_mean_stderr(cs), float_mean_stderr(arms.ravel()))
+
+
+def whole_cluster_batch(n, count, seed):
+    """``walker.cluster_batch`` with all uniforms as one float64 array from ``substream``."""
+    p = float(analytics.cz_success(n))
+    u = walker.substream(seed, 0, 0).random((count, 3)) < p
+    first = u[:, 0]
+    second = ~first & u[:, 1]
+    third = ~first & ~u[:, 1] & u[:, 2]
+    success = first | second | third
+    cs = np.where(first, 1, np.where(second, 2, 3)).sum()
+    net = int(success.sum()) - int((~success).sum())
+    if net <= 0:
+        return walker.ClusterStats(count, math.inf, math.inf)
+    return walker.ClusterStats(count, count / net, float(cs) / net)
+
+
+def traced_peak(fn):
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSubstreams:
@@ -503,6 +598,81 @@ class TestWeave:
         ind = walker.weave_batch(2, walker.WeaveModel.INDEPENDENT_SIDES, 100000, seed=5)
         assert abs(full.arms_per_side.mean - 1.75) < 0.02
         assert abs(ind.arms_per_side.mean - 1.5) < 0.02
+
+
+BATCH_SEEDS = [0, 7, 2 ** 64 - 1]
+# (count, doubles the compare reader holds at once; None: the module's own).
+# 1001 is no multiple of a 96-double chunk's rows at any draw width, and
+# 40,000 spans 2 to 4 of the module's chunks.
+BATCH_SIZES = [(1, None), (2, None), (50, None), (1001, 96), (40_000, None)]
+
+
+class TestBatchDraws:
+    """The weave and cluster batches against the whole-array batches they
+    replace and against lockstep scalar models, field for field: a draw given
+    to another weave or attempt than before moves the standard errors."""
+
+    @pytest.mark.parametrize("count, chunk", BATCH_SIZES)
+    @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_weave_equals_whole_array_batch(self, seed, m, model, count, chunk,
+                                            monkeypatch):
+        if chunk:
+            monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", chunk)
+        assert walker.weave_batch(m, model, count, seed) == whole_weave_batch(
+            m, model, count, seed)
+
+    @pytest.mark.parametrize("count, chunk", BATCH_SIZES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_cluster_equals_whole_array_batch(self, seed, n, count, chunk, monkeypatch):
+        if chunk:
+            monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", chunk)
+        assert walker.cluster_batch(n, count, seed) == whole_cluster_batch(n, count, seed)
+
+    def test_cluster_with_no_attempts(self):
+        assert walker.cluster_batch(2, 0, 1) == walker.ClusterStats(0, math.inf, math.inf)
+
+    @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_weave_equals_lockstep_scalar(self, seed, m, model):
+        cs, arms = lockstep_weaves(m, model, 50, walker.substream(seed, 0, 0))
+        want = walker.WeaveStats(50, float_mean_stderr(cs), float_mean_stderr(arms))
+        assert walker.weave_batch(m, model, 50, seed) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_cluster_equals_lockstep_scalar(self, seed, n):
+        rng = walker.substream(seed, 0, 0)
+        attempts = [simulate_cluster_attach(n, rng) for _ in range(50)]
+        net = sum(a.net_links for a in attempts)
+        want = (walker.ClusterStats(50, sum(a.units_used for a in attempts) / net,
+                                    sum(a.cs_used for a in attempts) / net) if net > 0
+                else walker.ClusterStats(50, math.inf, math.inf))
+        assert walker.cluster_batch(n, 50, seed) == want
+
+
+class TestBatchMemory:
+    """Traced peak bytes per weave or attempt at 200,000 of them.  A weave
+    holds 2-byte arm and round counters, a slice of the index of weaves still
+    retrying and one round's 1-byte compares; the standard error over the
+    2 x 200,000 arm counts then makes numpy's 8-byte deviation array, 16 bytes
+    per weave.  Float64 uniforms and int64 counters took 56 to 76 bytes per
+    weave and 27 per cluster attempt."""
+
+    COUNT = 200_000
+
+    @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_weave(self, m, model):
+        peak = traced_peak(lambda: walker.weave_batch(m, model, self.COUNT, seed=1))
+        assert peak <= 32 * self.COUNT
+
+    def test_cluster(self):
+        peak = traced_peak(lambda: walker.cluster_batch(2, self.COUNT, seed=1))
+        assert peak <= 8 * self.COUNT
 
 
 class TestCluster:

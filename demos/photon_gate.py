@@ -53,7 +53,7 @@ def main():
     print("flips sign after the per-branch phase corrections, which is what")
     print("makes the gate entangling rather than a pair of independent")
     print("teleportations:")
-    one, zero = fock.dual_rail(0, 1), fock.dual_rail(1, 0)
+    one, zero = (0, 1), (1, 0)
     for n in (1, 2):
         ratio = (fock.cz_via_cs(one, one, n).rails[:, 1, 1]
                  / fock.cz_via_cs(zero, zero, n).rails[:, 0, 0])

@@ -204,7 +204,6 @@ def cmd_walk(args) -> Report:
 def cmd_weave(args) -> Report:
     model = walker.WeaveModel(args.model)
     full_retry = model is walker.WeaveModel.FULL_CZ_RETRY
-    # the closed forms come first: they reject an order the batch cannot run
     key, target = (("cs_mean", analytics.weave_cs_per_gate(args.m)) if full_retry
                    else ("arms_per_side", analytics.free_arms_per_gate_per_chain(args.m)))
     stats = walker.weave_batch(args.m, model, args.count, args.seed)
@@ -295,12 +294,12 @@ def cmd_verify_evolve(args) -> Report:
 
 def cmd_fock_cz(args) -> Report:
     rep = fock.cz_success_report(args.n)
-    ok = bool(abs(rep["success_probability"] - rep["expected_success_probability"])
-              <= 1e-12 and rep["min_success_fidelity"] >= 1 - 1e-10)
+    ok = (abs(rep["success_probability"] - rep["expected_success_probability"]) <= 1e-12
+          and rep["min_success_fidelity"] >= 1 - 1e-10)
     body = {k: rep[k] for k in ("order", "branch_count", "success_branches",
                                 "success_probability", "expected_success_probability")}
-    body.update(branch_fidelities=[float(f) for f in rep["success_fidelities"]],
-                min_success_fidelity=float(rep["min_success_fidelity"]), passed=ok)
+    body.update(branch_fidelities=rep["success_fidelities"],
+                min_success_fidelity=rep["min_success_fidelity"], passed=ok)
     row = {"n": args.n, "branch_count": rep["branch_count"],
            "success_branches": rep["success_branches"],
            "success_probability": f"{rep['success_probability']:.17g}",

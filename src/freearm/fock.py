@@ -1,18 +1,19 @@
 """Photon-level simulation of the teleportation-based gate primitives.
 
-Occupation vectors are small integer tuples mapped to complex amplitudes,
-and passive mode unitaries (the (n+1)-mode Fourier transform among them)
-act on them exactly.  The n-photon ancilla |t_n^i> holds 1^i 0^{n-i} on its
-first n modes and 0^i 1^{n-i} on the last n; neither it nor the 2n-photon
-conditional-sign state |CS_n> = sum_ij s_ij |t_n^i>|t_n^j> is built as a
-state.  A teleportation Fourier-transforms the input mode with the first n
-ancilla modes and counts them, so every outcome is read from the
-single-teleport transfer tensor T[p, x, i] = <p| F_{n+1} |x, 1^i 0^{n-i}>,
-built from 2(n+1) basis inputs by the mode-unitary code.  The
-conditional-phase gate teleports both rails through the two halves of one
-|CS_n> on disjoint modes, so each joint branch amplitude factorizes over T
-and the gate report is a few array operations on T.  Desk scale only:
-orders up to 3.
+:func:`apply_mode_unitary` applies passive mode unitaries (the (n+1)-mode
+Fourier transform among them) exactly to a :class:`FockState`, a sparse map
+from occupation tuples to amplitudes.  The n-photon ancilla |t_n^i> holds
+1^i 0^{n-i} on its first n modes and 0^i 1^{n-i} on the last n; neither it
+nor the 2n-photon conditional-sign state |CS_n> = sum_ij s_ij
+|t_n^i>|t_n^j> is built as a state.  A teleportation Fourier-transforms the
+input mode with the first n ancilla modes and counts them, so every outcome
+is read from the single-teleport transfer tensor
+T[p, x, i] = <p| F_{n+1} |x, 1^i 0^{n-i}>, built from 2(n+1) basis inputs
+by the mode-unitary code.  The conditional-phase gate teleports both rails
+through the two halves of one |CS_n> on disjoint modes, so each joint branch
+amplitude factorizes over T and the gate report is a few array operations
+on T.  The gate takes each dual-rail qubit as its two rail amplitudes
+(alpha, beta), the form it computes with.  Desk scale only: orders up to 3.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .analytics import InputError, cz_success
 
 _AMP_EPS = 1e-14
+_PLUS = (1 / math.sqrt(2), 1 / math.sqrt(2))
 
 
 class FockError(Exception):
@@ -55,13 +57,17 @@ class FockState:
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.terms.values())
 
-    def photon_numbers(self) -> set[int]:
-        return {sum(o) for o in self.terms}
 
-
-def dual_rail(alpha: complex, beta: complex) -> FockState:
-    """Dual-rail qubit on two modes: |0> = photon in mode 0, |1> = mode 1."""
-    return FockState(2, {(1, 0): alpha, (0, 1): beta})
+def _rails(qubit) -> np.ndarray:
+    """A dual-rail qubit (photon in mode 0 for |0>, in mode 1 for |1>) as its
+    rail amplitudes (alpha, beta), checked for shape and unit norm."""
+    rails = np.asarray(qubit)
+    if rails.shape != (2,):
+        raise FockError(f"a dual-rail qubit is a rail pair (alpha, beta), got {qubit!r}")
+    norm_sq = float(np.vdot(rails, rails).real)
+    if abs(norm_sq - 1.0) > 1e-10:
+        raise FockError(f"qubit is not normalized (|alpha|^2 + |beta|^2 = {norm_sq})")
+    return rails.astype(complex)
 
 
 def cs_amplitudes(n: int) -> np.ndarray:
@@ -164,12 +170,9 @@ class CzBranches:
         return len(self.probability)
 
 
-def _rail_vector(qubit: FockState) -> np.ndarray:
-    return np.array([qubit.terms.get((1, 0), 0j), qubit.terms.get((0, 1), 0j)])
-
-
-def cz_via_cs(qubit_a: FockState, qubit_b: FockState, n: int) -> CzBranches:
-    """Probabilistic conditional-phase gate on two dual-rail qubits.
+def cz_via_cs(qubit_a, qubit_b, n: int) -> CzBranches:
+    """Probabilistic conditional-phase gate on two dual-rail qubits, each
+    given as its rail amplitudes (alpha, beta).
 
     Both occupied rails are teleported through the two halves of one |CS_n>;
     the gate succeeds when both teleportations do (probability n^2/(n+1)^2),
@@ -184,12 +187,10 @@ def cz_via_cs(qubit_a: FockState, qubit_b: FockState, n: int) -> CzBranches:
     """
     if n not in (1, 2, 3):
         raise OrderCapError("desk-scale cap: order must be 1, 2 or 3")
-    for q in (qubit_a, qubit_b):
-        if q.modes != 2 or q.photon_numbers() != {1}:
-            raise FockError("inputs must be dual-rail encoded (2 modes, 1 photon)")
+    inputs = np.multiply.outer(_rails(qubit_a), _rails(qubit_b))
     patterns, t = transfer_tensor(n)
     d = np.einsum("ij,axi,byj->abxy", cs_amplitudes(n), t, t, optimize=True)
-    amps = d * np.multiply.outer(_rail_vector(qubit_a), _rail_vector(qubit_b))
+    amps = d * inputs
     prob = (amps.real ** 2 + amps.imag ** 2).sum(axis=(2, 3))
     index_a, index_b = np.nonzero(prob >= 1e-20)
     k = np.array([sum(p) for p in patterns])
@@ -215,14 +216,9 @@ def cz_via_cs(qubit_a: FockState, qubit_b: FockState, n: int) -> CzBranches:
     return CzBranches(patterns, index_a, index_b, prob[index_a, index_b], success, rails)
 
 
-def cz_ideal(qubit_a: FockState, qubit_b: FockState) -> np.ndarray:
-    """The conditional-phase image of the two input qubits, as c_xy amplitudes."""
-    amps = np.zeros((2, 2), dtype=complex)
-    for (oa, aa) in qubit_a.terms.items():
-        for (ob, ab) in qubit_b.terms.items():
-            x, y = oa[1], ob[1]
-            amps[x, y] = aa * ab * (-1) ** (x * y)
-    return amps
+def cz_ideal(qubit_a, qubit_b) -> np.ndarray:
+    """The conditional-phase image of two rail pairs, as c_xy amplitudes."""
+    return np.multiply.outer(_rails(qubit_a), _rails(qubit_b)) * [[1, 1], [1, -1]]
 
 
 def teleport_success_probability(n: int, alpha: complex, beta: complex) -> float:
@@ -233,7 +229,7 @@ def teleport_success_probability(n: int, alpha: complex, beta: complex) -> float
     (from i = k-1) on orthogonal leftover modes, so it has probability
     (|alpha T[p, 0, k]|^2 + |beta T[p, 1, k-1]|^2) / (n+1).
     """
-    FockState(1, {(0,): alpha, (1,): beta})     # rejects an unnormalized input
+    alpha, beta = _rails((alpha, beta))
     patterns, t = transfer_tensor(n)
     k = np.array([sum(p) for p in patterns])
     rows = np.flatnonzero((0 < k) & (k < n + 1))
@@ -242,12 +238,8 @@ def teleport_success_probability(n: int, alpha: complex, beta: complex) -> float
     return math.fsum(weights) / (n + 1)
 
 
-def cz_success_report(n: int, qubit_a: FockState | None = None,
-                      qubit_b: FockState | None = None) -> dict:
-    """Machine-readable verification report for the conditional-phase gate."""
-    s = 1 / math.sqrt(2)
-    qubit_a = qubit_a or dual_rail(s, s)
-    qubit_b = qubit_b or dual_rail(s, s)
+def cz_success_report(n: int, qubit_a=_PLUS, qubit_b=_PLUS) -> dict:
+    """Verification report for the conditional-phase gate on two rail pairs."""
     branches = cz_via_cs(qubit_a, qubit_b, n)
     ideal = cz_ideal(qubit_a, qubit_b).reshape(-1)
     got = branches.rails.reshape(-1, 4)

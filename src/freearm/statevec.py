@@ -46,19 +46,11 @@ class StateError(Exception):
     pass
 
 
-class UnknownDofError(StateError):
-    pass
-
-
 class ArmNotFreeError(StateError):
     pass
 
 
 class CapExceededError(StateError, InputError):
-    pass
-
-
-class LabelMismatchError(StateError):
     pass
 
 
@@ -157,7 +149,7 @@ class PureState:
         try:
             return self.labels.index(dof)
         except ValueError:
-            raise UnknownDofError(f"unknown degree of freedom {dof}") from None
+            raise StateError(f"unknown degree of freedom {dof}") from None
 
     def _grid(self) -> np.ndarray:
         return self.vec.reshape([len(self.vec)] + [2] * len(self.labels))
@@ -221,8 +213,7 @@ class PureState:
     def overlap(self, other: "PureState") -> np.ndarray:
         """<other|self> branch by branch; a stack of one pairs with every branch."""
         if self.labels != other.labels:
-            raise LabelMismatchError(
-                f"label sets differ: {self.labels} vs {other.labels}")
+            raise StateError(f"label sets differ: {self.labels} vs {other.labels}")
         return np.einsum("...i,...i->...", other.vec.conj(), self.vec)
 
     def fidelity(self, other: "PureState") -> np.ndarray:
@@ -323,10 +314,7 @@ def weave(state_a: PureState, state_b: PureState, arm_a: Dof, arm_b: Dof) -> Bra
     Every corrected branch then carries the four-photon entangled unit needed
     for a logical conditional-phase gate.
     """
-    _require_arm(state_a, arm_a)
-    _require_arm(state_b, arm_b)
-    joint = state_a.tensor(state_b)
-    return weave_joint(joint, arm_a, arm_b)
+    return weave_joint(state_a.tensor(state_b), arm_a, arm_b)
 
 
 def weave_joint(joint: PureState, arm_a: Dof, arm_b: Dof) -> Branches:
@@ -427,6 +415,8 @@ class Program:
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
                 raise MalformedProgramError(f"input for {q} is not normalized")
         for op in self.ops:
+            if not isinstance(op, (Rotation, Cphase)):
+                raise MalformedProgramError(f"unknown operation {op!r}")
             targets = (op.qubit,) if isinstance(op, Rotation) else (op.a, op.b)
             for t in targets:
                 if t not in self.qubits:
@@ -456,14 +446,12 @@ def ideal_circuit(program: Program) -> PureState:
         if isinstance(op, Rotation):
             ax = index[op.qubit]
             grid = np.moveaxis(np.tensordot(op.matrix, grid, axes=([1], [ax])), 0, ax)
-        elif isinstance(op, Cphase):
+        else:
             ia, ib = index[op.a], index[op.b]
             idx = [slice(None)] * n
             idx[ia] = 1
             idx[ib] = 1
             grid[tuple(idx)] *= -1  # grid is always a freshly built array
-        else:
-            raise MalformedProgramError(f"unknown operation {op!r}")
     labels = [pol(q, 0) for q in program.qubits]
     return PureState(labels, grid.reshape(-1))
 

@@ -66,8 +66,12 @@ class WalkParams:
     threads: int | None = None  # workers running trial blocks; None: every usable CPU
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise analytics.OrderOutOfRangeError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise analytics.OrderOutOfRangeError("n must be >= 1")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+            raise analytics.InputError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.target_links < 1 or self.trials < 1:
             raise analytics.InputError("target_links and trials must be >= 1")
         if self.threads is not None and self.threads < 1:
@@ -344,8 +348,6 @@ def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
     excluding the reflecting-boundary transient so they estimate the long-run
     rates the closed forms describe.
     """
-    if not trials:
-        raise ValueError("cannot aggregate an empty list of trials")
     done = [t for t in trials if not t.capped]
     if done:
         target = params.target_links
@@ -426,7 +428,7 @@ class WeaveStats:
 def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
     """Vectorized lockstep batch of independent weaves (see :class:`WeaveModel`), drawn
     round by round, in weave order, from trial 0, stream 0 of the walker's streams."""
-    s = m / (m + 1)
+    s = float(analytics.ftel_success(m))
     streams, drawn = _Streams(seed), 0
     arms = np.ones((count, 2), np.uint16)  # wraps at 2^16 rounds: odds (3/4)^65535 at m >= 1
     if model is WeaveModel.FULL_CZ_RETRY:

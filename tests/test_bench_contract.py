@@ -43,7 +43,7 @@ def hook_calls():
     units = sum(t.units for t in trials)
     pair = (statevec.bracket_state("p", 1), statevec.bracket_state("q", 1))
     arms = (statevec.arm("p", 2), statevec.arm("q", 2))
-    plus = fock.dual_rail(1 / SQ2, 1 / SQ2)
+    plus = (1 / SQ2, 1 / SQ2)
     splitter = fock.ModeUnitary((0, 1), fock.fourier_matrix(2))
     return {
         "walker.run_trials": ((params,), {}, {

@@ -29,8 +29,8 @@ class TestFockState:
             fock.FockState(2, {(1, 0): 1.0, (0, 1): 1.0})
 
     def test_dual_rail_validation(self):
-        q = fock.dual_rail(0.6, 0.8j)
-        assert q.photon_numbers() == {1}
+        q = oracle_dual_rail(0.6, 0.8j)
+        assert oracle_photon_numbers(q) == {1}
 
 
 class TestModeUnitaries:
@@ -54,7 +54,7 @@ class TestModeUnitaries:
         u = fock.ModeUnitary((0, 1, 2, 3), random_unitary(4, seed))
         out = fock.apply_mode_unitary(st, u)
         assert out.norm_sq() == pytest.approx(1, abs=1e-10)
-        assert out.photon_numbers() == {3}
+        assert oracle_photon_numbers(out) == {3}
 
     def test_composition_matches_matrix_product(self):
         u1 = random_unitary(3, 2)
@@ -129,6 +129,15 @@ class OracleBranch:
     rails: tuple[int, int, int, int] | None  # (a0, a1', b0, b1') mode indices
 
 
+def oracle_dual_rail(alpha, beta):
+    """Dual-rail qubit on two modes: |0> = photon in mode 0, |1> = mode 1."""
+    return fock.FockState(2, {(1, 0): alpha, (0, 1): beta})
+
+
+def oracle_photon_numbers(state):
+    return {sum(o) for o in state.terms}
+
+
 def oracle_tensor(a, b):
     return fock.FockState(a.modes + b.modes,
                           {o1 + o2: a1 * a2 for o1, a1 in a.terms.items()
@@ -184,10 +193,11 @@ def oracle_teleport_events(state, input_mode, anc_start, n):
 
 
 def oracle_cz_via_cs(qubit_a, qubit_b, n):
-    """Both rails teleported through one |CS_n> on the full 4n+4 modes, with
-    the per-branch phases read from the four basis inputs."""
+    """Both rails of two rail pairs teleported through one |CS_n> on the full
+    4n+4 modes, with the per-branch phases read from the four basis inputs."""
     cs = oracle_cs_state(n)
-    full = oracle_tensor(oracle_tensor(qubit_a, qubit_b), cs)
+    qa, qb = oracle_dual_rail(*qubit_a), oracle_dual_rail(*qubit_b)
+    full = oracle_tensor(oracle_tensor(qa, qb), cs)
     anc_a, anc_b = 4, 4 + 2 * n
 
     def run(state):
@@ -198,8 +208,8 @@ def oracle_cz_via_cs(qubit_a, qubit_b, n):
     basis_amp = {}
     for x in (0, 1):
         for y in (0, 1):
-            ref = oracle_tensor(oracle_tensor(fock.dual_rail(1 - x, x),
-                                              fock.dual_rail(1 - y, y)), cs)
+            ref = oracle_tensor(oracle_tensor(oracle_dual_rail(1 - x, x),
+                                              oracle_dual_rail(1 - y, y)), cs)
             for pa, ka, pb, kb, prob, cond in run(ref):
                 if 0 < ka < n + 1 and 0 < kb < n + 1:
                     assert len(cond.terms) == 1
@@ -242,7 +252,7 @@ class TestOracleTensor:
         ab = oracle_tensor(fock.FockState(2, {(1, 0): 1.0}), fock.FockState(2, {(0, 1): 1.0}))
         assert ab.modes == 4
         assert ab.terms == {(1, 0, 0, 1): (1 + 0j)}
-        assert ab.photon_numbers() == {2}
+        assert oracle_photon_numbers(ab) == {2}
 
 
 class TestAncillaStates:
@@ -255,10 +265,10 @@ class TestAncillaStates:
                                    for i in range(n + 1)})
         assert t.modes == 2 * n
         assert len(t.terms) == n + 1
-        assert t.photon_numbers() == {n}
+        assert oracle_photon_numbers(t) == {n}
         assert t.norm_sq() == pytest.approx(1)
         a, b = 0.6, 0.8j
-        state = oracle_tensor(fock.dual_rail(a, b), t)
+        state = oracle_tensor(oracle_dual_rail(a, b), t)
         p = math.fsum(prob for _, k, prob, _ in oracle_teleport_events(state, 1, 2, n)
                       if 0 < k < n + 1)
         assert p == pytest.approx(n / (n + 1), abs=1e-12)
@@ -296,8 +306,7 @@ class TestAgainstSparseOracle:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", list(INPUTS))
     def test_branches_match_oracle(self, n, name):
-        (a0, a1), (b0, b1) = INPUTS[name]
-        qa, qb = fock.dual_rail(a0, a1), fock.dual_rail(b0, b1)
+        qa, qb = INPUTS[name]
         want = oracle_cz_via_cs(qa, qb, n)
         got = fock.cz_via_cs(qa, qb, n)
         pats = got.patterns
@@ -347,8 +356,7 @@ class TestBranchCounts:
     def test_basis_inputs_drop_branches(self, n):
         """|0>|1> never detects n+1 photons on side a nor 0 on side b, so the
         1e-20 rule drops every branch with those totals."""
-        (a0, a1), (b0, b1) = INPUTS["zero-one"]
-        got = fock.cz_via_cs(fock.dual_rail(a0, a1), fock.dual_rail(b0, b1), n)
+        got = fock.cz_via_cs(*INPUTS["zero-one"], n)
         totals = {(sum(got.patterns[a]), sum(got.patterns[b]))
                   for a, b in zip(got.index_a, got.index_b)}
         assert all(ka <= n and kb >= 1 for ka, kb in totals)
@@ -370,8 +378,7 @@ class TestConditionalPhase:
 
     def test_minus_sign_on_both_excited(self):
         """The |11> input picks up exactly the conditional minus sign."""
-        qa = fock.dual_rail(0, 1)
-        qb = fock.dual_rail(0, 1)
+        qa = qb = (0, 1)
         for amps in fock.cz_via_cs(qa, qb, 1).rails:
             phase_free = amps / amps[1, 1]
             assert abs(abs(amps[1, 1]) - 1) < 1e-10
@@ -383,18 +390,19 @@ class TestConditionalPhase:
         """|+>|+> leaves the gate entangled: Schmidt-rank-2 rail amplitudes."""
         rep = fock.cz_success_report(2)
         assert rep["order"] == 2
-        qa = fock.dual_rail(1 / SQ2, 1 / SQ2)
-        qb = fock.dual_rail(1 / SQ2, 1 / SQ2)
-        amps = fock.cz_via_cs(qa, qb, 1).rails[0]    # the first joint success
+        plus = (1 / SQ2, 1 / SQ2)
+        amps = fock.cz_via_cs(plus, plus, 1).rails[0]    # the first joint success
         s = np.linalg.svd(amps, compute_uv=False)
         assert s[1] > 0.1
 
     def test_order_cap(self):
-        q = fock.dual_rail(1, 0)
+        q = (1, 0)
         with pytest.raises(fock.OrderCapError):
             fock.cz_via_cs(q, q, 4)
 
     def test_dual_rail_required(self):
-        bad = fock.FockState(2, {(1, 1): 1.0})
-        with pytest.raises(fock.FockError):
-            fock.cz_via_cs(bad, fock.dual_rail(1, 0), 1)
+        """Each qubit is a rail pair (alpha, beta) of unit norm."""
+        with pytest.raises(fock.FockError, match="rail pair"):
+            fock.cz_via_cs((0.6, 0.8, 0), (1, 0), 1)
+        with pytest.raises(fock.FockError, match="not normalized"):
+            fock.cz_via_cs((1, 0), (1, 1), 1)

@@ -217,6 +217,10 @@ class TestPrograms:
         with pytest.raises(sv.MalformedProgramError):
             sv.Rotation("a", np.array([[1, 1], [0, 1]]))
 
+    def test_unknown_operation_rejected(self):
+        with pytest.raises(sv.MalformedProgramError, match="unknown operation 'junk'"):
+            sv.Program(("a", "b"), {}, ("junk",))
+
     def test_inputs_must_name_declared_qubits(self):
         with pytest.raises(sv.MalformedProgramError, match="'zz'"):
             sv.Program(("a", "b"), {"zz": (5, 5)}, (sv.Cphase("a", "b"),))

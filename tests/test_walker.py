@@ -564,8 +564,24 @@ class TestBuildChain:
         for threads in (0, -1):
             with pytest.raises(analytics.InputError, match="threads"):
                 walker.WalkParams(n=2, target_links=5, trials=1, seed=0, threads=threads)
-        with pytest.raises(analytics.OrderOutOfRangeError):
+        with pytest.raises(analytics.OrderOutOfRangeError, match="^n must be >= 1$"):
             walker.WalkParams(n=0, target_links=1, trials=1, seed=0)
+
+    @pytest.mark.parametrize("bad", [{"n": 2.5}, {"n": True}, {"seed": -1},
+                                     {"seed": 2 ** 64}, {"seed": 1.0}])
+    def test_params_reject_non_integer_order_and_bad_seed(self, bad):
+        """A fractional order would walk with step bound 2.5/3.5, True would
+        pass as order 1, and a seed outside [0, 2**64) would fail only at the
+        first draw, with numpy's OverflowError."""
+        params = {**dict(n=2, target_links=5, trials=1, seed=0), **bad}
+        error = analytics.OrderOutOfRangeError if "n" in bad else analytics.InputError
+        with pytest.raises(error, match="n must be an int" if "n" in bad else "seed"):
+            walker.WalkParams(**params)
+
+    def test_aggregate_rejects_no_trials(self):
+        params = walker.WalkParams(n=2, target_links=5, trials=1, seed=0)
+        with pytest.raises(ValueError, match="empty list"):
+            walker.aggregate([], params)
 
 
 class TestWeave:
@@ -598,6 +614,14 @@ class TestWeave:
         ind = walker.weave_batch(2, walker.WeaveModel.INDEPENDENT_SIDES, 100000, seed=5)
         assert abs(full.arms_per_side.mean - 1.75) < 0.02
         assert abs(ind.arms_per_side.mean - 1.5) < 0.02
+
+    @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("m", [0, -1, 2.5])
+    def test_order_out_of_range(self, m, model):
+        """No weave succeeds at m = 0, so the batch must refuse the order
+        before its first round rather than retry forever."""
+        with pytest.raises(analytics.OrderOutOfRangeError):
+            bounded(lambda: walker.weave_batch(m, model, 10, seed=1), timeout=10)
 
 
 BATCH_SEEDS = [0, 7, 2 ** 64 - 1]

@@ -55,7 +55,7 @@ def main():
     rep = sv.evolve_program(prog, links_per_qubit=1)
     print("   circuit: H a; H b; conditional phase; H b   (makes a Bell pair)")
     print(f"   measurement branches: {rep.branch_count}")
-    print(f"   minimum fidelity vs direct circuit: {rep.min_fidelity:.12f}")
+    print(f"   minimum gadget-branch fidelity: {rep.min_fidelity:.12f}")
     print(f"   branch probabilities sum to {rep.probability_sum:.12f}")
 
     rng = np.random.default_rng(7)

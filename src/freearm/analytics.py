@@ -62,9 +62,10 @@ class GateCost:
     weave_cs: Fraction
 
 
-def ftel_success(n: int) -> Fraction:
-    """Success probability n/(n+1) of a single order-n teleportation."""
-    _check_order(n)
+def ftel_success(n: int, name: str = "n") -> Fraction:
+    """Success probability n/(n+1) of a single order-n teleportation; ``name``
+    is the order's name in an out-of-range message."""
+    _check_order(n, name)
     return Fraction(n, n + 1)
 
 

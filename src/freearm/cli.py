@@ -6,7 +6,7 @@ Subcommands
     weave         Monte Carlo weave resource consumption (two event models)
     cluster       Monte Carlo cluster-variant attachment vs the closed forms
     verify-weave  qubit-level weave branch verification
-    verify-evolve end-to-end protocol verification on a seeded random program
+    verify-evolve per-gadget protocol verification of a seeded random program
     fock-cz       photon-level conditional-phase gate verification
 
 Each subcommand computes one :class:`Report`; :func:`render` writes it as a
@@ -286,7 +286,7 @@ def cmd_verify_evolve(args) -> Report:
     lines = [f"program: {args.qubits} qubits, {args.cphases} conditional phases, "
              f"{args.rotations} rotations, seed {args.seed} (enumerate-all)",
              f"branches: {rep.branch_count}",
-             f"min fidelity vs ideal circuit: {rep.min_fidelity:.12f}",
+             f"min gadget branch fidelity: {rep.min_fidelity:.12f}",
              f"probability sum: {rep.probability_sum:.12f}",
              f"verification: {'pass' if ok else 'FAIL'}"]
     return Report(body, [row], lines, ok)
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-weave", help="qubit-level weave verification")
     common(p, cmd_verify_weave, seeded=False)
 
-    p = sub.add_parser("verify-evolve", help="end-to-end protocol verification")
+    p = sub.add_parser("verify-evolve", help="per-gadget protocol verification")
     p.add_argument("--qubits", type=_at_least(1), default=2)
     p.add_argument("--cphases", type=_at_least(0), default=1)
     p.add_argument("--rotations", type=_at_least(0), default=2)

@@ -428,7 +428,7 @@ class WeaveStats:
 def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
     """Vectorized lockstep batch of independent weaves (see :class:`WeaveModel`), drawn
     round by round, in weave order, from trial 0, stream 0 of the walker's streams."""
-    s = float(analytics.ftel_success(m))
+    s = float(analytics.ftel_success(m, name="m"))
     streams, drawn = _Streams(seed), 0
     arms = np.ones((count, 2), np.uint16)  # wraps at 2^16 rounds: odds (3/4)^65535 at m >= 1
     if model is WeaveModel.FULL_CZ_RETRY:

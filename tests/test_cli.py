@@ -133,6 +133,14 @@ class TestVerificationCommands:
         # the report embeds the program for reproduction
         assert doc["program"]["qubits"] == ["q0", "q1"]
 
+    def test_verify_evolve_has_no_width_cap(self, capsys):
+        code, out = run(["verify-evolve", "--qubits", "1000", "--cphases", "50",
+                         "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] is True
+        assert doc["branch_count"] == 64 ** 50
+        assert len(doc["program"]["qubits"]) == 1000
+
     def test_fock_cz_report(self, capsys):
         code, out = run(["fock-cz", "--n", "1", "--format", "json"], capsys)
         assert code == 0
@@ -213,8 +221,19 @@ class TestInputBoundary:
         assert err[-1].endswith(f"argument {flag}: must be >= 0, got {value}")
 
     def test_zero_program_sizes_accepted(self, capsys):
-        code, out = run(["verify-evolve", "--cphases", "0", "--rotations", "0"], capsys)
+        argv = ["verify-evolve", "--cphases", "0", "--rotations", "0"]
+        code, out = run(argv, capsys)
         assert code == 0 and "branches: 1" in out
+        # no gadget: the empty minimum fidelity is 1.0, which JSON can hold
+        code, out = run(argv + ["--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["branch_count"] == 1
+        assert doc["min_fidelity"] == doc["probability_sum"] == 1.0
+        code, out = run(argv + ["--format", "csv"], capsys)
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert code == 0
+        assert (row["branch_count"], row["min_fidelity"], row["passed"]) == ("1", "1", "True")
 
     def test_walk_cap_below_warmup_plus_target_is_a_usage_error(self, capsys):
         # the default 50 warmup links plus 5 target links exceed 20 steps

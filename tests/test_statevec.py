@@ -2,12 +2,13 @@
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from freearm import statevec as sv
+from freearm.analytics import InputError
 
 SQ2 = math.sqrt(2)
 H = np.array([[1, 1], [1, -1]]) / SQ2
@@ -55,6 +56,8 @@ class TestChainStates:
     def test_label_cap_enforced(self):
         with pytest.raises(sv.CapExceededError):
             sv.build_chain_state(9, (1, 0))
+        # no command-line input reaches the cap, so hitting it is an internal fault
+        assert not issubclass(sv.CapExceededError, InputError)
 
 
 class TestBases:
@@ -204,7 +207,7 @@ class TestPrograms:
         prog = sv.Program(("a", "b"), {"a": (1, 0), "b": (1, 0)},
                           (sv.Rotation("a", H), sv.Cphase("a", "b"),
                            sv.Rotation("b", H)))
-        out = sv.ideal_circuit(prog)
+        out = ideal_circuit(prog)
         # H on a, CZ, H on b with b=|0>: CZ acts trivially -> |+>|0->H = |+>|+>
         expected = np.kron([1, 1], [1, 1]) / 2
         assert np.allclose(out.vec, expected)
@@ -239,7 +242,7 @@ class TestPrograms:
                 state = state.apply_one(sv.pol(op.qubit, 0), op.matrix)
             else:
                 state = state.apply_cz(sv.pol(op.a, 0), sv.pol(op.b, 0))
-        got = sv.ideal_circuit(prog)
+        got = ideal_circuit(prog)
         assert got.labels == state.labels
         assert np.abs(got.vec - state.vec).max() <= 1e-14
 
@@ -282,8 +285,8 @@ class TestEvolution:
         prog = sv.Program(("a", "b"), {"a": (0.6, 0.8j)},
                           (sv.Rotation("a", H), sv.Rotation("b", H)))
         rep = sv.evolve_program(prog, links_per_qubit=0)
-        assert (rep.branch_count, rep.probability_sum) == (1, 1.0)
-        assert rep.min_fidelity == pytest.approx(1, abs=1e-12)
+        # the empty product and the empty minimum
+        assert (rep.branch_count, rep.probability_sum, rep.min_fidelity) == (1, 1.0, 1.0)
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4, 13])
     def test_gadget_width_does_not_grow_with_the_program(self, monkeypatch, n_qubits):
@@ -326,6 +329,26 @@ class TestEvolution:
 # ---------------------------------------------------------------------------
 # Slow oracles for the fast paths
 # ---------------------------------------------------------------------------
+
+
+def ideal_circuit(program):
+    """Direct application of the program to its product input, one axis per
+    qubit in declaration order, as a state on the labels ``pol(q, 0)``."""
+    n = len(program.qubits)
+    index = {q: i for i, q in enumerate(program.qubits)}
+    grid = np.ones((), dtype=complex)
+    for q in program.qubits:
+        grid = np.multiply.outer(grid, np.array(program.input_pair(q), dtype=complex))
+    for op in program.ops:
+        if isinstance(op, sv.Rotation):
+            ax = index[op.qubit]
+            grid = np.moveaxis(np.tensordot(op.matrix, grid, axes=([1], [ax])), 0, ax)
+        else:
+            idx = [slice(None)] * n
+            idx[index[op.a]] = 1
+            idx[index[op.b]] = 1
+            grid[tuple(idx)] *= -1  # grid is always a freshly built array
+    return sv.PureState([sv.pol(q, 0) for q in program.qubits], grid.reshape(-1))
 
 
 def apply_one_oracle(state, dof, u):
@@ -421,7 +444,7 @@ def enumerate_program(program, links_per_qubit):
     Each of the 64^c leaves is compared with the ideal circuit; returns
     (branch count, least fidelity, probability sum).
     """
-    target = sv.ideal_circuit(program)
+    target = ideal_circuit(program)
     init = program_input(program)
     results = []
 
@@ -451,7 +474,7 @@ def evolve_whole_state(program, links_per_qubit):
 
     Returns (branch count, least fidelity, probability sum).
     """
-    target = sv.ideal_circuit(program)
+    target = ideal_circuit(program)
     state = program_input(program)
     carriers = {q: 1 for q in program.qubits}
     branch_count, prob_sum, min_fid = 1, 1.0, math.inf
@@ -546,6 +569,19 @@ def drop_x_byproducts(monkeypatch):
     monkeypatch.setattr(sv, "bell_teleport", no_x)
 
 
+def drop_partner_z(monkeypatch):
+    """Break every gadget in one place: Bell teleports still correct their
+    own X^x Z^z byproduct but report x = 0, so ``_cphase_branches`` skips
+    only the partner-chain Z that an X byproduct calls for."""
+    honest = sv.bell_teleport
+
+    def hide_x(state, chain, photon):
+        t = honest(state, chain, photon)
+        return replace(t, outcome=t.outcome * [0, 1])
+
+    monkeypatch.setattr(sv, "bell_teleport", hide_x)
+
+
 T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]])
 
 
@@ -588,6 +624,17 @@ class TestOracles:
         assert evolve_whole_state(prog, 1)[1] < 1 - 1e-9
         assert sv.evolve_program(prog, 1).min_fidelity < 1 - 1e-9
 
+    @pytest.mark.parametrize("n_qubits", [2, 13])
+    def test_missing_partner_z_is_caught_by_both(self, monkeypatch, n_qubits):
+        drop_partner_z(monkeypatch)
+        prog = sv.random_program(n_qubits, 1, 2, np.random.default_rng(11))
+        assert enumerate_program(prog, 1)[1] < 1 - 1e-9
+        assert evolve_whole_state(prog, 1)[1] < 1 - 1e-9
+        rep = sv.evolve_program(prog, 1)
+        assert rep.min_fidelity < 1 - 1e-9
+        assert rep.branch_count == 64
+        assert rep.probability_sum == pytest.approx(1, abs=1e-12)
+
     @pytest.mark.parametrize("program", [
         sv.random_program(5, 1, 3, np.random.default_rng(1)),
         sv.random_program(5, 3, 4, np.random.default_rng(2)),
@@ -599,13 +646,15 @@ class TestOracles:
         cphase_first(13, 2, 8),
     ], ids=["5q-1c", "5q-3c", "6q-2c", "6q-cphase-first", "12q-2c", "12q-3c",
             "13q-1c", "13q-cphase-first"])
-    @pytest.mark.parametrize("gadget", ["honest", "dropped-x"])
+    @pytest.mark.parametrize("gadget", ["honest", "dropped-x", "missing-partner-z"])
     def test_choi_check_matches_whole_state(self, monkeypatch, program, gadget):
         # a broken gadget gives branch fidelities well below 1 on the real
         # input; the Choi branches, lifted to maps, must reproduce them as
         # exactly as the 1s of an honest gadget
         if gadget == "dropped-x":
             drop_x_byproducts(monkeypatch)
+        elif gadget == "missing-partner-z":
+            drop_partner_z(monkeypatch)
         want = evolve_whole_state(program, 3)
         rep = sv.evolve_program(program, 3)
         assert rep.branch_count == want[0]

@@ -620,8 +620,11 @@ class TestWeave:
     def test_order_out_of_range(self, m, model):
         """No weave succeeds at m = 0, so the batch must refuse the order
         before its first round rather than retry forever."""
-        with pytest.raises(analytics.OrderOutOfRangeError):
+        with pytest.raises(analytics.OrderOutOfRangeError) as exc:
             bounded(lambda: walker.weave_batch(m, model, 10, seed=1), timeout=10)
+        # the message names the weave order, not the teleport order n
+        assert str(exc.value) == (f"m must be >= 1, got {m}" if isinstance(m, int)
+                                  else f"m must be an int, got {m}")
 
 
 BATCH_SEEDS = [0, 7, 2 ** 64 - 1]

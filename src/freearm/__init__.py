@@ -8,8 +8,8 @@ Layers:
 - :mod:`freearm.walker` — Monte Carlo of the biased chain-construction walk,
   weave resource models, and the cluster-chain variant.
 - :mod:`freearm.statevec` — exact qubit-level simulation of chain states,
-  weaving, failure paths, and full program evolution with per-gadget
-  verification of every measurement branch against an ideal-circuit oracle.
+  weaving and failure paths; programs are verified by checking the
+  conditional-phase gadget once as a channel, then by composition.
 - :mod:`freearm.fock` — photon-level (occupation-number) simulation of the
   probabilistic conditional-phase gate through the single-teleport transfer
   tensor; its sparse expansion over the full resource states is the oracle

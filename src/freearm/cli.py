@@ -270,6 +270,14 @@ def cmd_verify_weave(args) -> Report:
 
 
 def cmd_verify_evolve(args) -> Report:
+    # the report prints 64^c, and Python may cap int-to-str digits (0, or no
+    # getter before 3.10.7: no cap); 64^c fits d digits iff 6c <= log2(10^d)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    most = ((10 ** digits).bit_length() - 1) // 6
+    if digits and args.cphases > most:
+        raise analytics.InputError(
+            f"--cphases {args.cphases} gives 64^{args.cphases} branches, more than {digits} "
+            f"digits to print; this Python prints at most --cphases {most}")
     program = statevec.random_program(args.qubits, args.cphases, args.rotations,
                                       np.random.default_rng(args.seed))
     rep = statevec.evolve_program(program, links_per_qubit=args.links)

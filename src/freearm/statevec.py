@@ -14,21 +14,22 @@ state, with outcome, probability and parent-branch arrays, and the event's
 outcome-dependent corrections applied as one stack of per-branch 2x2
 matrices.
 
-Logical programs are verified gadget by gadget, never as a whole state.
-Each conditional-phase gadget is checked once as a channel: its 64 branches
-run as one stack on a fixed 4-label Choi input, each carrier maximally
-entangled with an untouched reference qubit, so the check holds for every
-program input and a gadget's cost does not depend on the program's width.
+Logical programs are verified by composition, never as a whole state.  The
+conditional-phase gadget is checked once per program, as a channel: its 64
+branches run as one stack on a fixed 4-label Choi input (each carrier
+entangled with an untouched reference qubit), which covers every input and,
+every placement being the same channel up to relabelling, every gadget.
 Rotations are local unitaries on the carriers between gadgets, so the
-checked gadgets compose to the ideal circuit at any width; they are not
-executed.  Measured degrees of freedom are removed immediately, so every
-state stays within the ``DOF_CAP`` label cap.  All operations return new
-states.
+checked gadget composes to the ideal circuit; they are not executed, and
+only generating and printing a program grow with its size.  Measured
+degrees of freedom are removed immediately, so every state stays within the
+``DOF_CAP`` label cap.  All operations return new states.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -427,10 +428,6 @@ class Program:
     def input_pair(self, q: str) -> tuple[complex, complex]:
         return self.inputs.get(q, (1.0, 0.0))
 
-    def cphase_count(self, q: str) -> int:
-        return sum(1 for op in self.ops
-                   if isinstance(op, Cphase) and q in (op.a, op.b))
-
 
 # |Phi>|Phi> on (carrier, reference, carrier, reference), |Phi> = (|00> + |11>)/sqrt(2)
 _PHI_PHI = np.kron([1, 0, 0, 1], [1, 0, 0, 1]) / 2
@@ -466,50 +463,44 @@ def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int) -> Bran
 
 
 def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
-    """Verify a logical program on the linked-state protocol, gadget by gadget.
+    """Verify a logical program on the linked-state protocol by composing
+    one checked gadget.
 
     Each qubit owns a chain; a conditional-phase gate weaves the next links of
     the two chains and teleports both data carriers forward.  Rotations act on
     the current carrier polarization.
 
-    Each gadget is verified once, as a channel: its 64 branches run as one
-    stack on the Choi state |Phi>|Phi> that pairs each carrier with a
-    reference label ``pol(q, 0)`` no gadget touches, and each branch is
-    compared with the conditional phase applied to that state and moved onto
-    the new carriers.
+    The gadget is checked once per program, as a channel, at fixed labels
+    (chains ``"a"`` and ``"b"``, carrier 1): every placement is the same
+    channel up to relabelling.  Its 64 branches run as one stack on the Choi
+    state |Phi>|Phi> that pairs each carrier with a reference label
+    ``pol(q, 0)`` no gadget touches, and each is compared with the
+    conditional phase applied to that state and moved onto the new carriers.
     A branch map K is fixed by its image of |Phi>|Phi> (Choi-Jamiolkowski),
     so fidelity 1 on every branch with probabilities summing to 1 means
     every branch map is proportional to the conditional phase on every
-    input.  Rotations are local unitaries on the carriers between gadgets, so
-    every branch of the whole program then equals the ideal circuit up to a
-    scalar, at any width: no program state is built and no rotation is run.
-    The report counts the 64^c branches so covered, their total probability
-    (the product of the per-gadget sums) and the least branch fidelity, 1.0
-    for a program without conditional phases.  A gadget holds 10 labels at
-    any program width.
+    input, and every branch of the program equals the ideal circuit up to a
+    scalar.  The report counts the 64^c branches so covered, their total
+    probability (the gadget's sum to the power c) and the gadget's least
+    branch fidelity; with c = 0 no check runs and they are 1, 1.0 and 1.0.
+    Only generating and printing the program grow with c, not this check.
     """
+    uses = Counter(q for op in program.ops if isinstance(op, Cphase) for q in (op.a, op.b))
     for q in program.qubits:
-        if program.cphase_count(q) > links_per_qubit:
-            raise ChainTooShortError(
-                f"qubit {q} needs {program.cphase_count(q)} links, has {links_per_qubit}")
-    carriers = {q: 1 for q in program.qubits}
-    branch_count, prob_sum, fids = 1, 1.0, []
-    for op in program.ops:
-        if isinstance(op, Rotation):
-            continue
-        a, b = op.a, op.b
-        ca, cb = carriers[a], carriers[b]
-        x, y = pol(a, ca), pol(b, cb)
-        choi = PureState((x, pol(a, 0), y, pol(b, 0)), _PHI_PHI)
-        want = choi.apply_cz(x, y).relabel({x: pol(a, ca + 1), y: pol(b, cb + 1)})
-        leaves = _cphase_branches(choi, a, ca, b, cb)
-        branch_count *= len(leaves)
-        # a running sum adds the probabilities left to right, in branch order
-        prob_sum *= float(np.cumsum(leaves.probability)[-1])
-        fids.append(float(leaves.state.fidelity(want).min()))
-        carriers[a], carriers[b] = ca + 1, cb + 1
-    return EvolveReport(branch_count=branch_count, min_fidelity=min(fids, default=1.0),
-                        probability_sum=prob_sum)
+        if uses[q] > links_per_qubit:
+            raise ChainTooShortError(f"qubit {q} needs {uses[q]} links, has {links_per_qubit}")
+    c = uses.total() // 2
+    if not c:
+        return EvolveReport(branch_count=1, min_fidelity=1.0, probability_sum=1.0)
+    x, y = pol("a", 1), pol("b", 1)
+    choi = PureState((x, pol("a", 0), y, pol("b", 0)), _PHI_PHI)
+    want = choi.apply_cz(x, y).relabel({x: pol("a", 2), y: pol("b", 2)})
+    leaves = _cphase_branches(choi, "a", 1, "b", 1)
+    # the sum adds left to right in branch order, the product gadget by gadget
+    gadget_sum = float(np.cumsum(leaves.probability)[-1])
+    return EvolveReport(branch_count=len(leaves) ** c,
+                        min_fidelity=float(leaves.state.fidelity(want).min()),
+                        probability_sum=math.prod([gadget_sum] * c))
 
 
 # ---------------------------------------------------------------------------

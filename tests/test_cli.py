@@ -235,6 +235,33 @@ class TestInputBoundary:
         assert code == 0
         assert (row["branch_count"], row["min_fidelity"], row["passed"]) == ("1", "1", "True")
 
+    @pytest.fixture
+    def digit_cap(self):
+        """Sets Python's int-to-str digit cap for one test, then puts it back."""
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str digit cap")
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("cap, cphases", [(4300, 2380), (0, 2381)])
+    def test_printable_branch_count_passes(self, digit_cap, cap, cphases, capsys):
+        # 64^2380 has 4,299 digits; a cap of 0 prints any count
+        digit_cap(cap)
+        code, out = run(["verify-evolve", "--qubits", "3", "--cphases", str(cphases),
+                         "--links", str(cphases), "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["branch_count"] == 64 ** cphases
+
+    def test_unprintable_branch_count_is_a_usage_error(self, digit_cap, capsys):
+        # 64^2381 has 4,301 digits, one over Python's default cap
+        digit_cap(4300)
+        code, err = run_failing(["verify-evolve", "--qubits", "3", "--cphases", "2381",
+                                 "--links", "2381"], capsys)
+        assert (code, err) == (2, [
+            "error: --cphases 2381 gives 64^2381 branches, more than 4300 digits to "
+            "print; this Python prints at most --cphases 2380"])
+
     def test_walk_cap_below_warmup_plus_target_is_a_usage_error(self, capsys):
         # the default 50 warmup links plus 5 target links exceed 20 steps
         code, err = run_failing(["walk", "--n", "2", "--trials", "2", "--target-links", "5",

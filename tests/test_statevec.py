@@ -498,24 +498,29 @@ def evolve_whole_state(program, links_per_qubit):
 
 
 def lift_choi_branches(monkeypatch, program, links_per_qubit):
-    """Apply each Choi branch that ``evolve_program`` runs, as a map, to the
-    gadget's real input.
+    """Apply each Choi branch of the one check that ``evolve_program`` runs,
+    as a map, to every gadget's real input.
 
     A branch of probability p leaves (K (x) I)|Phi>|Phi> / sqrt(p), and
     |Phi>|Phi> = sum_ij |ij>_carriers |ij>_references / 2, so the branch map
     K is 2 sqrt(p) times the leaf's amplitudes as a (new carriers) x
     (references) matrix.  Returns (least fidelity, probability sum) of the
-    lifted branches against the conditional phase on the real input.
+    lifted branches against the conditional phase on each real input.
     """
-    gadgets = []
+    checks = []
     honest = sv._cphase_branches
 
     def spy(*args):
-        gadgets.append(honest(*args))
-        return gadgets[-1]
+        checks.append((args, honest(*args)))
+        return checks[-1][1]
 
     monkeypatch.setattr(sv, "_cphase_branches", spy)
     sv.evolve_program(program, links_per_qubit)
+    assert len(checks) == 1
+    (_, a0, ca0, b0, cb0), leaves = checks[0]
+    maps = leaves.state._matrix((sv.pol(a0, ca0 + 1), sv.pol(b0, cb0 + 1),
+                                 sv.pol(a0, 0), sv.pol(b0, 0))).reshape(-1, 4, 4)
+    ks = 2 * np.sqrt(leaves.probability)[:, None, None] * maps
     state = program_input(program)
     carriers = {q: 1 for q in program.qubits}
     prob_sum, min_fid = 1.0, math.inf
@@ -527,13 +532,11 @@ def lift_choi_branches(monkeypatch, program, links_per_qubit):
         ca, cb = carriers[a], carriers[b]
         x, y, nx, ny = sv.pol(a, ca), sv.pol(b, cb), sv.pol(a, ca + 1), sv.pol(b, cb + 1)
         want = state.apply_cz(x, y).relabel({x: nx, y: ny})
-        # both matrices' columns are the spectators in canonical order
+        # both matrices' columns are the spectators in canonical order; the
+        # check's chain a plays this gadget's a, its chain b this gadget's b
         psi, w = state._matrix((x, y))[0], want._matrix((nx, ny))[0]
         gadget_sum = 0.0
-        leaves = gadgets.pop(0)
-        maps = leaves.state._matrix((nx, ny, sv.pol(a, 0), sv.pol(b, 0))).reshape(-1, 4, 4)
-        for prob, leaf in zip(leaves.probability, maps):
-            k = 2 * math.sqrt(prob) * leaf
+        for k in ks:
             out = k @ psi
             norm2 = np.vdot(out, out).real
             gadget_sum += norm2
@@ -541,7 +544,6 @@ def lift_choi_branches(monkeypatch, program, links_per_qubit):
         prob_sum *= gadget_sum
         state = want
         carriers[a], carriers[b] = ca + 1, cb + 1
-    assert not gadgets
     return min_fid, prob_sum
 
 
@@ -732,3 +734,45 @@ class TestStackedAgainstScalar:
                 want *= gadget_sum
                 carriers[op.a], carriers[op.b] = ca + 1, cb + 1
         assert sv.evolve_program(prog, 3).probability_sum == want
+
+
+class TestOneCheckPerProgram:
+    """``evolve_program`` checks the gadget once, at fixed labels, for every
+    conditional phase of a program."""
+
+    @staticmethod
+    def check(a, ca, b, cb):
+        """The gadget's outcome, probability and fidelity arrays on the Choi
+        input at carriers ``pol(a, ca)`` and ``pol(b, cb)``, as bytes."""
+        choi = choi_input(ca, cb, a, b)
+        x, y = sv.pol(a, ca), sv.pol(b, cb)
+        want = choi.apply_cz(x, y).relabel({x: sv.pol(a, ca + 1), y: sv.pol(b, cb + 1)})
+        leaves = sv._cphase_branches(choi, a, ca, b, cb)
+        return (leaves.outcome.tobytes(), leaves.probability.tobytes(),
+                leaves.state.fidelity(want).tobytes())
+
+    @pytest.mark.parametrize("a, b", [("a", "b"), ("b", "a"), ("q10", "q2"), ("q2", "q10")])
+    def test_every_placement_is_the_same_channel(self, a, b):
+        """Chain names in either sort order and carriers anywhere along the
+        chains give the check at fixed labels bit for bit: this is what lets
+        one check stand for every gadget of a program."""
+        fixed = self.check("a", 1, "b", 1)
+        for ca, cb in itertools.product((1, 2, 3), repeat=2):
+            assert self.check(a, ca, b, cb) == fixed, (ca, cb)
+
+    @pytest.mark.parametrize("n_qubits, n_cphases", [(2, 1), (3, 2), (6, 50), (4, 0)])
+    def test_one_check_per_program(self, monkeypatch, n_qubits, n_cphases):
+        honest = sv._cphase_branches
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1:])
+            return honest(*args)
+
+        monkeypatch.setattr(sv, "_cphase_branches", spy)
+        prog = sv.random_program(n_qubits, n_cphases, 5, np.random.default_rng(4))
+        rep = sv.evolve_program(prog, links_per_qubit=n_cphases)
+        assert calls == ([("a", 1, "b", 1)] if n_cphases else [])
+        assert rep.branch_count == 64 ** n_cphases
+        assert rep.min_fidelity >= 1 - 1e-9
+        assert abs(rep.probability_sum - 1) <= 1e-9

@@ -408,10 +408,11 @@ class Program:
     ops: tuple
 
     def __post_init__(self):
-        if len(set(self.qubits)) != len(self.qubits) or not self.qubits:
+        names = set(self.qubits)
+        if len(names) != len(self.qubits) or not self.qubits:
             raise MalformedProgramError("qubit names must be non-empty and unique")
         for q in self.inputs:
-            if q not in self.qubits:
+            if q not in names:
                 raise MalformedProgramError(f"input names undeclared qubit {q!r}")
         for q in self.qubits:
             a, b = self.inputs.get(q, (1.0, 0.0))
@@ -422,7 +423,7 @@ class Program:
                 raise MalformedProgramError(f"unknown operation {op!r}")
             targets = (op.qubit,) if isinstance(op, Rotation) else (op.a, op.b)
             for t in targets:
-                if t not in self.qubits:
+                if t not in names:
                     raise MalformedProgramError(f"gate targets undeclared qubit {t!r}")
 
     def input_pair(self, q: str) -> tuple[complex, complex]:

@@ -9,16 +9,17 @@ failure a fair coin decides whether the last linked photon was removed
 (backward) or only the prepared unit was lost (neutral).
 
 Randomness comes from counter-based Philox substreams keyed by (seed, trial,
-stream), with fixed-width draws (3 uniforms per walk step, 2 per preparation
-attempt), so a trial's outcome is fixed by its streams alone, however trials
-are grouped and on whichever thread.  :func:`run_trials` fills one (trials,
-rows, width) array of compared uniforms per block of trials, sized from the
-expected draws plus a few standard deviations, and finds every trial's first
-hits in one pass along the rows; trials that need more rows continue in later
-rounds.  Blocks run on a thread per usable CPU: numpy releases the GIL in the
-fills and array passes that make up most of a block.  :func:`simulate_step`
-and :func:`simulate_prep` read the same streams one event at a time, and the
-weave and cluster batches read trial 0, stream 0 through :meth:`_Streams.draw`.
+stream), one double per event, compared with cumulative bounds from the exact
+rationals (:func:`_step_bounds`, :func:`_prep_bounds`), so a trial's outcome is
+fixed by its streams alone, however trials are grouped and on whichever thread.
+:func:`run_trials` draws a row of classified uniforms per trial of a block,
+sized from the expected draws plus a few standard deviations, and finds every
+trial's first hits in one pass along the rows; trials that need more rows
+continue in later rounds.  Blocks run on a thread per usable CPU: numpy
+releases the GIL in the fills and array passes that make up most of a block.
+:func:`simulate_step` and :func:`simulate_prep` read the same streams one event
+at a time, and the weave and cluster batches read trial 0, stream 0 through
+:meth:`_Streams.draw`.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ _STREAM_STEP = 0
 _STREAM_PREP = 1
 _MARGIN = 4.0  # standard deviations of headroom in each sized draw
 _DIVERGENT_ROWS = 4096  # walk rows per round when the drift is not positive
-_BLOCK_UNIFORMS = 1 << 21  # uniforms in flight over all workers, held as 1-byte compares
+_BLOCK_UNIFORMS = 1 << 20  # uniforms in flight over all workers, held as 1-byte codes
 _CHUNK_UNIFORMS = 1 << 15  # doubles a worker holds at once: 256 kB
-# _PAIR[a, b]: two bools (a, b) read as one uint16, in either byte order
-_PAIR = np.array([[[0, 0], [0, 1]], [[1, 0], [1, 1]]], bool).view(np.uint16)[..., 0]
+_DELTAS = np.array([0, -1, 1], np.int8)  # length change per step code: neutral, backward, forward
 
 
 def substream(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
@@ -131,15 +131,14 @@ def simulate_prep(n: int, rng: np.random.Generator) -> tuple[int, int]:
     Each attempt burns one two-photon unit plus one ancilla if the first
     teleportation fails, two otherwise.  Returns (attempts, ancillas).
     """
-    s = n / (n + 1)
-    attempts = 0
-    cs = 0
+    bounds = _prep_bounds(n)
+    attempts = cs = 0
     while True:
-        u = rng.random(2)
+        u = rng.random()
+        code = sum(u < bound for bound in bounds)
         attempts += 1
-        first_ok = u[0] < s
-        cs += 2 if first_ok else 1
-        if first_ok and u[1] < s:
+        cs += 1 if code == 0 else 2
+        if code == 2:
             return attempts, cs
 
 
@@ -151,10 +150,9 @@ def simulate_step(n: int, rng: np.random.Generator) -> StepOutcome:
     so P(backward) = (1 - p)/2 with p = (n/(n+1))^2.  No ancillas are charged
     here: they were all paid for at preparation time.
     """
-    forward, backward = _classify(rng.random(3) < _step_bounds(n))
-    if forward:
-        return StepOutcome.FORWARD
-    return StepOutcome.BACKWARD if backward else StepOutcome.NEUTRAL
+    u = rng.random()
+    code = sum(u < bound for bound in _step_bounds(n))
+    return (StepOutcome.NEUTRAL, StepOutcome.BACKWARD, StepOutcome.FORWARD)[code]
 
 
 def _floored_lengths(start, deltas: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -172,15 +170,16 @@ def _floored_lengths(start, deltas: np.ndarray, dtype=np.int64) -> np.ndarray:
     return lengths
 
 
-def _step_bounds(n: int) -> np.ndarray:
-    """Bounds of a walk step's 3 uniforms: two teleportations, then a coin."""
-    return np.array([n / (n + 1)] * 2 + [0.5])
+def _step_bounds(n: int) -> tuple[float, float]:
+    """A walk step's bounds: forward below p = (n/(n+1))^2, backward below (1 + p)/2."""
+    p = analytics.cz_success(n)
+    return float(p), float((1 + p) / 2)
 
 
-def _classify(below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward masks of walk steps from ``below = uniforms < _step_bounds(n)``."""
-    forward = below[..., 0] & below[..., 1]
-    return forward, ~forward & below[..., 2]
+def _prep_bounds(n: int) -> tuple[float, float]:
+    """A preparation attempt's bounds: it succeeds below p = s^2, and its first
+    teleportation succeeds below s = n/(n+1)."""
+    return float(analytics.cz_success(n)), float(analytics.ftel_success(n))
 
 
 class _Streams:
@@ -208,22 +207,29 @@ class _Streams:
             self._bits.random_raw(word % 4)
         return self._gen
 
-    def draw(self, trials, stream: int, drawn, rows, bounds: np.ndarray) -> np.ndarray:
-        """Row i: whether each of ``rows[i]`` draws of ``len(bounds)`` doubles
-        from substream (seed, trials[i], stream), after its first ``drawn[i]``
-        draws, is below its column of ``bounds``; padded with False.  The doubles
-        pass through a buffer of ``_CHUNK_UNIFORMS``: one byte per uniform stays."""
-        width = len(bounds)
-        out = np.zeros((len(trials), max(rows), width), bool)
-        # full-shape bounds, at least a row: a compare broadcast along rows loops over columns
-        limits = np.tile(bounds, (max(1, min(max(rows), _CHUNK_UNIFORMS // width)), 1))
-        buf = np.empty(limits.shape)
-        for row, trial, start, k in zip(out, trials, drawn, rows):
-            gen = self.seek(trial, stream, width * start)
-            for first in range(0, k, len(buf)):
-                u = buf[:k - first]
-                gen.random(out=u)
-                np.less(u, limits[:len(u)], out=row[first:first + len(u)])
+    def draw(self, trials, stream: int, drawn, rows, bounds) -> np.ndarray:
+        """Per uniform, the number of ``bounds`` it lies below, as int8: for each
+        i in turn, ``rows[i]`` doubles of substream (seed, trials[i], stream)
+        after its first ``drawn[i]``, in one flat array.  The doubles pass
+        through a buffer of ``_CHUNK_UNIFORMS``, classified a buffer at a time."""
+        out = np.empty(sum(rows), np.int8)
+        buf, below = np.empty(min(out.size, _CHUNK_UNIFORMS)), np.empty(_CHUNK_UNIFORMS, bool)
+        pending, owed = iter(zip(trials, drawn, rows)), 0  # doubles the current trial owes
+        for first in range(0, out.size, _CHUNK_UNIFORMS):
+            u = buf[:out.size - first]
+            filled = 0
+            while filled < u.size:
+                if not owed:
+                    trial, start, owed = next(pending)
+                    gen = self.seek(trial, stream, start)
+                    continue
+                take = min(owed, u.size - filled)
+                gen.random(out=u[filled:filled + take])
+                filled, owed = filled + take, owed - take
+            codes = out[first:first + u.size]
+            np.less(u, bounds[0], out=codes.view(bool))
+            for bound in bounds[1:]:
+                codes += np.less(u, bound, out=below[:u.size]).view(np.int8)
         return out
 
 
@@ -266,18 +272,18 @@ def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray, budget: int
     while active.size and drawn < params.max_steps:
         k = active.size
         rows = min(_walk_rows(params.n, goal - int(length[active].min())),
-                   params.max_steps - drawn, budget // (3 * k))
-        fwd, back = _classify(streams.draw(trials[active].tolist(), _STREAM_STEP,
-                                           [drawn] * k, [rows] * k, bounds))
-        lengths = _floored_lengths(length[active], np.subtract(fwd, back, dtype=np.int8), dtype)
+                   params.max_steps - drawn, budget // k)
+        codes = streams.draw(trials[active].tolist(), _STREAM_STEP, [drawn] * k, [rows] * k,
+                             bounds).reshape(k, rows)
+        lengths = _floored_lengths(length[active], _DELTAS[codes], dtype)
         col, hit = _first_at_least(lengths, params.warmup_links)
         hit &= warm_steps[active] < 0  # never with no warmup: warm_steps starts at 0
         warm_steps[active[hit]] = drawn + col[hit] + 1
         col, done = _first_at_least(lengths, goal)
         used = np.where(done, col + 1, rows)
         within = np.arange(rows) < used[:, None]
-        forward[active] += np.count_nonzero(fwd & within, axis=1)
-        backward[active] += np.count_nonzero(back & within, axis=1)
+        forward[active] += np.count_nonzero((codes == 2) & within, axis=1)
+        backward[active] += np.count_nonzero((codes == 1) & within, axis=1)
         steps[active] += used
         length[active] = lengths[np.arange(k), used - 1]
         drawn += rows
@@ -291,20 +297,19 @@ def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.n
     """Preparation phase of a block: the (units, cs) spent by the ``marks[j]``-th
     prepared unit of each trial, for each row j of ``marks``.  The last row
     holds the largest marks; a mark of 0 costs nothing."""
-    bounds = _step_bounds(params.n)[:2]  # the two teleportations, no coin
+    bounds = _prep_bounds(params.n)
     units, cs = np.zeros(marks.shape, np.int64), np.zeros(marks.shape, np.int64)
     drawn, spent, seen = (np.zeros(trials.size, np.int64) for _ in range(3))
     active = np.arange(trials.size)
     while active.size:
         rows = np.minimum(_prep_rows(params.n, marks[-1, active] - seen[active]),
-                          budget // (2 * active.size))
-        ok = streams.draw(trials[active].tolist(), _STREAM_PREP, drawn[active].tolist(),
-                          rows.tolist(), bounds)
+                          budget // active.size)
+        codes = streams.draw(trials[active].tolist(), _STREAM_PREP, drawn[active].tolist(),
+                             rows.tolist(), bounds)
         # an attempt whose first teleportation succeeds costs 2 ancillas, any other 1;
         # count by flat position: successes, first-only successes, row starts
-        start = np.arange(active.size + 1) * ok.shape[1]
-        pairs = ok.view(np.uint16)[..., 0]  # contiguous, where ok[..., 0] is strided
-        wins, halves = np.flatnonzero(pairs == _PAIR[1, 1]), np.flatnonzero(pairs == _PAIR[1, 0])
+        start = np.r_[0, np.cumsum(rows)]
+        wins, halves = np.flatnonzero(codes == 2), np.flatnonzero(codes == 1)
         win_at, half_at = np.searchsorted(wins, start), np.searchsorted(halves, start)
         for mark, mark_units, mark_cs in zip(marks, units, cs):
             want = mark[active] - seen[active]
@@ -377,7 +382,7 @@ def run_trials(params: WalkParams) -> list[TrialResult]:
     """
     workers = _workers(params)
     rows = _walk_rows(params.n, params.warmup_links + params.target_links)
-    per_trial = max(3 * rows, 2 * int(_prep_rows(params.n, rows)))
+    per_trial = max(rows, int(_prep_rows(params.n, rows)))
     size = max(1, _BLOCK_UNIFORMS // workers // per_trial)
     blocks = [np.arange(first, min(first + size, params.trials))
               for first in range(0, params.trials, size)]
@@ -435,8 +440,9 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
         cs = np.zeros(count, np.uint16)
         active = np.arange(count)
         while active.size:
-            ok = streams.draw([0], _STREAM_STEP, [drawn], [active.size], np.array([s, s]))[0]
-            drawn += active.size
+            ok = streams.draw([0], _STREAM_STEP, [drawn], [2 * active.size], (s,))
+            ok = ok.view(bool).reshape(-1, 2)
+            drawn += ok.size
             cs[active] += 1
             arms[active, 0] += ~ok[:, 0]
             arms[active, 1] += ~ok[:, 1]
@@ -445,9 +451,9 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
         for side in range(2):
             active = np.arange(count)
             while active.size:
-                ok = streams.draw([0], _STREAM_STEP, [drawn], [active.size], np.array([s]))
+                ok = streams.draw([0], _STREAM_STEP, [drawn], [active.size], (s,))
                 drawn += active.size
-                active = active[~ok[0, :, 0]]
+                active = active[ok == 0]
                 arms[active, side] += 1
         cs = np.maximum(arms[:, 0], arms[:, 1])
     return WeaveStats(count, mean_stderr(cs), mean_stderr(arms.ravel()))
@@ -470,7 +476,8 @@ def cluster_batch(n: int, count: int, seed: int) -> ClusterStats:
     compared to, not asserted against, ``cluster_resources_per_unit``.
     """
     p = float(analytics.cz_success(n))
-    tries = _Streams(seed).draw([0], _STREAM_STEP, [0], [count], np.array([p] * 3))[0]
+    tries = _Streams(seed).draw([0], _STREAM_STEP, [0], [3 * count], (p,))
+    tries = tries.view(bool).reshape(count, 3)
     # an attempt costs one ancilla per try up to its first success, at most three
     miss = ~tries[:, 0]
     cs = count + int(np.count_nonzero(miss))

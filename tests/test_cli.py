@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import freearm
-from freearm import cli, fock
+import walk_moments
+from freearm import analytics, cli, fock
 
 
 def run(argv, capsys):
@@ -45,8 +46,23 @@ class TestAnalyticCommand:
 
 
 class TestWalkCommand:
-    ARGS = ["walk", "--n", "2", "--trials", "400", "--target-links", "100",
+    ARGS = ["walk", "--n", "3", "--trials", "1000", "--target-links", "1000",
             "--seed", "7"]
+
+    def test_run_is_sized_for_the_relative_rule(self):
+        """At ARGS 1% of each closed form is at least 6.9 exact standard
+        deviations of its estimate, so a correct sampler breaks the gate's 1%
+        rule with probability under 1.3e-11 (normal approximation, three
+        estimates).  Its other rule, 3 sample standard errors, fails a correct
+        sampler about 0.3% of the time per estimate at any size; seed 7
+        passes it."""
+        n, trials, links = int(self.ARGS[2]), int(self.ARGS[4]), int(self.ARGS[6])
+        link = analytics.resources_per_link(n)
+        targets = {"attempts_per_net_link": analytics.attempts_per_link(n),
+                   "units_per_link": link.two_photon_units, "cs_per_link": link.cs_states}
+        for key, exact in walk_moments.segment(n, 50, links).items():
+            assert abs(exact.mean - targets[key]) < 1e-20 * targets[key]
+            assert cli.REL_TOL * targets[key] >= 6.9 * (exact.var / trials) ** 0.5, key
 
     def test_convergent_run_exits_zero(self, capsys):
         code, out = run(self.ARGS, capsys)

@@ -228,6 +228,24 @@ class TestPrograms:
         with pytest.raises(sv.MalformedProgramError, match="'zz'"):
             sv.Program(("a", "b"), {"zz": (5, 5)}, (sv.Cphase("a", "b"),))
 
+    @pytest.mark.parametrize("qubits, inputs, ops, message", [
+        (("a", "a"), {"zz": (5, 5)}, ("junk",), "qubit names must be non-empty and unique"),
+        ((), {}, (), "qubit names must be non-empty and unique"),
+        (("a", "b"), {"b": (5, 5), "zz": (1, 0)}, ("junk",), "input names undeclared qubit 'zz'"),
+        (("a", "b"), {"b": (5, 5)}, ("junk",), "input for b is not normalized"),
+        (("a", "b"), {}, ("junk", sv.Cphase("a", "zz")), "unknown operation 'junk'"),
+        (("a", "b"), {}, (sv.Cphase("a", "zz"), "junk"), "gate targets undeclared qubit 'zz'"),
+        (("a", "b"), {}, (sv.Cphase("yy", "zz"),), "gate targets undeclared qubit 'yy'"),
+        (("a", "b"), {}, (sv.Rotation("b", np.eye(2)), sv.Rotation("zz", np.eye(2))),
+         "gate targets undeclared qubit 'zz'"),
+    ])
+    def test_validation_messages_in_order(self, qubits, inputs, ops, message):
+        """Names, then inputs, then their norms, then each operation in turn:
+        the first fault found is the one reported."""
+        with pytest.raises(sv.MalformedProgramError) as exc:
+            sv.Program(qubits, inputs, ops)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_ideal_circuit_matches_gate_by_gate(self, seed):
         """The oracle's tensordot rotations and in-place phases against

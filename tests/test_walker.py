@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import walk_moments
 from freearm import analytics, walker
 
 
@@ -76,9 +77,11 @@ def _floored_lengths_1d(start, deltas):
 
 
 def chunked_trial(params, trial):
-    """One trial in 4096-row chunks of its two substreams, one trial at a time."""
-    n = params.n
-    s = n / (n + 1)
+    """One trial in 4096-double chunks of its two substreams, one trial at a
+    time, one double per event against bounds from the exact rationals."""
+    s = Fraction(params.n, params.n + 1)
+    p = s * s
+    s, p, back_below = float(s), float(p), float((1 + p) / 2)
     goal = params.warmup_links + params.target_links
     rng_step = walker.substream(params.seed, trial, 0)
     rng_prep = walker.substream(params.seed, trial, 1)
@@ -93,9 +96,9 @@ def chunked_trial(params, trial):
         if k <= 0:
             capped = True
             break
-        u = rng_step.random((k, 3))
-        forward = (u[:, 0] < s) & (u[:, 1] < s)
-        back = ~forward & (u[:, 2] < 0.5)
+        u = rng_step.random(k)
+        forward = u < p
+        back = ~forward & (u < back_below)
         delta = np.where(forward, 1, np.where(back, -1, 0))
         lengths = _floored_lengths_1d(length, delta)
         cf = np.cumsum(forward)
@@ -125,9 +128,9 @@ def chunked_trial(params, trial):
     pending = sorted({m for m in (warm_steps, steps) if m > 0})
     succ_seen = 0
     while pending:
-        v = rng_prep.random((_CHUNK, 2))
-        first_ok = v[:, 0] < s
-        success = first_ok & (v[:, 1] < s)
+        v = rng_prep.random(_CHUNK)
+        first_ok = v < s
+        success = v < p
         ccs = np.cumsum(np.where(first_ok, 2, 1))
         pos = np.nonzero(success)[0]
         for mark in pending:
@@ -150,6 +153,77 @@ def chunked_trial(params, trial):
         measured_units=total_units - warm_units,
         measured_cs=total_cs - warm_cs,
         capped=capped)
+
+
+def three_uniform_step(n, rng):
+    """A walk step read from 3 uniforms, as the walker once drew it: forward
+    when both teleportations succeed (each below n/(n+1)), then a fair coin
+    for backward against neutral."""
+    s = n / (n + 1)
+    u = rng.random(3)
+    if u[0] < s and u[1] < s:
+        return walker.StepOutcome.FORWARD
+    return walker.StepOutcome.BACKWARD if u[2] < 0.5 else walker.StepOutcome.NEUTRAL
+
+
+def two_uniform_prep(n, rng):
+    """A preparation read from 2 uniforms per attempt, as the walker once drew
+    it: (attempts, ancillas), one ancilla more when the first teleportation
+    succeeds."""
+    s = n / (n + 1)
+    attempts = cs = 0
+    while True:
+        u = rng.random(2)
+        attempts += 1
+        cs += 2 if u[0] < s else 1
+        if u[0] < s and u[1] < s:
+            return attempts, cs
+
+
+def scalar_segment(n, links, step, prep, rng):
+    """Steps, units and ancillas to grow an empty chain to ``links`` links,
+    one event at a time."""
+    length = steps = units = cs = 0
+    while length < links:
+        outcome = step(n, rng)
+        steps += 1
+        attempts, ancillas = prep(n, rng)
+        units, cs = units + attempts, cs + ancillas
+        if outcome is walker.StepOutcome.FORWARD:
+            length += 1
+        elif outcome is walker.StepOutcome.BACKWARD:
+            length = max(0, length - 1)
+    return steps, units, cs
+
+
+def absorbing_chain_steps(n, links):
+    """Mean and variance of the steps from length 0 to ``links`` by solving
+    the absorbing chain's equations in Fractions: h = 1 + Q h for the mean
+    and g = 1 + Q (2h + g) for the second moment, Q the moves among lengths
+    0 .. links-1."""
+    p = analytics.cz_success(n)
+    b = (1 - p) / 2
+    q = [[Fraction(0)] * links for _ in range(links)]
+    for x in range(links):
+        q[x][x] += 1 - p - b
+        q[x][max(x - 1, 0)] += b
+        if x + 1 < links:
+            q[x][x + 1] += p
+
+    def solve(rhs):  # (I - Q) v = rhs by Gauss-Jordan elimination
+        rows = [[int(i == j) - q[i][j] for j in range(links)] + [rhs[i]] for i in range(links)]
+        for col in range(links):
+            pivot = next(r for r in range(col, links) if rows[r][col])
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            rows[col] = [v / rows[col][col] for v in rows[col]]
+            for r in range(links):
+                if r != col and rows[r][col]:
+                    rows[r] = [a - rows[r][col] * c for a, c in zip(rows[r], rows[col])]
+        return [row[-1] for row in rows]
+
+    h = solve([Fraction(1)] * links)
+    g = solve([1 + 2 * sum(q[x][y] * h[y] for y in range(links)) for x in range(links)])
+    return h[0], g[0] - h[0] ** 2
 
 
 @dataclass
@@ -315,22 +389,22 @@ class TestSubstreams:
     def test_rekeyed_streams_equal_substream(self, seed, trial, stream, start, monkeypatch):
         """Re-keying one Philox reads the same doubles as a fresh substream,
         also from a word inside a 4-word Philox block and after another
-        stream was read; draws are compared chunk by chunk, and a shorter
-        row is padded with False."""
+        stream was read; the rows of several trials, an empty one among them,
+        follow each other in one flat array, classified chunk by chunk across
+        row ends.  Each code counts the bounds its double lies below."""
         monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", 4)
         rng = walker.substream(seed, trial, stream)
         head = rng.random(start)
         want = rng.random(9)
         streams = walker._Streams(seed)
-        streams.draw([trial - 1], 1 - stream, [2], [6], np.array([0.5]))
+        streams.draw([trial - 1], 1 - stream, [2], [6], (0.5,))
         assert np.array_equal(streams.seek(trial, stream, start).random(9), want)
-        got = streams.draw([trial, trial], stream, [start, 0], [9, 2], np.array([0.5]))[..., 0]
-        assert np.array_equal(got[0], want < 0.5)
-        assert np.array_equal(got[1], np.r_[np.r_[head, want][:2] < 0.5, [False] * 7])
-        bounds = np.array([0.3, 0.7])
-        pairs = np.r_[head, want][2 * (start // 2):][:8].reshape(-1, 2)
-        got = streams.draw([trial], stream, [start // 2], [len(pairs)], bounds)[0]
-        assert np.array_equal(got, pairs < bounds)
+        got = streams.draw([trial, trial - 1, trial], stream, [start, 0, 0], [9, 0, 3], (0.5,))
+        assert got.dtype == np.int8
+        assert np.array_equal(got, np.r_[want, np.r_[head, want][:3]] < 0.5)
+        for bounds in [(0.3, 0.7), (0.7, 0.3)]:
+            got = streams.draw([trial], stream, [start], [9], bounds)
+            assert np.array_equal(got, (want < 0.3).astype(int) + (want < 0.7))
 
 
 class TestPrepAndStep:
@@ -374,6 +448,73 @@ class TestPrepAndStep:
         assert abs(drift.mean - (-0.125)) < 3 * drift.stderr
 
 
+# Each gate below allows GATE_Z exact standard deviations of the mean: under
+# the normal approximation a correct sampler fails one estimate with
+# probability 3.8e-8, and all 12 estimates gated here with at most 4.6e-7.
+GATE_Z = 5.5
+
+
+class TestFiniteChainGate:
+    """Both samplers against the exact finite-chain means at warmup 0 and
+    L = 5 links, where the asymptotic per-link targets do not hold."""
+
+    LINKS = 5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("links", [1, 2, 5])
+    def test_moments_match_absorbing_chain(self, n, links):
+        steps = walk_moments.segment(n, 0, links)["attempts_per_net_link"]
+        assert (steps.mean * links, steps.var * links ** 2) == absorbing_chain_steps(n, links)
+
+    def test_prep_moments_match_closed_forms(self):
+        for n in range(1, 8):
+            attempts, ancillas = walk_moments.prep_moments(n)
+            assert attempts.mean == analytics.per_step_units(n)
+            assert ancillas.mean == analytics.per_step_cs(n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_warmup_targets_are_asymptotic(self, n):
+        """After the default 50 warmup links the finite-chain means differ
+        from the closed forms by under 1e-10 of their value: E_k approaches
+        its limit as (b/p)^k, and (5/8)^50 is 6e-11 at n = 2 (the per-link
+        gap over 100 links is 6.2e-12 there).  So the asymptotic gates of
+        ``walk`` and the benchmark stay valid."""
+        exact = walk_moments.segment(n, 50, 100)
+        link = analytics.resources_per_link(n)
+        for key, target in [("attempts_per_net_link", analytics.attempts_per_link(n)),
+                            ("units_per_link", link.two_photon_units),
+                            ("cs_per_link", link.cs_states)]:
+            assert 0 < target - exact[key].mean < 1e-10 * target
+        # while at warmup 0 and L = 5 they are more than 10% apart
+        short = walk_moments.segment(n, 0, self.LINKS)["attempts_per_net_link"].mean
+        assert analytics.attempts_per_link(n) - short > analytics.attempts_per_link(n) / 10
+
+    @staticmethod
+    def gate(means, n, trials):
+        for key, exact in walk_moments.segment(n, 0, TestFiniteChainGate.LINKS).items():
+            sigma = math.sqrt(exact.var / trials)
+            assert abs(means[key] - float(exact.mean)) <= GATE_Z * sigma, key
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_run_trials(self, n):
+        params = walker.WalkParams(n=n, target_links=self.LINKS, trials=20_000, seed=31,
+                                   warmup_links=0)
+        stats = walker.aggregate(walker.run_trials(params), params)
+        assert stats.capped_trials == 0
+        self.gate({key: getattr(stats, key).mean for key in walk_moments.segment(n, 0, 1)},
+                  n, params.trials)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_three_and_two_uniform_oracle(self, n):
+        """The sampler that read 3 uniforms per step and 2 per attempt has the
+        same exact means."""
+        rng, trials = np.random.Generator(np.random.Philox(32)), 4000
+        totals = np.array([scalar_segment(n, self.LINKS, three_uniform_step,
+                                          two_uniform_prep, rng) for _ in range(trials)])
+        means = totals.mean(axis=0) / self.LINKS
+        self.gate(dict(zip(walk_moments.segment(n, 0, 1), means)), n, trials)
+
+
 class TestFlooredWalk:
     def test_floor_closed_form_matches_scalar(self):
         rng = np.random.default_rng(4)
@@ -414,8 +555,8 @@ class TestBuildChain:
         (dict(n=2, target_links=30, trials=37, seed=5), 1 << 15),
         (dict(n=2, target_links=30, trials=37, seed=5, warmup_links=0), 1 << 14),
         (dict(n=3, target_links=60, trials=13, seed=2 ** 64 - 1, warmup_links=7), 1 << 12),
-        (dict(n=5, target_links=40, trials=11, seed=3, warmup_links=0), 1 << 12),
-        (dict(n=1, target_links=50, trials=7, seed=1, max_steps=2000, warmup_links=0), 1 << 17),
+        (dict(n=5, target_links=40, trials=11, seed=3, warmup_links=0), 1 << 11),
+        (dict(n=1, target_links=50, trials=7, seed=1, max_steps=2000, warmup_links=0), 1 << 16),
         (dict(n=1, target_links=4, trials=25, seed=4, max_steps=3000, warmup_links=2), 1 << 17),
     ])
     def test_blocks_equal_per_trial_oracle(self, kw, budget, threads, monkeypatch):
@@ -498,7 +639,7 @@ class TestBuildChain:
         """The calling thread plus one started thread per further worker:
         never more workers than threads, usable CPUs or blocks."""
         usable_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 14)
+        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 13)
         blocks, starts = [], []
         run_block, start = walker._run_block, threading.Thread.start
         monkeypatch.setattr(walker, "_run_block",

@@ -8,10 +8,11 @@ on-chain half of the step then succeeds with probability (n/(n+1))^2; on
 failure a fair coin decides whether the last linked photon was removed
 (backward) or only the prepared unit was lost (neutral).
 
-Randomness comes from counter-based Philox substreams keyed by (seed, trial,
-stream), one double per event, compared with cumulative bounds from the exact
-rationals (:func:`_step_bounds`, :func:`_prep_bounds`), so a trial's outcome is
-fixed by its streams alone, however trials are grouped and on whichever thread.
+Randomness comes from substreams (seed, trial, stream), ``PCG64DXSM(seed)``
+jumped 4 * trial + stream times (numpy's non-overlapping parallel streams), one
+double per event, compared with cumulative bounds from the exact rationals
+(:func:`_step_bounds`, :func:`_prep_bounds`), so a trial's outcome is fixed by
+its streams alone, however trials are grouped and on whichever thread.
 :func:`run_trials` draws a row of classified uniforms per trial of a block,
 sized from the expected draws plus a few standard deviations, and finds every
 trial's first hits in one pass along the rows; trials that need more rows
@@ -29,6 +30,7 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,13 +42,13 @@ _MARGIN = 4.0  # standard deviations of headroom in each sized draw
 _DIVERGENT_ROWS = 4096  # walk rows per round when the drift is not positive
 _BLOCK_UNIFORMS = 1 << 20  # uniforms in flight over all workers, held as 1-byte codes
 _CHUNK_UNIFORMS = 1 << 15  # doubles a worker holds at once: 256 kB
-_DELTAS = np.array([0, -1, 1], np.int8)  # length change per step code: neutral, backward, forward
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # words in one PCG64DXSM.jumped: (phi - 1) * 2^128
 
 
 def substream(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
-    """Independent Philox-backed generator for (seed, trial, stream)."""
-    key = np.array([np.uint64(seed), np.uint64(trial * 4 + stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent generator for (seed, trial, stream): ``PCG64DXSM(seed)``
+    jumped 4 * trial + stream times."""
+    return np.random.Generator(np.random.PCG64DXSM(seed).jumped(trial * 4 + stream))
 
 
 class StepOutcome(Enum):
@@ -116,13 +118,22 @@ class WalkStats:
 
 
 def mean_stderr(values) -> Estimate:
-    """Sample mean with sample-corrected (ddof=1) standard error; 0 for a single value."""
-    arr = np.asarray(values)  # integers stay integers: numpy still sums them in float64
+    """Sample mean with sample-corrected (ddof=1) standard error; 0 for a single value.
+    Unsigned 8- or 16-bit samples (the batch counters) get exact moments from
+    per-value counts, with no float64 copy of the samples."""
+    arr = np.asarray(values)
     if arr.size == 0:
         raise ValueError("cannot aggregate an empty list")
     if arr.size == 1:
         return Estimate(float(arr[0]), 0.0)
-    return Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))
+    if arr.dtype.kind != "u" or arr.dtype.itemsize > 2:
+        return Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))
+    top = int(arr.max()) + 1
+    counts = sum(np.bincount(arr[i:i + _CHUNK_UNIFORMS], minlength=top)
+                 for i in range(0, arr.size, _CHUNK_UNIFORMS)).tolist()
+    n, s1, s2 = (sum(x ** k * c for x, c in enumerate(counts)) for k in range(3))
+    var_of_mean = Fraction(n * s2 - s1 * s1, n * n * (n - 1))
+    return Estimate(float(Fraction(s1, n)), math.sqrt(var_of_mean))
 
 
 def simulate_prep(n: int, rng: np.random.Generator) -> tuple[int, int]:
@@ -160,14 +171,21 @@ def _floored_lengths(start, deltas: np.ndarray, dtype=np.int64) -> np.ndarray:
 
     For L_k = max(0, L_{k-1} + d_k) with L_0 = start, the closed form is
     L_k = S_k - min(0, min_{j<=k} S_j) with S_k = start + cumsum(d).
-    ``start`` is a scalar or holds one start per row of ``deltas``.
+    ``start`` is a scalar or holds one start per row of ``deltas``.  The running
+    minimum stops at the latest first minimum of a row below 0: past it, no floor moves.
     """
     lengths = np.cumsum(deltas, axis=-1, dtype=dtype)
     lengths += np.expand_dims(start, -1)
-    floor = np.minimum.accumulate(lengths, axis=-1)
-    np.minimum(floor, 0, out=floor)
-    lengths -= floor
-    return lengths
+    rows = lengths.reshape(-1, lengths.shape[-1])  # 1-D input is one row
+    first = rows.argmin(axis=1)
+    low = rows[np.arange(rows.shape[0]), first]
+    if low.min() < 0:
+        end = int(first[low < 0].max()) + 1
+        floor = np.minimum.accumulate(rows[:, :end], axis=1)
+        np.minimum(floor, 0, out=floor)
+        rows[:, :end] -= floor
+        rows[:, end:] -= np.minimum(low, 0)[:, None]
+    return rows.reshape(lengths.shape)
 
 
 def _step_bounds(n: int) -> tuple[float, float]:
@@ -183,29 +201,21 @@ def _prep_bounds(n: int) -> tuple[float, float]:
 
 
 class _Streams:
-    """Reads substreams by re-keying one live Philox: microseconds, where
-    constructing a ``Philox`` also seeds a ``SeedSequence`` from OS entropy."""
+    """Reads the substreams of one seed through one live PCG64DXSM, moved to
+    each word it reads by one ``advance`` from where it stands."""
 
     def __init__(self, seed: int):
-        self._bits = np.random.Philox(0)
+        self._bits = np.random.PCG64DXSM(seed)
         self._gen = np.random.Generator(self._bits)
-        self._state = self._bits.state
-        # written in place by each seek; the state setter copies them in
-        self._key = np.array([seed, 0], dtype=np.uint64)
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._state["state"]["key"] = self._key
-        self._state["state"]["counter"] = self._counter
+        self._at = 0  # words the generator stands past the seed's state, mod 2^128
 
-    def seek(self, trial: int, stream: int, word: int) -> np.random.Generator:
-        """The generator of substream (seed, trial, stream) after ``word`` doubles."""
-        self._key[1] = trial * 4 + stream
-        # Philox advances its counter before it computes each block of 4 words
-        self._counter[0] = word // 4
-        self._state["buffer_pos"] = 4
-        self._bits.state = self._state
-        if word % 4:
-            self._bits.random_raw(word % 4)
-        return self._gen
+    def read(self, trial: int, stream: int, word: int, out: np.ndarray) -> None:
+        """Fills ``out`` with substream (seed, trial, stream)'s doubles from its ``word``-th."""
+        at = ((trial * 4 + stream) * _JUMP + word) % 2 ** 128
+        if at != self._at:
+            self._bits.advance((at - self._at) % 2 ** 128)
+        self._gen.random(out=out)
+        self._at = (at + out.size) % 2 ** 128
 
     def draw(self, trials, stream: int, drawn, rows, bounds) -> np.ndarray:
         """Per uniform, the number of ``bounds`` it lies below, as int8: for each
@@ -220,12 +230,11 @@ class _Streams:
             filled = 0
             while filled < u.size:
                 if not owed:
-                    trial, start, owed = next(pending)
-                    gen = self.seek(trial, stream, start)
+                    trial, word, owed = next(pending)
                     continue
                 take = min(owed, u.size - filled)
-                gen.random(out=u[filled:filled + take])
-                filled, owed = filled + take, owed - take
+                self.read(trial, stream, word, u[filled:filled + take])
+                filled, word, owed = filled + take, word + take, owed - take
             codes = out[first:first + u.size]
             np.less(u, bounds[0], out=codes.view(bool))
             for bound in bounds[1:]:
@@ -275,15 +284,18 @@ def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray, budget: int
                    params.max_steps - drawn, budget // k)
         codes = streams.draw(trials[active].tolist(), _STREAM_STEP, [drawn] * k, [rows] * k,
                              bounds).reshape(k, rows)
-        lengths = _floored_lengths(length[active], _DELTAS[codes], dtype)
+        fwd, bwd = codes == 2, codes == 1
+        lengths = _floored_lengths(length[active], fwd.view(np.int8) - bwd.view(np.int8), dtype)
         col, hit = _first_at_least(lengths, params.warmup_links)
         hit &= warm_steps[active] < 0  # never with no warmup: warm_steps starts at 0
         warm_steps[active[hit]] = drawn + col[hit] + 1
         col, done = _first_at_least(lengths, goal)
         used = np.where(done, col + 1, rows)
-        within = np.arange(rows) < used[:, None]
-        forward[active] += np.count_nonzero((codes == 2) & within, axis=1)
-        backward[active] += np.count_nonzero((codes == 1) & within, axis=1)
+        # every trial uses the columns before the earliest finisher's end
+        common = int(used.min())
+        within = np.arange(common, rows) < used[:, None]
+        forward[active] += fwd[:, :common].sum(1) + (fwd[:, common:] & within).sum(1)
+        backward[active] += bwd[:, :common].sum(1) + (bwd[:, common:] & within).sum(1)
         steps[active] += used
         length[active] = lengths[np.arange(k), used - 1]
         drawn += rows
@@ -374,11 +386,10 @@ def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
 def run_trials(params: WalkParams) -> list[TrialResult]:
     """All trial results in trial order, computed a block of trials at a time.
 
-    Each trial draws from its own counter-based substreams, so the list does
-    not depend on the block size or on which worker runs a block.  Blocks go
-    to min(``params.threads``, usable CPUs, blocks) workers, the calling
-    thread among them; the first exception a worker raises is re-raised here
-    once every worker has stopped.
+    Each trial draws from its own substreams, so the list does not depend on the block
+    size or on which worker runs a block.  Blocks go to min(``params.threads``, usable
+    CPUs, blocks) workers, the calling thread among them; the first exception a worker
+    raises is re-raised here once every worker has stopped.
     """
     workers = _workers(params)
     rows = _walk_rows(params.n, params.warmup_links + params.target_links)
@@ -444,8 +455,7 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
             ok = ok.view(bool).reshape(-1, 2)
             drawn += ok.size
             cs[active] += 1
-            arms[active, 0] += ~ok[:, 0]
-            arms[active, 1] += ~ok[:, 1]
+            arms[active] += ~ok
             active = active[~(ok[:, 0] & ok[:, 1])]
     else:
         for side in range(2):

@@ -11,6 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # the [test] extra; without it only the property test is left out
+    hypothesis = None
+
 import walk_moments
 from freearm import analytics, walker
 
@@ -304,12 +310,16 @@ def lockstep_weaves(m, model, count, rng):
     return cs, [a for pair in arms for a in pair]
 
 
-def float_mean_stderr(values):
-    """``walker.mean_stderr`` on a float64 copy of ``values``."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 1:
-        return walker.Estimate(float(arr[0]), 0.0)
-    return walker.Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))
+def exact_mean_stderr(values):
+    """Sample mean and ddof=1 standard error of integer ``values``, each
+    rounded once from its exact rational."""
+    values = [int(v) for v in values]
+    n = len(values)
+    mean = Fraction(sum(values), n)
+    if n == 1:
+        return walker.Estimate(float(mean), 0.0)
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return walker.Estimate(float(mean), math.sqrt(var / n))
 
 
 def whole_weave_batch(m, model, count, seed):
@@ -339,7 +349,7 @@ def whole_weave_batch(m, model, count, seed):
                 arms[active[failed], side] += 1
                 active = active[failed]
         cs = np.maximum(arms[:, 0], arms[:, 1])
-    return walker.WeaveStats(count, float_mean_stderr(cs), float_mean_stderr(arms.ravel()))
+    return walker.WeaveStats(count, exact_mean_stderr(cs), exact_mean_stderr(arms.ravel()))
 
 
 def whole_cluster_batch(n, count, seed):
@@ -383,28 +393,78 @@ class TestSubstreams:
         b = walker.substream(5, 3, 1).random(10)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed, trial", [(5, 3), (2 ** 64 - 1, 2 ** 61 - 1)])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("trial", [0, 3, 2 ** 61 - 1])
+    @pytest.mark.parametrize("stream", [0, 1, 3])
+    def test_substream_is_jumped_pcg64dxsm(self, seed, trial, stream):
+        """Substream (seed, trial, stream) is numpy's parallel-stream jump
+        4 * trial + stream of PCG64DXSM(seed)."""
+        bits = np.random.PCG64DXSM(seed).jumped(4 * trial + stream)
+        assert np.array_equal(walker.substream(seed, trial, stream).random(8),
+                              np.random.Generator(bits).random(8))
+
+    @pytest.mark.parametrize("seed, trial", [(0, 0), (5, 3), (2 ** 64 - 1, 2 ** 61 - 1)])
     @pytest.mark.parametrize("stream", [0, 1])
     @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 4099])
-    def test_rekeyed_streams_equal_substream(self, seed, trial, stream, start, monkeypatch):
-        """Re-keying one Philox reads the same doubles as a fresh substream,
-        also from a word inside a 4-word Philox block and after another
-        stream was read; the rows of several trials, an empty one among them,
-        follow each other in one flat array, classified chunk by chunk across
-        row ends.  Each code counts the bounds its double lies below."""
+    def test_reader_equals_substream(self, seed, trial, stream, start, monkeypatch):
+        """One reader reads the same doubles as fresh substreams after forward,
+        backward and interleaved seeks and after empty rows; the rows of
+        several trials follow each other in one flat array, classified chunk
+        by chunk across row ends.  Each code counts the bounds its double
+        lies below."""
         monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", 4)
-        rng = walker.substream(seed, trial, stream)
-        head = rng.random(start)
-        want = rng.random(9)
-        streams = walker._Streams(seed)
-        streams.draw([trial - 1], 1 - stream, [2], [6], (0.5,))
-        assert np.array_equal(streams.seek(trial, stream, start).random(9), want)
-        got = streams.draw([trial, trial - 1, trial], stream, [start, 0, 0], [9, 0, 3], (0.5,))
+        full = walker.substream(seed, trial, stream).random(start + 9)
+        want = full[start:]
+        other = walker.substream(seed, trial + 1, 1 - stream).random(8)
+        streams, out, head = walker._Streams(seed), np.empty(9), min(start, 9)
+        streams.read(trial + 1, 1 - stream, 2, out[:6])  # another substream first
+        assert np.array_equal(out[:6], other[2:])
+        streams.read(trial, stream, start, out)  # from one substream to another
+        assert np.array_equal(out, want)
+        streams.read(trial, stream, 0, out[:head])  # backward within a substream
+        assert np.array_equal(out[:head], full[:head])
+        streams.read(trial, stream, start + 3, out[:6])  # forward within it
+        assert np.array_equal(out[:6], want[3:])
+        streams.read(trial + 1, 1 - stream, 0, out[:8])  # and back to the other
+        assert np.array_equal(out[:8], other)
+        got = streams.draw([trial, trial + 1, trial], stream, [start, 0, 0], [9, 0, 3], (0.5,))
         assert got.dtype == np.int8
-        assert np.array_equal(got, np.r_[want, np.r_[head, want][:3]] < 0.5)
+        assert np.array_equal(got, np.r_[want, full[:3]] < 0.5)
+        got = streams.draw([trial + 1, trial], stream, [5, start], [0, 9], (0.5,))
+        assert np.array_equal(got, want < 0.5)  # an empty row first
         for bounds in [(0.3, 0.7), (0.7, 0.3)]:
             got = streams.draw([trial], stream, [start], [9], bounds)
             assert np.array_equal(got, (want < 0.3).astype(int) + (want < 0.7))
+
+
+class TestMeanStderr:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("values", [[7, 7], [0, 1], [1, 2], [65, 65, 65], [3] * 100,
+                                        [1, 2, 2, 3, 9, 1, 1], [0] * 5 + [255]])
+    def test_small_counters_match_fraction_oracle(self, values, dtype):
+        got = walker.mean_stderr(np.array(values, dtype))
+        assert got == exact_mean_stderr(values)
+        if len(set(values)) == 1:
+            assert got.stderr == 0.0
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_counts_across_chunks(self, chunk, monkeypatch):
+        if chunk:
+            monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", chunk)
+        values = np.random.default_rng(3).geometric(0.3, 1000).astype(np.uint16)
+        values[-1] = 2 ** 16 - 1
+        assert walker.mean_stderr(values) == exact_mean_stderr(values)
+
+    def test_single_value_and_empty(self):
+        assert walker.mean_stderr(np.array([4], np.uint16)) == walker.Estimate(4.0, 0.0)
+        with pytest.raises(ValueError):
+            walker.mean_stderr(np.array([], np.uint16))
+
+    def test_other_samples_keep_numpy_moments(self):
+        values = [0.5, 1.25, 4.0]
+        arr = np.array(values)
+        assert walker.mean_stderr(values) == walker.Estimate(
+            float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(3)))
 
 
 class TestPrepAndStep:
@@ -515,16 +575,53 @@ class TestFiniteChainGate:
         self.gate(dict(zip(walk_moments.segment(n, 0, 1), means)), n, trials)
 
 
+def scalar_floored(start, deltas):
+    """L_k = max(0, L_{k-1} + d_k) one step at a time."""
+    lengths = []
+    for d in deltas:
+        start = max(0, start + int(d))
+        lengths.append(start)
+    return lengths
+
+
 class TestFlooredWalk:
     def test_floor_closed_form_matches_scalar(self):
         rng = np.random.default_rng(4)
         deltas = rng.integers(-1, 2, size=500)
-        length = 3
-        expected = []
-        for d in deltas:
-            length = max(0, length + int(d))
-            expected.append(length)
-        assert np.array_equal(walker._floored_lengths(3, deltas), expected)
+        assert np.array_equal(walker._floored_lengths(3, deltas), scalar_floored(3, deltas))
+
+    ROWS = {
+        "never below 0": ([0, 1, -1, 1, 1, -1, 0, -1], 0),
+        "first minimum last": ([1, -1, -1, 0, 1, -1, -1, -1], 0),
+        "below 0 at once": ([-1, -1, 1, 1, 1, 1, -1, 1], 0),
+        "start above 0, never below": ([-1, -1, -1, 1, -1, 0, 1, 1], 3),
+        "start above 0, minimum last": ([-1, -1, 1, -1, -1, -1, 0, -1], 2),
+        "minimum reached twice": ([-1, 1, -1, 1, -1, 1, 1, 1], 0),
+    }
+
+    @pytest.mark.parametrize("names", [["never below 0"], ["first minimum last"],
+                                       ["never below 0", "first minimum last"],
+                                       ["start above 0, never below", "below 0 at once"],
+                                       list(ROWS)])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_rows_match_scalar(self, names, dtype):
+        deltas = np.array([self.ROWS[name][0] for name in names], np.int8)
+        starts = np.array([self.ROWS[name][1] for name in names])
+        got = walker._floored_lengths(starts, deltas, dtype)
+        assert got.dtype == dtype
+        assert got.tolist() == [scalar_floored(s, d) for s, d in zip(starts, deltas)]
+
+    if hypothesis is not None:
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+        @hypothesis.given(st.integers(1, 8).flatmap(lambda width: st.lists(
+            st.tuples(st.integers(0, 4), st.lists(st.integers(-1, 1), min_size=width,
+                                                   max_size=width)), min_size=1, max_size=6)))
+        def test_random_rows_match_scalar(self, rows):
+            """Rows of one width with their starts, against the scalar floor."""
+            starts = np.array([start for start, _ in rows])
+            deltas = np.array([d for _, d in rows], np.int8)
+            assert (walker._floored_lengths(starts, deltas).tolist()
+                    == [scalar_floored(start, d) for start, d in rows])
 
 
 class TestBuildChain:
@@ -807,7 +904,7 @@ class TestBatchDraws:
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     def test_weave_equals_lockstep_scalar(self, seed, m, model):
         cs, arms = lockstep_weaves(m, model, 50, walker.substream(seed, 0, 0))
-        want = walker.WeaveStats(50, float_mean_stderr(cs), float_mean_stderr(arms))
+        want = walker.WeaveStats(50, exact_mean_stderr(cs), exact_mean_stderr(arms))
         assert walker.weave_batch(m, model, 50, seed) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3])

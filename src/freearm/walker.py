@@ -12,12 +12,12 @@ Randomness comes from substreams (seed, trial, stream), ``PCG64DXSM(seed)``
 jumped 4 * trial + stream times (numpy's non-overlapping parallel streams), one
 double per event, compared with cumulative bounds from the exact rationals
 (:func:`_step_bounds`, :func:`_prep_bounds`), so a trial's outcome is fixed by
-its streams alone, however trials are grouped and on whichever thread.
+its streams alone, however trials are grouped.
 :func:`run_trials` draws a row of classified uniforms per trial of a block,
 sized from the expected draws plus a few standard deviations, and finds every
-trial's first hits in one pass along the rows; trials that need more rows
-continue in later rounds.  Blocks run on a thread per usable CPU: numpy
-releases the GIL in the fills and array passes that make up most of a block.
+trial's first hits from per-tile counts of its codes, scanning step by step
+only the few tiles that can hold a hit; trials that need more rows continue
+in later rounds.  Blocks run one after another on the calling thread.
 :func:`simulate_step` and :func:`simulate_prep` read the same streams one event
 at a time, and the weave and cluster batches read trial 0, stream 0 through
 :meth:`_Streams.draw`.
@@ -26,8 +26,6 @@ at a time, and the weave and cluster batches read trial 0, stream 0 through
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,9 +37,8 @@ from . import analytics
 _STREAM_STEP = 0
 _STREAM_PREP = 1
 _MARGIN = 4.0  # standard deviations of headroom in each sized draw
-_DIVERGENT_ROWS = 4096  # walk rows per round when the drift is not positive
-_BLOCK_UNIFORMS = 1 << 20  # uniforms in flight over all workers, held as 1-byte codes
-_CHUNK_UNIFORMS = 1 << 15  # doubles a worker holds at once: 256 kB
+_BLOCK_UNIFORMS = 1 << 20  # uniforms in flight, held as 1-byte codes
+_CHUNK_UNIFORMS = 1 << 15  # doubles the reader holds at once: 256 kB
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # words in one PCG64DXSM.jumped: (phi - 1) * 2^128
 
 
@@ -65,7 +62,7 @@ class WalkParams:
     seed: int
     max_steps: int = 1_000_000
     warmup_links: int = 50
-    threads: int | None = None  # workers running trial blocks; None: every usable CPU
+    threads: int | None = None  # accepted for compatibility; blocks run on the calling thread
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool):
@@ -166,28 +163,6 @@ def simulate_step(n: int, rng: np.random.Generator) -> StepOutcome:
     return (StepOutcome.NEUTRAL, StepOutcome.BACKWARD, StepOutcome.FORWARD)[code]
 
 
-def _floored_lengths(start, deltas: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """Walk positions with a reflecting floor at 0, vectorized along the last axis.
-
-    For L_k = max(0, L_{k-1} + d_k) with L_0 = start, the closed form is
-    L_k = S_k - min(0, min_{j<=k} S_j) with S_k = start + cumsum(d).
-    ``start`` is a scalar or holds one start per row of ``deltas``.  The running
-    minimum stops at the latest first minimum of a row below 0: past it, no floor moves.
-    """
-    lengths = np.cumsum(deltas, axis=-1, dtype=dtype)
-    lengths += np.expand_dims(start, -1)
-    rows = lengths.reshape(-1, lengths.shape[-1])  # 1-D input is one row
-    first = rows.argmin(axis=1)
-    low = rows[np.arange(rows.shape[0]), first]
-    if low.min() < 0:
-        end = int(first[low < 0].max()) + 1
-        floor = np.minimum.accumulate(rows[:, :end], axis=1)
-        np.minimum(floor, 0, out=floor)
-        rows[:, :end] -= floor
-        rows[:, end:] -= np.minimum(low, 0)[:, None]
-    return rows.reshape(lengths.shape)
-
-
 def _step_bounds(n: int) -> tuple[float, float]:
     """A walk step's bounds: forward below p = (n/(n+1))^2, backward below (1 + p)/2."""
     p = analytics.cz_success(n)
@@ -242,14 +217,24 @@ class _Streams:
         return out
 
 
-def _walk_rows(n: int, links: int) -> int:
-    """Walk steps that climb ``links`` links on average, plus ``_MARGIN``
-    standard deviations; a fixed chunk when the drift is not positive."""
+def _walk_rows(n: int, start: int, goal: int) -> int:
+    """Walk steps that climb from length ``start`` to ``goal`` on average, plus
+    ``_MARGIN`` standard deviations."""
     p = (n / (n + 1)) ** 2
     b = (1 - p) / 2
     d = p - b
     if d <= 0:
-        return _DIVERGENT_ROWS
+        # order 1: sum the exact moments of the steps from each length k to
+        # k + 1 (mean E_k = -8 + 12 (3/2)^k) up to 64 levels, more than a round holds
+        mean = var = e = m = 0.0
+        for k in range(min(goal, start + 64)):
+            prev = e
+            e = (1 + b * prev) / p
+            m = (1 + 2 * (b * prev + (1 - p) * e) + b * (m + 2 * prev * e)) / p
+            if k >= start:
+                mean, var = mean + e, var + m - e * e
+        return math.ceil(mean + _MARGIN * math.sqrt(var))
+    links = goal - start
     return math.ceil(links / d + _MARGIN * math.sqrt(links * (p + b - d * d) / d ** 3))
 
 
@@ -260,11 +245,78 @@ def _prep_rows(n: int, units):
     return np.ceil(units / q + _MARGIN * np.sqrt(units * (1 - q)) / q).astype(np.int64)
 
 
-def _first_at_least(values: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``values``: the first column that reaches ``target``, and whether one does."""
-    reach = values >= target
-    col = reach.argmax(axis=1)
-    return col, reach[np.arange(col.size), col]
+def _tile_width(rows: int) -> int:
+    """Codes per tile for rows of ``rows`` codes: the power of two nearest
+    sqrt(rows), from 32 to 1024."""
+    return 1 << min(10, max(5, round(math.log2(rows) / 2)))
+
+
+def _tiled(codes: np.ndarray, width: int):
+    """``codes`` (0, 1 or 2 each) padded with 0s to whole tiles of ``width``
+    along the last axis, shaped (..., tiles, width), and each tile's count
+    of 2s (its halved codes' sum) and of 1s (its sum less twice that)."""
+    if codes.shape[-1] % width:
+        pad = [(0, 0)] * (codes.ndim - 1) + [(0, -codes.shape[-1] % width)]
+        codes = np.pad(codes, pad)
+    tiles = codes.reshape(*codes.shape[:-1], -1, width)
+    raw = tiles.view(np.uint8)
+    twos = np.add.reduce(raw >> 1, axis=-1, dtype=np.uint16).astype(np.int64)
+    return tiles, twos, np.add.reduce(raw, axis=-1, dtype=np.uint16) - 2 * twos
+
+
+def _positions(start: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+    """Unfloored positions after each walk code of each row of ``tiles``, from ``start``."""
+    return np.cumsum((tiles >> 1) - (tiles & 1), axis=1, dtype=np.int64) + start[:, None]
+
+
+def _passage(tiles, begin, end, fwd, level) -> np.ndarray:
+    """Per row of ``tiles``, the column where the length first reaches
+    ``level[row]``, -1 if it does not.  ``begin`` and ``end`` hold the
+    lengths at each tile's ends and ``fwd`` its forward steps; only a tile
+    that could climb to the level, and is not past the first tile to end
+    there, is scanned."""
+    k, count, width = tiles.shape
+    reach = end >= level[:, None]
+    last = np.where(reach.any(axis=1), reach.argmax(axis=1), count - 1)
+    r, t = np.nonzero((begin + fwd >= level[:, None]) & (np.arange(count) <= last[:, None]))
+    s = _positions(begin[r, t], tiles[r, t])
+    hit = s - np.minimum(np.minimum.accumulate(s, axis=1), 0) >= level[r, None]
+    j = hit.argmax(axis=1)
+    r, t, j = (a[hit[np.arange(r.size), j]] for a in (r, t, j))
+    first = np.diff(r, prepend=-1) > 0  # nonzero lists each row's tiles in order
+    col = np.full(k, -1)
+    col[r[first]] = t[first] * width + j[first]
+    return col
+
+
+def _walk_round(codes: np.ndarray, start: np.ndarray, warm: np.ndarray, goal: int):
+    """One round of walk ``codes`` (trials, steps) from lengths ``start``: per
+    trial the columns where the length first reaches ``warm[trial]`` and
+    ``goal`` (-1: nowhere), and the forward and backward steps and the length
+    up to the goal or else to the row's end.
+
+    Per tile, its forward and backward steps give the unfloored position S at
+    its end.  The floor moves only in a tile that may go below 0 and below
+    every earlier tile end; only those are scanned for their lowest S."""
+    width = _tile_width(codes.shape[1])
+    tiles, fwd, bwd = _tiled(codes, width)
+    end = np.cumsum(fwd - bwd, axis=1) + start[:, None]
+    begin = end - fwd + bwd
+    low = np.minimum(np.minimum.accumulate(end, axis=1), 0)
+    r, t = np.nonzero(begin - bwd < np.c_[np.zeros_like(start), low[:, :-1]])
+    lowest = end.copy()
+    lowest[r, t] = _positions(begin[r, t], tiles[r, t]).min(axis=1)
+    end -= np.minimum(np.minimum.accumulate(lowest, axis=1), 0)  # the lengths
+    begin = np.c_[start, end[:, :-1]]
+    warm_col = _passage(tiles, begin, end, fwd, warm)
+    col = _passage(tiles, begin, end, fwd, np.full(start.size, goal))
+    # counts to the tile end, less those in the tile past the goal
+    t, j = np.divmod(np.where(col < 0, tiles.shape[1] * width - 1, col), width)
+    rows = np.arange(start.size)
+    past = tiles[rows, t] * (np.arange(width) > j[:, None])
+    forward = np.cumsum(fwd, axis=1)[rows, t] - (past == 2).sum(axis=1)
+    backward = np.cumsum(bwd, axis=1)[rows, t] - (past == 1).sum(axis=1)
+    return warm_col, col, forward, backward, np.where(col < 0, end[:, -1], goal)
 
 
 def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray, budget: int):
@@ -273,35 +325,46 @@ def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray, budget: int
 
     Every trial still walking has drawn the same number of rows."""
     bounds = _step_bounds(params.n)
-    dtype = np.int32 if params.max_steps < 2 ** 31 else np.int64  # lengths <= max_steps
     goal = params.warmup_links + params.target_links
     steps, forward, backward, length = (np.zeros(trials.size, np.int64) for _ in range(4))
     warm_steps = np.full(trials.size, -1 if params.warmup_links else 0)
     active, drawn = np.arange(trials.size), 0
     while active.size and drawn < params.max_steps:
         k = active.size
-        rows = min(_walk_rows(params.n, goal - int(length[active].min())),
+        rows = min(_walk_rows(params.n, int(length[active].min()), goal),
                    params.max_steps - drawn, budget // k)
         codes = streams.draw(trials[active].tolist(), _STREAM_STEP, [drawn] * k, [rows] * k,
                              bounds).reshape(k, rows)
-        fwd, bwd = codes == 2, codes == 1
-        lengths = _floored_lengths(length[active], fwd.view(np.int8) - bwd.view(np.int8), dtype)
-        col, hit = _first_at_least(lengths, params.warmup_links)
-        hit &= warm_steps[active] < 0  # never with no warmup: warm_steps starts at 0
-        warm_steps[active[hit]] = drawn + col[hit] + 1
-        col, done = _first_at_least(lengths, goal)
-        used = np.where(done, col + 1, rows)
-        # every trial uses the columns before the earliest finisher's end
-        common = int(used.min())
-        within = np.arange(common, rows) < used[:, None]
-        forward[active] += fwd[:, :common].sum(1) + (fwd[:, common:] & within).sum(1)
-        backward[active] += bwd[:, :common].sum(1) + (bwd[:, common:] & within).sum(1)
-        steps[active] += used
-        length[active] = lengths[np.arange(k), used - 1]
+        # a trial past its warmup length waits for a level it never reaches
+        warm = np.where(warm_steps[active] < 0, params.warmup_links, np.iinfo(np.int64).max)
+        warm_col, col, fwd, bwd, length[active] = _walk_round(codes, length[active], warm, goal)
+        hit = warm_col >= 0
+        warm_steps[active[hit]] = drawn + warm_col[hit] + 1
+        done = col >= 0
+        steps[active] += np.where(done, col + 1, rows)
+        forward[active] += fwd
+        backward[active] += bwd
         drawn += rows
         active = active[~done]
     capped = np.isin(np.arange(trials.size), active)
     return steps, forward, backward, np.where(warm_steps < 0, steps, warm_steps), capped
+
+
+def _count_before(tiles, win_at, half_at, at):
+    """Successes and first-only attempts before each flat position ``at`` of
+    preparation ``tiles``, of which ``win_at`` and ``half_at`` count those
+    before each tile and the end."""
+    width = tiles.shape[1]
+    t = np.minimum(at // width, tiles.shape[0] - 1)
+    before = tiles[t] * (np.arange(width) < (at - t * width)[:, None])
+    return win_at[t] + (before == 2).sum(axis=1), half_at[t] + (before == 1).sum(axis=1)
+
+
+def _nth_win(tiles, win_at, nth):
+    """Flat positions of the ``nth`` successes (from 1) of preparation ``tiles``."""
+    t = np.searchsorted(win_at, nth) - 1  # win_at[t] < nth <= win_at[t + 1]
+    seen = np.cumsum(tiles[t] == 2, axis=1)
+    return t * tiles.shape[1] + np.argmax(seen >= (nth - win_at[t])[:, None], axis=1)
 
 
 def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.ndarray,
@@ -319,40 +382,33 @@ def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.n
         codes = streams.draw(trials[active].tolist(), _STREAM_PREP, drawn[active].tolist(),
                              rows.tolist(), bounds)
         # an attempt whose first teleportation succeeds costs 2 ancillas, any other 1;
-        # count by flat position: successes, first-only successes, row starts
+        # count successes and first-only successes per tile of the flat codes
+        tiles, wins, halves = _tiled(codes, _tile_width(codes.size // active.size))
+        win_at, half_at = np.r_[0, np.cumsum(wins)], np.r_[0, np.cumsum(halves)]
         start = np.r_[0, np.cumsum(rows)]
-        wins, halves = np.flatnonzero(codes == 2), np.flatnonzero(codes == 1)
-        win_at, half_at = np.searchsorted(wins, start), np.searchsorted(halves, start)
+        row_wins, row_halves = _count_before(tiles, win_at, half_at, start)
         for mark, mark_units, mark_cs in zip(marks, units, cs):
             want = mark[active] - seen[active]
-            hit = (want > 0) & (want <= np.diff(win_at))
-            at = wins[win_at[:-1][hit] + want[hit] - 1]
+            hit = (want > 0) & (want <= np.diff(row_wins))
+            at = _nth_win(tiles, win_at, row_wins[:-1][hit] + want[hit])
             tried = at - start[:-1][hit] + 1
             i = active[hit]
             mark_units[i] = drawn[i] + tried
             # one more ancilla per success up to the want-th and per first-only attempt
             mark_cs[i] = (spent[i] + tried + want[hit]
-                          + np.searchsorted(halves, at) - half_at[:-1][hit])
+                          + _count_before(tiles, win_at, half_at, at)[1] - row_halves[:-1][hit])
         drawn[active] += rows
-        spent[active] += rows + np.diff(win_at) + np.diff(half_at)
-        seen[active] += np.diff(win_at)
+        spent[active] += rows + np.diff(row_wins) + np.diff(row_halves)
+        seen[active] += np.diff(row_wins)
         active = active[seen[active] < marks[-1, active]]
     return units, cs
 
 
-def _workers(params: WalkParams) -> int:
-    """Blocks that may run at once: ``params.threads``, at most the usable CPUs."""
-    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    cpus = len(usable) if usable else os.cpu_count() or 1
-    return min(params.threads or cpus, cpus)
-
-
 def _run_block(params: WalkParams, trials: np.ndarray) -> list[TrialResult]:
-    # each worker's share, so that all of them together hold _BLOCK_UNIFORMS
-    streams, budget = _Streams(params.seed), _BLOCK_UNIFORMS // _workers(params)
-    steps, fwd, bwd, warm_steps, capped = _walk(params, streams, trials, budget)
+    streams = _Streams(params.seed)
+    steps, fwd, bwd, warm_steps, capped = _walk(params, streams, trials, _BLOCK_UNIFORMS)
     (warm_units, units), (warm_cs, cs) = _prep(params, streams, trials,
-                                               np.stack([warm_steps, steps]), budget)
+                                               np.stack([warm_steps, steps]), _BLOCK_UNIFORMS)
     columns = (steps, fwd, bwd, units, cs, steps - warm_steps, units - warm_units,
                cs - warm_cs, capped)
     return [TrialResult(*row) for row in zip(*(c.tolist() for c in columns))]
@@ -384,40 +440,15 @@ def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
 
 
 def run_trials(params: WalkParams) -> list[TrialResult]:
-    """All trial results in trial order, computed a block of trials at a time.
-
-    Each trial draws from its own substreams, so the list does not depend on the block
-    size or on which worker runs a block.  Blocks go to min(``params.threads``, usable
-    CPUs, blocks) workers, the calling thread among them; the first exception a worker
-    raises is re-raised here once every worker has stopped.
-    """
-    workers = _workers(params)
-    rows = _walk_rows(params.n, params.warmup_links + params.target_links)
+    """All trial results in trial order, computed a block of trials at a time
+    on the calling thread.  Each trial draws from its own substreams, so the
+    list does not depend on the block size."""
+    rows = min(_walk_rows(params.n, 0, params.warmup_links + params.target_links),
+               params.max_steps)
     per_trial = max(rows, int(_prep_rows(params.n, rows)))
-    size = max(1, _BLOCK_UNIFORMS // workers // per_trial)
-    blocks = [np.arange(first, min(first + size, params.trials))
-              for first in range(0, params.trials, size)]
-    results, errors = [None] * len(blocks), []
-
-    def work(first: int) -> None:  # every ``workers``-th block from ``first``
-        try:
-            for i in range(first, len(blocks), workers):
-                if errors:
-                    return
-                results[i] = _run_block(params, blocks[i])
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    workers = min(workers, len(blocks))
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return [result for block in results for result in block]
+    size = max(1, _BLOCK_UNIFORMS // per_trial)
+    return [result for first in range(0, params.trials, size)
+            for result in _run_block(params, np.arange(first, min(first + size, params.trials)))]
 
 
 class WeaveModel(Enum):

@@ -1,11 +1,9 @@
 """Monte Carlo walker tests: determinism, distributions, convergence."""
 
 import math
-import os
-import sys
 import threading
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,11 +45,6 @@ def capped_walk(n, steps, trials, seed):
     return params, results
 
 
-def usable_cpus(monkeypatch, count):
-    """Let the walker see ``count`` usable CPUs, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def bounded(fn, timeout=60.0):
     """``fn()`` on a helper thread that must finish within ``timeout`` seconds:
     its result, or the exception it raised."""
@@ -80,6 +73,48 @@ _CHUNK = 4096
 def _floored_lengths_1d(start, deltas):
     s = start + np.cumsum(deltas)
     return s - np.minimum(np.minimum.accumulate(s), 0)
+
+
+def floored_lengths(start, deltas: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Walk positions with a reflecting floor at 0, vectorized along the last axis.
+
+    For L_k = max(0, L_{k-1} + d_k) with L_0 = start, the closed form is
+    L_k = S_k - min(0, min_{j<=k} S_j) with S_k = start + cumsum(d).
+    ``start`` is a scalar or holds one start per row of ``deltas``.  The running
+    minimum stops at the latest first minimum of a row below 0: past it, no floor moves.
+    """
+    lengths = np.cumsum(deltas, axis=-1, dtype=dtype)
+    lengths += np.expand_dims(start, -1)
+    rows = lengths.reshape(-1, lengths.shape[-1])  # 1-D input is one row
+    first = rows.argmin(axis=1)
+    low = rows[np.arange(rows.shape[0]), first]
+    if low.min() < 0:
+        end = int(first[low < 0].max()) + 1
+        floor = np.minimum.accumulate(rows[:, :end], axis=1)
+        np.minimum(floor, 0, out=floor)
+        rows[:, :end] -= floor
+        rows[:, end:] -= np.minimum(low, 0)[:, None]
+    return rows.reshape(lengths.shape)
+
+
+def first_at_least(values: np.ndarray, target) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``values``: the first column that reaches ``target``, and whether one does."""
+    reach = values >= target
+    col = reach.argmax(axis=1)
+    return col, reach[np.arange(col.size), col]
+
+
+def prefix_round(codes, start, warm, goal):
+    """``walker._walk_round`` from the floored length after every step of
+    every row: the whole-row prefix the tile passes replace."""
+    fwd, bwd = codes == 2, codes == 1
+    lengths = floored_lengths(start, fwd.view(np.int8) - bwd.view(np.int8))
+    warm_col, warm_hit = first_at_least(lengths, np.asarray(warm)[:, None])
+    col, done = first_at_least(lengths, goal)
+    used = np.where(done, col + 1, codes.shape[1])
+    within = np.arange(codes.shape[1]) < used[:, None]
+    return (np.where(warm_hit, warm_col, -1), np.where(done, col, -1), (fwd & within).sum(1),
+            (bwd & within).sum(1), lengths[np.arange(len(start)), used - 1])
 
 
 def chunked_trial(params, trial):
@@ -588,7 +623,7 @@ class TestFlooredWalk:
     def test_floor_closed_form_matches_scalar(self):
         rng = np.random.default_rng(4)
         deltas = rng.integers(-1, 2, size=500)
-        assert np.array_equal(walker._floored_lengths(3, deltas), scalar_floored(3, deltas))
+        assert np.array_equal(floored_lengths(3, deltas), scalar_floored(3, deltas))
 
     ROWS = {
         "never below 0": ([0, 1, -1, 1, 1, -1, 0, -1], 0),
@@ -607,7 +642,7 @@ class TestFlooredWalk:
     def test_rows_match_scalar(self, names, dtype):
         deltas = np.array([self.ROWS[name][0] for name in names], np.int8)
         starts = np.array([self.ROWS[name][1] for name in names])
-        got = walker._floored_lengths(starts, deltas, dtype)
+        got = floored_lengths(starts, deltas, dtype)
         assert got.dtype == dtype
         assert got.tolist() == [scalar_floored(s, d) for s, d in zip(starts, deltas)]
 
@@ -620,8 +655,99 @@ class TestFlooredWalk:
             """Rows of one width with their starts, against the scalar floor."""
             starts = np.array([start for start, _ in rows])
             deltas = np.array([d for _, d in rows], np.int8)
-            assert (walker._floored_lengths(starts, deltas).tolist()
+            assert (floored_lengths(starts, deltas).tolist()
                     == [scalar_floored(start, d) for start, d in rows])
+
+
+NEVER = np.iinfo(np.int64).max  # the warmup level of a trial already past it
+
+
+def walk_codes(rows):
+    """Walk codes from strings of steps: '+' forward (2), '-' backward (1), '0' neutral."""
+    return np.array([["0-+".index(c) for c in row] for row in rows], np.int8)
+
+
+class TestTilePasses:
+    """``walker._walk_round`` and the preparation tile counts at tile widths
+    of 4 and 8 codes, against the whole-row prefix and ``flatnonzero``."""
+
+    ROUNDS = {  # rows, starts, warmup levels, goal
+        "floor moves inside a tile": (["+--0-+--++++++++", "0+0--0+-0---+-++"],
+                                      [0, 0], [NEVER, NEVER], 6),
+        "passage on a tile edge": (["++++0000", "0000++++", "+++0+000"],
+                                   [0, 0, 0], [NEVER, NEVER, NEVER], 4),
+        "warmup and goal passages in one tile": (["0000++++", "-+-+++++"], [0, 0], [2, 2], 4),
+        "padded last tile": (["0000000+++0", "00000000000", "+0000000+-+"],
+                             [0, 0, 0], [NEVER, 2, 1], 3),
+        "rows that never pass": (["+-+-+-+-+-+-+-+-", "----------------", "++++++++--------"],
+                                 [0, 2, 1], [NEVER, NEVER, 5], 10),
+        "starts above 0": (["--------++++++++", "0-0-0-0-+++++++0", "+-+0++-+--0-++-+"],
+                           [5, 3, 6], [7, NEVER, 7], 8),
+    }
+
+    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize("name", list(ROUNDS))
+    def test_rounds_match_prefix(self, name, width, monkeypatch):
+        monkeypatch.setattr(walker, "_tile_width", lambda rows: width)
+        rows, starts, warm, goal = self.ROUNDS[name]
+        codes, starts, warm = walk_codes(rows), np.array(starts), np.array(warm)
+        got = walker._walk_round(codes, starts, warm, goal)
+        want = prefix_round(codes, starts, warm, goal)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    def test_hand_counted_passages(self):
+        """The edge and same-tile rounds' passages, counted by hand: at widths
+        4 and 8, columns 3, 4 and 7 are tile edges and columns 4-7 one tile."""
+        rows, starts, warm, goal = self.ROUNDS["passage on a tile edge"]
+        assert prefix_round(walk_codes(rows), np.array(starts), warm, goal)[1].tolist() == [3, 7, 4]
+        rows, starts, warm, goal = self.ROUNDS["warmup and goal passages in one tile"]
+        got = prefix_round(walk_codes(rows), np.array(starts), warm, goal)
+        assert (got[0].tolist(), got[1].tolist()) == ([5, 4], [7, 6])
+
+    if hypothesis is not None:
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+        @hypothesis.given(st.data())
+        def test_random_rounds_match_prefix(self, data):
+            """Rounds of any length from any start below the goal, each row
+            waiting for a warmup level above its start or for none."""
+            goal = data.draw(st.integers(1, 8))
+            width = data.draw(st.sampled_from([4, 8, 32]))
+            steps = data.draw(st.integers(1, 40))
+            rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=steps,
+                                               max_size=steps), min_size=1, max_size=5))
+            starts = np.array([data.draw(st.integers(0, goal - 1)) for _ in rows])
+            warm = np.array([data.draw(st.one_of(st.just(NEVER), st.integers(s + 1, goal)))
+                             for s in starts])
+            codes = np.array(rows, np.int8)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(walker, "_tile_width", lambda rows: width)
+                got = walker._walk_round(codes, starts, warm, goal)
+            want = prefix_round(codes, starts, warm, goal)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @pytest.mark.parametrize("size", [203, 256])
+    @pytest.mark.parametrize("width", [4, 8, 32])
+    def test_prep_counts_match_flatnonzero(self, width, size):
+        """Per flat position, the successes (2) and first-only attempts (1)
+        before it, and the position of every success, from tile counts and
+        one tile's scan; 203 codes pad the last tile."""
+        codes = np.random.default_rng(size).choice(3, size, p=[0.3, 0.3, 0.4]).astype(np.int8)
+        tiles, wins, halves = walker._tiled(codes, width)
+        win_at, half_at = np.r_[0, np.cumsum(wins)], np.r_[0, np.cumsum(halves)]
+        twos, ones = np.flatnonzero(codes == 2), np.flatnonzero(codes == 1)
+        at = np.arange(size + 1)
+        got = walker._count_before(tiles, win_at, half_at, at)
+        assert got[0].tolist() == np.searchsorted(twos, at).tolist()
+        assert got[1].tolist() == np.searchsorted(ones, at).tolist()
+        wanted = walker._nth_win(tiles, win_at, np.arange(1, twos.size + 1))
+        assert wanted.tolist() == twos.tolist()
+        assert (walker._count_before(tiles, win_at, half_at, wanted)[1].tolist()
+                == np.searchsorted(ones, twos).tolist())
+
+    def test_tile_width(self):
+        """A power of two near the square root of the row length, 32 to 1024."""
+        assert [walker._tile_width(rows) for rows in (1, 600, 1500, 2225, 10_485, 1 << 20, 1 << 30)
+                ] == [32, 32, 32, 64, 128, 1024, 1024]
 
 
 class TestBuildChain:
@@ -647,126 +773,66 @@ class TestBuildChain:
             cs += ancillas
         assert (got.steps, got.units, got.cs) == (steps, units, cs)
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("width", [None, 4, 8])
     @pytest.mark.parametrize("kw, budget", [
         (dict(n=2, target_links=30, trials=37, seed=5), 1 << 15),
         (dict(n=2, target_links=30, trials=37, seed=5, warmup_links=0), 1 << 14),
         (dict(n=3, target_links=60, trials=13, seed=2 ** 64 - 1, warmup_links=7), 1 << 12),
         (dict(n=5, target_links=40, trials=11, seed=3, warmup_links=0), 1 << 11),
-        (dict(n=1, target_links=50, trials=7, seed=1, max_steps=2000, warmup_links=0), 1 << 16),
-        (dict(n=1, target_links=4, trials=25, seed=4, max_steps=3000, warmup_links=2), 1 << 17),
+        (dict(n=1, target_links=50, trials=7, seed=1, max_steps=2000, warmup_links=0), 1 << 15),
+        (dict(n=1, target_links=4, trials=25, seed=4, max_steps=3000, warmup_links=2), 1 << 16),
     ])
-    def test_blocks_equal_per_trial_oracle(self, kw, budget, threads, monkeypatch):
-        """Blocks of trials give the oracle's results exactly on any number
-        of workers, also when the last block is shorter than the others and
-        draws span several chunks."""
-        params = walker.WalkParams(**kw, threads=threads)
-        blocks = []
-        run_block = walker._run_block
-        usable_cpus(monkeypatch, 3)
-        # each worker holds a share of the budget: the same blocks at any count
-        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", budget * threads)
+    def test_blocks_equal_per_trial_oracle(self, kw, budget, width, monkeypatch):
+        """Blocks of trials give the oracle's results exactly, at the module's
+        tile widths and at 4 and 8 codes, also when the last block is shorter
+        than the others and draws span several chunks; no draw holds more
+        than the block budget."""
+        params = walker.WalkParams(**kw)
+        blocks, sizes = [], []
+        run_block, draw = walker._run_block, walker._Streams.draw
+        if width:
+            monkeypatch.setattr(walker, "_tile_width", lambda rows: width)
+        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", budget)
         monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", 96)
         monkeypatch.setattr(walker, "_run_block", lambda p, trials: blocks.append(
-            (trials[0], trials.size)) or run_block(p, trials))
+            trials.size) or run_block(p, trials))
+        monkeypatch.setattr(walker._Streams, "draw", lambda streams, *args: sizes.append(
+            sum(args[3])) or draw(streams, *args))
         assert walker.run_trials(params) == [chunked_trial(params, t)
                                              for t in range(params.trials)]
-        sizes = [size for _, size in sorted(blocks)]  # workers finish in any order
-        assert sum(sizes) == params.trials
-        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        assert sum(blocks) == params.trials
+        assert len(blocks) > 1 and blocks[-1] < blocks[0]
+        assert max(sizes) <= budget
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("n, warmup", [(2, 0), (3, 20)])
-    def test_trials_that_outrun_their_sized_draws(self, n, warmup, threads, monkeypatch):
+    def test_trials_that_outrun_their_sized_draws(self, n, warmup, monkeypatch):
         """With no margin about half the trials need more rows than the
         first round draws, in the walk and in the preparations."""
-        usable_cpus(monkeypatch, 3)
         monkeypatch.setattr(walker, "_MARGIN", 0.0)
         params = walker.WalkParams(n=n, target_links=40, trials=40, seed=8,
-                                   warmup_links=warmup, threads=threads)
+                                   warmup_links=warmup)
         want = [chunked_trial(params, t) for t in range(params.trials)]
         assert walker.run_trials(params) == want
         goal = params.warmup_links + params.target_links
-        longer = [t.steps > walker._walk_rows(n, goal) for t in want]
+        longer = [t.steps > walker._walk_rows(n, 0, goal) for t in want]
         assert 5 < sum(longer) < 35
         assert any(t.units > walker._prep_rows(n, t.steps) for t in want)
 
-    @pytest.mark.parametrize("on_worker", [True, False])
-    def test_block_error_reaches_caller(self, on_worker, monkeypatch):
-        """An exception in a block, on a worker thread or on the calling
-        thread, is raised by run_trials after every worker has stopped."""
-        usable_cpus(monkeypatch, 3)
-        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 14)
-        run_block, caller = walker._run_block, []
+    @pytest.mark.parametrize("start, goal", [(0, 1), (0, 5), (4, 5), (3, 12), (0, 40), (10, 74)])
+    def test_order_one_rows_from_exact_moments(self, start, goal):
+        """At order 1, a round holds the exact mean steps from ``start`` to
+        ``goal`` plus ``_MARGIN`` exact standard deviations."""
+        levels = walk_moments.level_moments(1, goal)
+        assert all(m.mean == -8 + 12 * Fraction(3, 2) ** k for k, m in enumerate(levels))
+        want = (float(sum(m.mean for m in levels[start:]))
+                + walker._MARGIN * math.sqrt(sum(m.var for m in levels[start:])))
+        assert want <= walker._walk_rows(1, start, goal) < want * (1 + 1e-12) + 1
 
-        def failing(p, trials):
-            if (threading.current_thread() in caller) != on_worker:
-                raise RuntimeError("block failed")
-            return run_block(p, trials)
-
-        def run():
-            caller.append(threading.current_thread())
-            return walker.run_trials(walker.WalkParams(n=2, target_links=30, trials=37,
-                                                       seed=5, threads=3))
-
-        monkeypatch.setattr(walker, "_run_block", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="block failed"):
-            bounded(run)
-        assert threading.active_count() == before
-
-    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
-        """Eight workers that switch every microsecond still put every block's
-        results in its own place, on however many cores the host has."""
-        usable_cpus(monkeypatch, 8)
-        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 15)
-        params = walker.WalkParams(n=2, target_links=30, trials=97, seed=13, threads=8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = bounded(lambda: walker.run_trials(params))
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [chunked_trial(params, t) for t in range(params.trials)]
-
-    @pytest.mark.parametrize("threads, cpus, trials", [
-        (8, 3, 37), (2, 3, 37), (None, 3, 37), (8, 1, 37), (None, 2, 37), (8, 3, 2), (8, 3, 1)])
-    def test_workers_capped_by_threads_cpus_and_blocks(self, threads, cpus, trials,
-                                                       monkeypatch):
-        """The calling thread plus one started thread per further worker:
-        never more workers than threads, usable CPUs or blocks."""
-        usable_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 13)
-        blocks, starts = [], []
-        run_block, start = walker._run_block, threading.Thread.start
-        monkeypatch.setattr(walker, "_run_block",
-                            lambda p, t: blocks.append(t.size) or run_block(p, t))
-        monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
-        params = walker.WalkParams(n=2, target_links=30, trials=trials, seed=5, threads=threads)
-        walker.run_trials(params)
-        assert len(starts) + 1 == min(threads or cpus, cpus, len(blocks))
-        assert (trials == 1) == (len(blocks) == 1)
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("kw", [dict(n=2, target_links=30, trials=37, seed=5),
-                                    dict(n=3, target_links=2000, trials=5, seed=6)])
-    def test_workers_share_one_budget(self, kw, threads, monkeypatch):
-        """Each worker's draws hold at most its share of the uniforms, also
-        when a single trial needs several rounds."""
-        usable_cpus(monkeypatch, 3)
-        monkeypatch.setattr(walker, "_BLOCK_UNIFORMS", 1 << 14)
-        params = walker.WalkParams(**kw, threads=threads)
-        want = walker.run_trials(replace(params, threads=1))
-        sizes, draw = [], walker._Streams.draw
-
-        def recording(streams, *args):
-            out = draw(streams, *args)
-            sizes.append(out.size)
-            return out
-
-        monkeypatch.setattr(walker._Streams, "draw", recording)
-        assert walker.run_trials(params) == want
-        assert max(sizes) <= (1 << 14) // threads
+    def test_order_one_rows_past_64_levels(self):
+        """Past 64 levels only the first 64 are summed: already more steps
+        than a round may hold."""
+        rows = walker._walk_rows(1, 7, 10_000)
+        assert rows == walker._walk_rows(1, 7, 7 + 64) > walker._BLOCK_UNIFORMS
 
     def test_thread_count_does_not_change_results(self):
         base = dict(n=2, target_links=30, trials=24, seed=5)

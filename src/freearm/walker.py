@@ -19,8 +19,8 @@ trial's first hits from per-tile counts of its codes, scanning step by step
 only the few tiles that can hold a hit; trials that need more rows continue
 in later rounds.  Blocks run one after another on the calling thread.
 :func:`simulate_step` and :func:`simulate_prep` read the same streams one event
-at a time, and the weave and cluster batches read trial 0, stream 0 through
-:meth:`_Streams.draw`.
+at a time, and the weave and cluster batches read trial 0, stream 0 one reader
+buffer of ``_CHUNK_UNIFORMS`` doubles at a time, keeping per-value counts.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ _STREAM_PREP = 1
 _MARGIN = 4.0  # standard deviations of headroom in each sized draw
 _BLOCK_UNIFORMS = 1 << 20  # uniforms in flight, held as 1-byte codes
 _CHUNK_UNIFORMS = 1 << 15  # doubles the reader holds at once: 256 kB
+_ROUND_LIMIT = 2 ** 16 - 1  # weave rounds stop short: after round r an arm counter is <= r + 1
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # words in one PCG64DXSM.jumped: (phi - 1) * 2^128
 
 
@@ -115,21 +116,22 @@ class WalkStats:
 
 
 def mean_stderr(values) -> Estimate:
-    """Sample mean with sample-corrected (ddof=1) standard error; 0 for a single value.
-    Unsigned 8- or 16-bit samples (the batch counters) get exact moments from
-    per-value counts, with no float64 copy of the samples."""
+    """Sample mean with sample-corrected (ddof=1) standard error; 0 for a single value."""
     arr = np.asarray(values)
     if arr.size == 0:
         raise ValueError("cannot aggregate an empty list")
     if arr.size == 1:
         return Estimate(float(arr[0]), 0.0)
-    if arr.dtype.kind != "u" or arr.dtype.itemsize > 2:
-        return Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))
-    top = int(arr.max()) + 1
-    counts = sum(np.bincount(arr[i:i + _CHUNK_UNIFORMS], minlength=top)
-                 for i in range(0, arr.size, _CHUNK_UNIFORMS)).tolist()
-    n, s1, s2 = (sum(x ** k * c for x, c in enumerate(counts)) for k in range(3))
-    var_of_mean = Fraction(n * s2 - s1 * s1, n * n * (n - 1))
+    return Estimate(float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size)))
+
+
+def count_mean_stderr(counts) -> Estimate:
+    """:func:`mean_stderr` of integer samples given as per-value counts
+    (``counts[v]`` samples equal v), each rounded once from its exact rational."""
+    n, s1, s2 = (sum(v ** k * int(c) for v, c in enumerate(counts)) for k in range(3))
+    if n == 0:
+        raise ValueError("cannot aggregate an empty list")
+    var_of_mean = Fraction(n * s2 - s1 * s1, n * n * max(n - 1, 1))  # 0 for one sample
     return Estimate(float(Fraction(s1, n)), math.sqrt(var_of_mean))
 
 
@@ -422,21 +424,11 @@ def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
     rates the closed forms describe.
     """
     done = [t for t in trials if not t.capped]
-    if done:
-        target = params.target_links
-        apl = mean_stderr([t.measured_steps / target for t in done])
-        upl = mean_stderr([t.measured_units / target for t in done])
-        cpl = mean_stderr([t.measured_cs / target for t in done])
-    else:
-        apl = upl = cpl = Estimate(math.nan, math.nan)
+    rates = [mean_stderr([getattr(t, field) / params.target_links for t in done]) if done
+             else Estimate(math.nan, math.nan)
+             for field in ("measured_steps", "measured_units", "measured_cs")]
     drift = mean_stderr([(t.forward - t.backward) / t.steps for t in trials if t.steps])
-    return WalkStats(
-        capped_trials=len(trials) - len(done),
-        attempts_per_net_link=apl,
-        units_per_link=upl,
-        cs_per_link=cpl,
-        drift=drift,
-    )
+    return WalkStats(len(trials) - len(done), *rates, drift)
 
 
 def run_trials(params: WalkParams) -> list[TrialResult]:
@@ -472,32 +464,60 @@ class WeaveStats:
     arms_per_side: Estimate
 
 
+def _batch_rows(streams: _Streams, drawn: int, rows: int, width: int, bound: float):
+    """Reads ``rows`` rows of ``width`` doubles of trial 0, stream 0 after its first ``drawn``
+    a reader buffer at a time; yields each slice's first row and its rows' doubles < ``bound``."""
+    step = max(1, _CHUNK_UNIFORMS // width)
+    buf = np.empty(min(rows, step) * width)
+    for first in range(0, rows, step):
+        u = buf[:min(step, rows - first) * width]
+        streams.read(0, _STREAM_STEP, drawn + first * width, u)
+        yield first, (u < bound).reshape(-1, width)
+
+
 def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
     """Vectorized lockstep batch of independent weaves (see :class:`WeaveModel`), drawn
     round by round, in weave order, from trial 0, stream 0 of the walker's streams."""
     s = float(analytics.ftel_success(m, name="m"))
     streams, drawn = _Streams(seed), 0
-    arms = np.ones((count, 2), np.uint16)  # wraps at 2^16 rounds: odds (3/4)^65535 at m >= 1
+    arms = np.ones((count, 2), np.uint16)
     if model is WeaveModel.FULL_CZ_RETRY:
-        cs = np.zeros(count, np.uint16)
-        active = np.arange(count)
-        while active.size:
-            ok = streams.draw([0], _STREAM_STEP, [drawn], [2 * active.size], (s,))
-            ok = ok.view(bool).reshape(-1, 2)
-            drawn += ok.size
-            cs[active] += 1
-            arms[active] += ~ok
-            active = active[~(ok[:, 0] & ok[:, 1])]
-    else:
-        for side in range(2):
-            active = np.arange(count)
-            while active.size:
-                ok = streams.draw([0], _STREAM_STEP, [drawn], [active.size], (s,))
-                drawn += active.size
-                active = active[ok == 0]
-                arms[active, side] += 1
-        cs = np.maximum(arms[:, 0], arms[:, 1])
-    return WeaveStats(count, mean_stderr(cs), mean_stderr(arms.ravel()))
+        # the weaves still retrying are arms[:k], in weave order; each finished
+        # weave counts its rounds in rounds[r] and its two arms in arm_hist
+        rounds, arm_hist, k = [0], np.zeros(1, np.int64), count
+        while k:
+            if len(rounds) >= _ROUND_LIMIT:
+                raise OverflowError(f"weave round {len(rounds)} would wrap the arm counters")
+            arm_hist, kept = np.r_[arm_hist, 0], 0
+            for first, ok in _batch_rows(streams, drawn, k, 2, s):
+                held = arms[first:first + len(ok)]
+                held += ~ok
+                done = ok[:, 0] & ok[:, 1]
+                arm_hist += np.bincount(held.compress(done, 0).ravel(), minlength=arm_hist.size)
+                retry = held.compress(~done, 0)
+                arms[kept:kept + len(retry)] = retry
+                kept += len(retry)
+            rounds.append(k - kept)
+            drawn, k = drawn + 2 * k, kept
+        return WeaveStats(count, count_mean_stderr(rounds), count_mean_stderr(arm_hist))
+    index = np.int32 if count <= 2 ** 31 else np.int64
+    for side in range(2):
+        # round 1 covers every weave; later rounds index the weaves still retrying
+        r, k = 1, count
+        while k:
+            if r >= _ROUND_LIMIT:
+                raise OverflowError(f"weave round {r} would wrap the arm counters")
+            active = np.concatenate([
+                np.flatnonzero(~ok[:, 0]).astype(index) + first if r == 1
+                else active[first:first + len(ok)][~ok[:, 0]]
+                for first, ok in _batch_rows(streams, drawn, k, 1, s)])
+            arms[active, side] += 1
+            r, drawn, k = r + 1, drawn + k, active.size
+    top = int(arms.max(initial=0)) + 1
+    pairs = np.split(arms, range(_CHUNK_UNIFORMS, count, _CHUNK_UNIFORMS))
+    cs_hist = sum(np.bincount(np.maximum(p[:, 0], p[:, 1]), minlength=top) for p in pairs)
+    arm_hist = sum(np.bincount(p.ravel(), minlength=top) for p in pairs)
+    return WeaveStats(count, count_mean_stderr(cs_hist), count_mean_stderr(arm_hist))
 
 
 @dataclass
@@ -517,15 +537,15 @@ def cluster_batch(n: int, count: int, seed: int) -> ClusterStats:
     compared to, not asserted against, ``cluster_resources_per_unit``.
     """
     p = float(analytics.cz_success(n))
-    tries = _Streams(seed).draw([0], _STREAM_STEP, [0], [3 * count], (p,))
-    tries = tries.view(bool).reshape(count, 3)
-    # an attempt costs one ancilla per try up to its first success, at most three
-    miss = ~tries[:, 0]
-    cs = count + int(np.count_nonzero(miss))
-    miss &= ~tries[:, 1]
-    cs += int(np.count_nonzero(miss))
-    miss &= ~tries[:, 2]
-    net = count - 2 * int(np.count_nonzero(miss))
+    cs = net = 0
+    for _, tries in _batch_rows(_Streams(seed), 0, count, 3, p):
+        # an attempt costs one ancilla per try up to its first success, at most three
+        miss = ~tries[:, 0]
+        cs += len(tries) + int(np.count_nonzero(miss))
+        miss &= ~tries[:, 1]
+        cs += int(np.count_nonzero(miss))
+        miss &= ~tries[:, 2]
+        net += len(tries) - 2 * int(np.count_nonzero(miss))
     if net <= 0:
         return ClusterStats(count, math.inf, math.inf)
     return ClusterStats(count, count / net, cs / net)

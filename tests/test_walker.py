@@ -473,27 +473,38 @@ class TestSubstreams:
 
 
 class TestMeanStderr:
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    """Integer samples (the batch counters) get exact moments from per-value
+    counts; other samples keep numpy's float moments."""
+
+    @pytest.mark.parametrize("kind", [list, np.array], ids=["list", "array"])
     @pytest.mark.parametrize("values", [[7, 7], [0, 1], [1, 2], [65, 65, 65], [3] * 100,
                                         [1, 2, 2, 3, 9, 1, 1], [0] * 5 + [255]])
-    def test_small_counters_match_fraction_oracle(self, values, dtype):
-        got = walker.mean_stderr(np.array(values, dtype))
+    def test_small_counters_match_fraction_oracle(self, values, kind):
+        got = walker.count_mean_stderr(kind(np.bincount(values).tolist()))
         assert got == exact_mean_stderr(values)
         if len(set(values)) == 1:
             assert got.stderr == 0.0
 
-    @pytest.mark.parametrize("chunk", [None, 7])
-    def test_counts_across_chunks(self, chunk, monkeypatch):
-        if chunk:
-            monkeypatch.setattr(walker, "_CHUNK_UNIFORMS", chunk)
-        values = np.random.default_rng(3).geometric(0.3, 1000).astype(np.uint16)
-        values[-1] = 2 ** 16 - 1
-        assert walker.mean_stderr(values) == exact_mean_stderr(values)
+    @pytest.mark.parametrize("top", [2 ** 8 - 1, 2 ** 16 - 1])
+    def test_counts_up_to_the_counter_limit(self, top):
+        values = np.random.default_rng(3).geometric(0.3, 1000)
+        values[-1] = top
+        assert walker.count_mean_stderr(np.bincount(values)) == exact_mean_stderr(values)
+
+    def test_counts_past_int64_moments(self):
+        """10^10 samples of each of 1 and 2: n^2 (n - 1) overflows int64."""
+        n = 2 * 10 ** 10
+        got = walker.count_mean_stderr(np.array([0, n // 2, n // 2]))
+        assert got == walker.Estimate(1.5, math.sqrt(Fraction(1, 4 * (n - 1))))
 
     def test_single_value_and_empty(self):
-        assert walker.mean_stderr(np.array([4], np.uint16)) == walker.Estimate(4.0, 0.0)
+        assert walker.count_mean_stderr([0, 0, 0, 0, 1]) == walker.Estimate(4.0, 0.0)
+        assert walker.mean_stderr([4.5]) == walker.Estimate(4.5, 0.0)
+        for empty in ([], [0, 0]):
+            with pytest.raises(ValueError):
+                walker.count_mean_stderr(empty)
         with pytest.raises(ValueError):
-            walker.mean_stderr(np.array([], np.uint16))
+            walker.mean_stderr([])
 
     def test_other_samples_keep_numpy_moments(self):
         values = [0.5, 1.25, 4.0]
@@ -966,6 +977,11 @@ class TestBatchDraws:
         assert walker.cluster_batch(2, 0, 1) == walker.ClusterStats(0, math.inf, math.inf)
 
     @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
+    def test_weave_with_no_weaves(self, model):
+        with pytest.raises(ValueError, match="cannot aggregate an empty list"):
+            walker.weave_batch(2, model, 0, 1)
+
+    @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     def test_weave_equals_lockstep_scalar(self, seed, m, model):
@@ -986,24 +1002,63 @@ class TestBatchDraws:
 
 
 class TestBatchMemory:
-    """Traced peak bytes per weave or attempt at 200,000 of them.  A weave
-    holds 2-byte arm and round counters, a slice of the index of weaves still
-    retrying and one round's 1-byte compares; the standard error over the
-    2 x 200,000 arm counts then makes numpy's 8-byte deviation array, 16 bytes
-    per weave.  Float64 uniforms and int64 counters took 56 to 76 bytes per
-    weave and 27 per cluster attempt."""
+    """Traced peak bytes: fixed bytes set by the reader buffer's C =
+    ``_CHUNK_UNIFORMS`` doubles, plus bytes per weave.
+
+    Fixed: the buffer's 8-byte doubles (8 C) and the 1-byte compares of two
+    slices (2 C), while a slice works on at most C arm values or indices:
+    ``bincount``'s 8-byte copy of them (8 C), and 2-byte arm or 4-byte index
+    copies (4 C at m <= 3); 24 C covers these and the small arrays.  Per
+    weave: ``full-cz-retry`` holds only its two 2-byte arm counters, 4
+    bytes.  ``independent-sides`` also holds a 4-byte index of each weave
+    still retrying after its first round on a side, a share 1 - s of them,
+    twice while the slices' pieces are joined: 4 + 8 (1 - s) bytes, 8 at
+    m = 1.  A cluster batch keeps only running sums, so its peak does not
+    grow with the count.  Whole-round arrays took up to 32 bytes per weave
+    and 8 per cluster attempt."""
 
     COUNT = 200_000
+
+    @staticmethod
+    def peak(fn):
+        fn(1000)  # numpy's first-use allocations are not the batch's
+        return traced_peak(lambda: fn(TestBatchMemory.COUNT))
 
     @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("m", [1, 3])
     def test_weave(self, m, model):
-        peak = traced_peak(lambda: walker.weave_batch(m, model, self.COUNT, seed=1))
-        assert peak <= 32 * self.COUNT
+        peak = self.peak(lambda count: walker.weave_batch(m, model, count, seed=1))
+        per_weave = 4 if model is walker.WeaveModel.FULL_CZ_RETRY else 4 + 8 / (m + 1)
+        assert peak <= 24 * walker._CHUNK_UNIFORMS + per_weave * self.COUNT
 
-    def test_cluster(self):
-        peak = traced_peak(lambda: walker.cluster_batch(2, self.COUNT, seed=1))
-        assert peak <= 8 * self.COUNT
+    @pytest.mark.parametrize("scale", [1, 10])
+    def test_cluster(self, scale):
+        peak = self.peak(lambda count: walker.cluster_batch(2, scale * count, seed=1))
+        assert peak <= 24 * walker._CHUNK_UNIFORMS
+
+
+class TestRoundLimit:
+    """Past the round limit a 2-byte arm counter could wrap, so the batch
+    stops with an internal fault, not a usage error."""
+
+    @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
+    def test_batch_stops_before_counters_wrap(self, model, monkeypatch):
+        monkeypatch.setattr(walker, "_ROUND_LIMIT", 3)
+        with pytest.raises(OverflowError) as exc:
+            walker.weave_batch(1, model, 1000, seed=1)
+        assert not isinstance(exc.value, analytics.InputError)
+
+    @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
+    def test_limit_is_one_past_the_last_round(self, model, monkeypatch):
+        """The deepest weave runs max(cs) rounds (on one side, for
+        ``independent-sides``), so the batch runs at limit max(cs) + 1 and
+        stops at max(cs)."""
+        cs, _ = lockstep_weaves(1, model, 200, walker.substream(1, 0, 0))
+        monkeypatch.setattr(walker, "_ROUND_LIMIT", max(cs) + 1)
+        assert walker.weave_batch(1, model, 200, seed=1).cs_mean.mean == np.mean(cs)
+        monkeypatch.setattr(walker, "_ROUND_LIMIT", max(cs))
+        with pytest.raises(OverflowError):
+            walker.weave_batch(1, model, 200, seed=1)
 
 
 class TestCluster:

@@ -13,7 +13,8 @@ Each subcommand computes one :class:`Report`; :func:`render` writes it as a
 table, JSON or CSV.  Exit status: 0 all checks passed (or informational
 divergence), 1 a verification failed, 2 usage error.  Reports are
 byte-identical for identical configuration and seed, regardless of
-``--threads``.  ``FREEARM_SEED`` sets the default seed.
+``--threads``.  ``FREEARM_SEED`` sets the default seed.  Each subcommand
+imports only the engine it runs, so a process compiles no other engine.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytics, fock, statevec, walker
+from . import analytics
 
 SCHEMA_VERSION = 1
 
@@ -149,6 +150,7 @@ def cmd_analytic(args) -> Report:
 
 
 def cmd_walk(args) -> Report:
+    from . import walker
     params = walker.WalkParams(n=args.n, target_links=args.target_links, trials=args.trials,
                                seed=args.seed, max_steps=args.max_steps,
                                warmup_links=args.warmup_links, threads=args.threads)
@@ -202,6 +204,7 @@ def cmd_walk(args) -> Report:
 
 
 def cmd_weave(args) -> Report:
+    from . import walker
     model = walker.WeaveModel(args.model)
     full_retry = model is walker.WeaveModel.FULL_CZ_RETRY
     key, target = (("cs_mean", analytics.weave_cs_per_gate(args.m)) if full_retry
@@ -231,6 +234,7 @@ def cmd_weave(args) -> Report:
 
 
 def cmd_cluster(args) -> Report:
+    from . import walker
     stats = walker.cluster_batch(args.n, args.count, args.seed)
     closed = analytics.cluster_resources_per_unit(args.n)
     params = {"n": args.n, "count": args.count, "seed": args.seed}
@@ -251,6 +255,7 @@ def cmd_cluster(args) -> Report:
 
 
 def cmd_verify_weave(args) -> Report:
+    from . import statevec
     branches = statevec.weave(statevec.bracket_state("p", 1), statevec.bracket_state("q", 1),
                               statevec.arm("p", 2), statevec.arm("q", 2))
     target = statevec.woven_target("p", 2, "q", 2)
@@ -270,6 +275,7 @@ def cmd_verify_weave(args) -> Report:
 
 
 def cmd_verify_evolve(args) -> Report:
+    from . import statevec
     # the report prints 64^c, and Python may cap int-to-str digits (0, or no
     # getter before 3.10.7: no cap); 64^c fits d digits iff 6c <= log2(10^d)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -301,6 +307,7 @@ def cmd_verify_evolve(args) -> Report:
 
 
 def cmd_fock_cz(args) -> Report:
+    from . import fock
     rep = fock.cz_success_report(args.n)
     ok = (abs(rep["success_probability"] - rep["expected_success_probability"]) <= 1e-12
           and rep["min_success_fidelity"] >= 1 - 1e-10)
@@ -366,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weave", help="Monte Carlo weave resources")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--model", choices=[m.value for m in walker.WeaveModel],
-                   default=walker.WeaveModel.FULL_CZ_RETRY.value)
+    # walker.WeaveModel's values, spelled out so the parser loads no engine
+    p.add_argument("--model", choices=["full-cz-retry", "independent-sides"],
+                   default="full-cz-retry")
     p.add_argument("--count", type=_at_least(1), default=1_000_000)
     common(p, cmd_weave)
 

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import freearm
 import walk_moments
-from freearm import analytics, cli, fock
+from freearm import analytics, cli, fock, walker
 
 
 def run(argv, capsys):
@@ -331,15 +332,20 @@ class TestOutputBoundary:
             cli.render(report, "test", "json", io.StringIO())
 
 
+def fresh_python(*args):
+    """Run a fresh interpreter that imports this ``freearm``."""
+    root = str(Path(freearm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestEntryPoint:
     """``python -m freearm`` in a fresh interpreter, as the installed script runs."""
 
     @staticmethod
     def module(*argv):
-        root = str(Path(freearm.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "freearm", *argv], capture_output=True,
-                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        return fresh_python("-m", "freearm", *argv)
 
     def test_report_exits_zero(self):
         proc = self.module("fock-cz", "--n", "1")
@@ -350,3 +356,39 @@ class TestEntryPoint:
         proc = self.module("fock-cz", "--n", "4")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: desk-scale cap: order must be 1, 2 or 3"]
+
+
+# imports freearm.cli, runs the report named on the command line (if any; a
+# 10-weave batch may miss its convergence gate) and prints the engines then
+# loaded, one per line
+LOADED = """
+import contextlib, io, sys
+import freearm.cli as cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) in (0, 1)
+print("\\n".join(sorted({engines!r} & set(sys.modules))))
+""".format(engines={"freearm.fock", "freearm.statevec", "freearm.walker"})
+
+
+class TestLazyEngines:
+    """Each subcommand loads only the engine it runs, in a fresh interpreter."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ((), []),
+        (("analytic",), []),
+        (("fock-cz", "--n", "1"), ["freearm.fock"]),
+        (("weave", "--m", "2", "--count", "10"), ["freearm.walker"]),
+        (("verify-weave",), ["freearm.statevec"]),
+    ])
+    def test_loads_only_its_engine(self, argv, loaded):
+        proc = fresh_python("-c", LOADED, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == loaded
+
+    def test_model_choices_are_the_weave_models(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        model = next(a for a in sub.choices["weave"]._actions if a.dest == "model")
+        assert model.choices == [m.value for m in walker.WeaveModel]
+        assert model.default == walker.WeaveModel.FULL_CZ_RETRY.value

@@ -49,17 +49,20 @@ def main():
               f"  min fidelity {rep['min_success_fidelity']:.12f}")
 
     print("\nThe conditional sign is really there: send in |1>|1>, compare")
-    print("against |0>|0> branch by branch -- the two-excitation amplitude")
-    print("flips sign after the per-branch phase corrections, which is what")
-    print("makes the gate entangling rather than a pair of independent")
-    print("teleportations:")
+    print("against |0>|0> -- the two-excitation amplitude flips sign after the")
+    print("phase corrections, which is what makes the gate entangling rather")
+    print("than a pair of independent teleportations.  A joint success that")
+    print("detects ka and kb photons leaves the rails of the 2x2 block of")
+    print("|CS_n> at rows ka, ka-1 and columns kb, kb-1, up to a global phase,")
+    print("so the sign is checked once per block:")
     one, zero = (0, 1), (1, 0)
-    for n in (1, 2):
-        ratio = (fock.cz_via_cs(one, one, n).rails[:, 1, 1]
-                 / fock.cz_via_cs(zero, zero, n).rails[:, 0, 0])
+    for n in (1, 2, 3):
+        ratio = (fock.cz_via_cs(one, one, n).rails[..., 1, 1]
+                 / fock.cz_via_cs(zero, zero, n).rails[..., 0, 0])
         flipped = np.count_nonzero(np.abs(ratio + 1) <= 1e-12)
-        print(f"  n = {n}: c_11 / c_00 = -1 (to 1e-12) on {flipped} of "
-              f"{len(ratio)} joint successes")
+        successes = fock.cz_success_report(n)["success_branches"]
+        print(f"  n = {n}: c_11 / c_00 = -1 (to 1e-12) on {flipped} of {ratio.size} "
+              f"blocks, which cover all {successes} joint successes")
 
 
 if __name__ == "__main__":

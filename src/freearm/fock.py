@@ -11,9 +11,11 @@ is read from the single-teleport transfer tensor
 T[p, x, i] = <p| F_{n+1} |x, 1^i 0^{n-i}>, built from 2(n+1) basis inputs
 by the mode-unitary code.  The conditional-phase gate teleports both rails
 through the two halves of one |CS_n> on disjoint modes, so each joint branch
-amplitude factorizes over T and the gate report is a few array operations
-on T.  The gate takes each dual-rail qubit as its two rail amplitudes
-(alpha, beta), the form it computes with.  Desk scale only: orders up to 3.
+amplitude factorizes over T and the s_ij; photon-number conservation leaves
+one entry of T per pattern and rail value, so the gate is checked per
+detection pattern and per 2x2 block of the s_ij, never per pattern pair.
+The gate takes each dual-rail qubit as its two rail amplitudes (alpha,
+beta), the form it computes with.  Desk scale only: orders up to 5.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .analytics import InputError, cz_success
 
 _AMP_EPS = 1e-14
 _PLUS = (1 / math.sqrt(2), 1 / math.sqrt(2))
+_ORDERS = range(1, 6)
 
 
 class FockError(Exception):
@@ -156,18 +159,31 @@ def transfer_tensor(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
 
 @dataclass
 class CzBranches:
-    """The outcomes of one gate attempt in lexicographic (pattern_a, pattern_b)
-    order, held as arrays; ``len()`` is the branch count."""
+    """The outcomes of one gate attempt, held per detection pattern and per
+    2x2 block of |CS_n>.
+
+    Branch (pa, pb) pairs a live pattern on each side, in lexicographic
+    order, so ``len()``, the branch count, is the product of the live
+    counts.  A branch is a joint success when both patterns are teleported;
+    every joint success with totals (ka, kb) leaves the rails
+    ``rails[ka-1, kb-1]`` up to a global phase.
+    """
 
     patterns: list[tuple[int, ...]]
-    index_a: np.ndarray             # row of pattern_a in ``patterns``, per branch
-    index_b: np.ndarray
-    probability: np.ndarray
-    success: np.ndarray
-    rails: np.ndarray               # corrected c_xy of each joint success, (successes, 2, 2)
+    totals: np.ndarray              # photons detected, per pattern
+    live_a: np.ndarray              # the pattern has nonzero probability on side a
+    live_b: np.ndarray
+    success_probability: float
+    rails: np.ndarray               # corrected, normalized c_xy per block, (n, n, 2, 2)
 
     def __len__(self) -> int:
-        return len(self.probability)
+        return int(self.live_a.sum()) * int(self.live_b.sum())
+
+    def success_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The totals of the live teleported patterns of each side."""
+        teleported = (0 < self.totals) & (self.totals <= len(self.rails))
+        return (self.totals[self.live_a & teleported],
+                self.totals[self.live_b & teleported])
 
 
 def cz_via_cs(qubit_a, qubit_b, n: int) -> CzBranches:
@@ -182,38 +198,71 @@ def cz_via_cs(qubit_a, qubit_b, n: int) -> CzBranches:
     Outcome (pa, pb) leaves rail values (x, y) with amplitude
     alpha_x beta_y d[pa, pb, x, y], d = sum_ij s_ij T[pa, x, i] T[pb, y, j].
     The leftover modes record x and y (the untouched rail keeps 1 - x), so
-    different (x, y) are orthogonal and a branch's probability is the sum of
-    their squared magnitudes.  Branches below 1e-20 are dropped.
-    """
-    if n not in (1, 2, 3):
-        raise OrderCapError("desk-scale cap: order must be 1, 2 or 3")
-    inputs = np.multiply.outer(_rails(qubit_a), _rails(qubit_b))
-    patterns, t = transfer_tensor(n)
-    d = np.einsum("ij,axi,byj->abxy", cs_amplitudes(n), t, t, optimize=True)
-    amps = d * inputs
-    prob = (amps.real ** 2 + amps.imag ** 2).sum(axis=(2, 3))
-    index_a, index_b = np.nonzero(prob >= 1e-20)
-    k = np.array([sum(p) for p in patterns])
-    teleported = (0 < k) & (k < n + 1)
-    success = teleported[index_a] & teleported[index_b]
-    sa, sb = index_a[success], index_b[success]
+    different (x, y) are orthogonal.  Photon number is conserved, so row p
+    of T holds one entry per x, a_x(p) = T[p, x, k - x] with k = |p|, and
+    d[pa, pb, x, y] = a_x(pa) s[ka - x, kb - y] a_y(pb).  The gate is
+    therefore checked per pattern and per 2x2 block
+    B(ka, kb)[x, y] = s[ka - x, kb - y], never per pattern pair:
 
-    ds = d[sa, sb]
-    mags = np.abs(ds).reshape(-1, 4)
-    if (mags.max(axis=1) - mags.min(axis=1)).max(initial=0.0) > 1e-10:
+    - every entry of T off i = |p| - x is exactly 0;
+    - each teleported pattern has |a_0| = |a_1|, so its correction a_0/a_1
+      is a phase;
+    - each block's entries have equal magnitude, so its corrections
+      B00/B10 and B00/B01 are phases, and its residual B11 B00 / (B10 B01)
+      is -1: the conditional sign, read from s itself.
+
+    A branch's correction is the product of its patterns' and its block's
+    phases; the pattern phases cancel from the corrected rails, which are
+    then alpha_x beta_y B[x, y] times the block corrections, up to a global
+    phase.  Every s_ij lies in some block, so the block checks leave no s_ij
+    at 0, and a pattern pair has nonzero probability, and is a branch,
+    exactly when each pattern has nonzero probability on its own side.
+    """
+    if n not in _ORDERS:
+        raise OrderCapError(
+            f"desk-scale cap: order must be 1 to {_ORDERS[-1]}, got {n} (a report lists one "
+            "fidelity per joint success: 139,876 at order 5, 2,941,225 at order 6)")
+    rails_a, rails_b = _rails(qubit_a), _rails(qubit_b)
+    patterns, t = transfer_tensor(n)
+    k = np.array([sum(p) for p in patterns])
+    if t[np.arange(n + 1) != (k[:, None] - (0, 1))[:, :, None]].any():
+        raise FockError("the transfer tensor has amplitude off i = |p| - x")
+    amp = t.sum(axis=2)             # a_x(p): each row holds at most one entry
+    teleported = (0 < k) & (k < n + 1)
+    mags = np.abs(amp[teleported])
+    if np.abs(mags[:, 0] - mags[:, 1]).max(initial=0.0) > 1e-10:
         raise FockError("success branch amplitudes are unbalanced")
-    phase_a = ds[:, 0, 0] / ds[:, 1, 0]
-    phase_b = ds[:, 0, 0] / ds[:, 0, 1]
-    # conditional sign check: the residual two-photon term must be negated
-    resid = ds[:, 1, 1] * phase_a * phase_b / ds[:, 0, 0]
-    miss = np.abs(resid + 1.0)
-    if miss.max(initial=0.0) > 1e-9:
-        raise FockError(f"branch lacks the conditional sign: residual {resid[miss.argmax()]}")
-    # corrected c_xy = alpha_x beta_y d_xy phase_a^x phase_b^y, normalized
-    fix_a = np.stack([np.ones_like(phase_a), phase_a], axis=1)[:, :, None]
-    fix_b = np.stack([np.ones_like(phase_b), phase_b], axis=1)[:, None, :]
-    rails = amps[sa, sb] * fix_a * fix_b / np.sqrt(prob[sa, sb])[:, None, None]
-    return CzBranches(patterns, index_a, index_b, prob[index_a, index_b], success, rails)
+
+    s = cs_amplitudes(n)
+    rows = np.arange(1, n + 1)[:, None] - (0, 1)       # rows[k-1, x] = k - x
+    blocks = s[rows[:, None, :, None], rows[None, :, None, :]]
+    mags = np.abs(blocks).reshape(n, n, 4)
+    if (mags.max(axis=2) - mags.min(axis=2)).max() > 1e-10:
+        raise FockError("the |CS_n> amplitudes of a 2x2 block are unbalanced")
+    phase_a = blocks[..., 0, 0] / blocks[..., 1, 0]
+    phase_b = blocks[..., 0, 0] / blocks[..., 0, 1]
+    resid = blocks[..., 1, 1] * phase_a * phase_b / blocks[..., 0, 0]
+    miss = ~(np.abs(resid + 1.0) <= 1e-9)
+    if miss.any():
+        raise FockError(f"branch lacks the conditional sign: residual {resid[miss][0]}")
+
+    def per_total(weight):
+        """The pattern weights summed per total k = 1..n, (n, 2)."""
+        return np.stack([np.bincount(k, w, minlength=n + 2)[1:n + 1] for w in weight.T],
+                        axis=1)
+
+    # different x (and y) leave orthogonal leftover modes, so weights add
+    weight_a = np.abs(rails_a * amp) ** 2
+    weight_b = np.abs(rails_b * amp) ** 2
+    success = math.fsum(np.einsum("ax,abxy,by->abxy", per_total(weight_a),
+                                  np.abs(blocks) ** 2, per_total(weight_b)).ravel())
+    # corrected c_xy = alpha_x beta_y B[x, y] phase_a^x phase_b^y, normalized
+    fix_a = np.stack([np.ones_like(phase_a), phase_a], axis=-1)[..., :, None]
+    fix_b = np.stack([np.ones_like(phase_b), phase_b], axis=-1)[..., None, :]
+    rails = np.multiply.outer(rails_a, rails_b) * blocks * fix_a * fix_b
+    rails /= np.sqrt((np.abs(rails) ** 2).sum(axis=(2, 3)))[..., None, None]
+    return CzBranches(patterns, k, weight_a.sum(axis=1) > 0, weight_b.sum(axis=1) > 0,
+                      success, rails)
 
 
 def cz_ideal(qubit_a, qubit_b) -> np.ndarray:
@@ -239,19 +288,25 @@ def teleport_success_probability(n: int, alpha: complex, beta: complex) -> float
 
 
 def cz_success_report(n: int, qubit_a=_PLUS, qubit_b=_PLUS) -> dict:
-    """Verification report for the conditional-phase gate on two rail pairs."""
+    """Verification report for the conditional-phase gate on two rail pairs.
+
+    A joint success's fidelity depends only on its block, so the minimum is
+    taken over the n^2 blocks, and the per-branch list is the per-block
+    fidelity broadcast over the success totals.
+    """
     branches = cz_via_cs(qubit_a, qubit_b, n)
-    ideal = cz_ideal(qubit_a, qubit_b).reshape(-1)
-    got = branches.rails.reshape(-1, 4)
-    norms = (got.real ** 2 + got.imag ** 2).sum(axis=1) * np.vdot(ideal, ideal).real
-    # einsum, not a BLAS matvec: a threaded zgemv on 1,024 x 4 takes milliseconds
-    fidelities = np.abs(np.einsum("bi,i->b", got, ideal.conj())) ** 2 / norms
+    ideal = cz_ideal(qubit_a, qubit_b)
+    got = branches.rails
+    norms = (np.abs(got) ** 2).sum(axis=(2, 3)) * np.vdot(ideal, ideal).real
+    block = np.abs(np.einsum("abxy,xy->ab", got, ideal.conj())) ** 2 / norms
+    ka, kb = branches.success_totals()
+    fidelities = block[ka[:, None] - 1, kb - 1].ravel()
     return {
         "order": n,
         "branch_count": len(branches),
         "success_branches": len(fidelities),
-        "success_probability": math.fsum(branches.probability[branches.success]),
+        "success_probability": branches.success_probability,
         "expected_success_probability": float(cz_success(n)),
         "success_fidelities": fidelities.tolist(),
-        "min_success_fidelity": float(fidelities.min()),
+        "min_success_fidelity": float(block.min()),
     }

@@ -175,7 +175,7 @@ class TestUsageErrors:
         capsys.readouterr()
 
     def test_module_errors_map_to_usage_exit(self, capsys):
-        assert cli.main(["fock-cz", "--n", "4"]) == 2
+        assert cli.main(["fock-cz", "--n", "6"]) == 2
         assert cli.main(["walk", "--n", "0", "--trials", "1",
                          "--target-links", "1"]) == 2
         capsys.readouterr()
@@ -308,7 +308,7 @@ class TestOutputBoundary:
 
     @pytest.mark.parametrize("argv", [
         ["walk", "--n", "0", "--trials", "1", "--target-links", "1"],
-        ["fock-cz", "--n", "4"],
+        ["fock-cz", "--n", "6"],
     ])
     def test_usage_error_leaves_existing_output_alone(self, argv, tmp_path, capsys):
         target = tmp_path / "out.json"
@@ -353,9 +353,11 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[-1] == "verification: pass"
 
     def test_usage_error_is_one_line_without_traceback(self):
-        proc = self.module("fock-cz", "--n", "4")
+        proc = self.module("fock-cz", "--n", "6")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.splitlines() == ["error: desk-scale cap: order must be 1, 2 or 3"]
+        assert proc.stderr.splitlines() == [
+            "error: desk-scale cap: order must be 1 to 5, got 6 (a report lists one fidelity "
+            "per joint success: 139,876 at order 5, 2,941,225 at order 6)"]
 
 
 # imports freearm.cli, runs the report named on the command line (if any; a

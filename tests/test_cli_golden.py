@@ -37,13 +37,14 @@ REPORTS = [
 
 SINGLES = [
     (["fock-cz", "--n", "1"], {}),
+    (["fock-cz", "--n", "4"], {}),
     (["walk", "--n", "1", "--trials", "5", "--target-links", "10", "--max-steps", "2000",
       "--warmup-links", "0", "--seed", "11", "--format", "json"], {}),
     (["weave", "--m", "2", "--count", "500", "--format", "json"], {"FREEARM_SEED": "7"}),
     (["weave", "--m", "2", "--count", "500", "--seed", "5", "--format", "json"],
      {"FREEARM_SEED": "7"}),
     # usage errors and boundary cases
-    (["fock-cz", "--n", "4"], {}),
+    (["fock-cz", "--n", "6"], {}),
     (["walk", "--n", "0", "--trials", "1", "--target-links", "1"], {}),
     (["walk", "--n", "2", "--trials", "1", "--target-links", "10", "--max-steps", "5"], {}),
     (["walk", "--n", "2", "--trials", "1", "--target-links", "5", "--warmup-links", "-1"], {}),

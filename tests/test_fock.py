@@ -1,5 +1,7 @@
-"""Photon-level tests: mode unitaries, teleportation, the gate, and a sparse
-oracle that expands the gate over occupation dicts branch by branch."""
+"""Photon-level tests: mode unitaries, teleportation, the gate, and two
+oracles for it: a sparse one that expands the gate over occupation dicts
+branch by branch, and a pairwise one that builds the branch tensor over every
+pair of detection patterns from the transfer tensor."""
 
 import inspect
 import math
@@ -302,13 +304,62 @@ INPUTS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Pairwise oracle: the branch tensor d[pa, pb, x, y] over every pattern pair
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class PairwiseBranches:
+    patterns: list[tuple[int, ...]]
+    index_a: np.ndarray             # row of pattern_a in ``patterns``, per branch
+    index_b: np.ndarray
+    probability: np.ndarray
+    success: np.ndarray
+    rails: np.ndarray               # corrected c_xy of each joint success, (successes, 2, 2)
+    fidelities: np.ndarray          # per joint success
+
+
+def pairwise_cz(qubit_a, qubit_b, n):
+    """Every outcome (pa, pb) from d = sum_ij s_ij T[pa, x, i] T[pb, y, j],
+    with the phase corrections and the conditional-sign check made per
+    branch and branches below 1e-20 dropped."""
+    inputs = np.multiply.outer(np.asarray(qubit_a, complex), np.asarray(qubit_b, complex))
+    patterns, t = fock.transfer_tensor(n)
+    d = np.einsum("ij,axi,byj->abxy", fock.cs_amplitudes(n), t, t, optimize=True)
+    amps = d * inputs
+    prob = (amps.real ** 2 + amps.imag ** 2).sum(axis=(2, 3))
+    index_a, index_b = np.nonzero(prob >= 1e-20)
+    k = np.array([sum(p) for p in patterns])
+    teleported = (0 < k) & (k < n + 1)
+    success = teleported[index_a] & teleported[index_b]
+    sa, sb = index_a[success], index_b[success]
+
+    ds = d[sa, sb]
+    mags = np.abs(ds).reshape(-1, 4)
+    assert (mags.max(axis=1) - mags.min(axis=1)).max(initial=0.0) <= 1e-10
+    phase_a = ds[:, 0, 0] / ds[:, 1, 0]
+    phase_b = ds[:, 0, 0] / ds[:, 0, 1]
+    resid = ds[:, 1, 1] * phase_a * phase_b / ds[:, 0, 0]
+    assert np.abs(resid + 1.0).max(initial=0.0) <= 1e-9
+    fix_a = np.stack([np.ones_like(phase_a), phase_a], axis=1)[:, :, None]
+    fix_b = np.stack([np.ones_like(phase_b), phase_b], axis=1)[:, None, :]
+    rails = amps[sa, sb] * fix_a * fix_b / np.sqrt(prob[sa, sb])[:, None, None]
+    ideal = fock.cz_ideal(qubit_a, qubit_b).reshape(-1)
+    got = rails.reshape(-1, 4)
+    norms = (got.real ** 2 + got.imag ** 2).sum(axis=1) * np.vdot(ideal, ideal).real
+    fidelities = np.abs(np.einsum("bi,i->b", got, ideal.conj())) ** 2 / norms
+    return PairwiseBranches(patterns, index_a, index_b, prob[index_a, index_b], success,
+                            rails, fidelities)
+
+
 class TestAgainstSparseOracle:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", list(INPUTS))
     def test_branches_match_oracle(self, n, name):
         qa, qb = INPUTS[name]
         want = oracle_cz_via_cs(qa, qb, n)
-        got = fock.cz_via_cs(qa, qb, n)
+        got = pairwise_cz(qa, qb, n)
         pats = got.patterns
         assert ([(pats[a], pats[b], ok) for a, b, ok in
                  zip(got.index_a.tolist(), got.index_b.tolist(), got.success.tolist())]
@@ -317,10 +368,38 @@ class TestAgainstSparseOracle:
         rails = np.array([oracle_rail_amplitudes(w) for w in want if w.success])
         assert got.rails.shape == rails.shape
         assert np.abs(got.rails - rails).max(initial=0.0) <= 1e-12
+        assert len(fock.cz_via_cs(qa, qb, n)) == len(want)
+
+
+class TestAgainstPairwiseOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_report_matches_oracle(self, n, name):
+        """Branches (the ones basis inputs drop included), joint successes,
+        success probability, the corrected rails up to a global phase and
+        every per-branch fidelity agree with the pairwise oracle."""
+        qa, qb = INPUTS[name]
+        want = pairwise_cz(qa, qb, n)
+        got = fock.cz_via_cs(qa, qb, n)
+        assert got.patterns == want.patterns
+        live_a, live_b = np.flatnonzero(got.live_a), np.flatnonzero(got.live_b)
+        assert len(got) == len(want.probability) == len(live_a) * len(live_b)
+        assert np.array_equal(np.repeat(live_a, len(live_b)), want.index_a)
+        assert np.array_equal(np.tile(live_b, len(live_a)), want.index_b)
+
+        ka, kb = got.success_totals()
         rep = fock.cz_success_report(n, qa, qb)
-        assert (abs(rep["success_probability"] - float(analytics.cz_success(n)))
-                <= 4 * rep["branch_count"] * EPS)
-        assert rep["min_success_fidelity"] >= 1 - 1e-10
+        assert rep["branch_count"] == len(want.probability)
+        assert rep["success_branches"] == len(ka) * len(kb) == want.success.sum()
+        # both read the same T; the per-total sums add at most P pattern
+        # weights a side in order (P eps / 2 relative each), the oracle's
+        # fsum of branch terms is within a few ulps
+        assert (abs(rep["success_probability"] - math.fsum(want.probability[want.success]))
+                <= 2 * len(got.patterns) * EPS)
+        blocks = got.rails[ka[:, None] - 1, kb - 1].reshape(-1, 2, 2)
+        overlap = np.abs(np.einsum("bxy,bxy->b", blocks.conj(), want.rails))
+        assert np.abs(overlap - 1).max() <= 1e-12
+        assert np.abs(np.array(rep["success_fidelities"]) - want.fidelities).max() <= 1e-12
 
 
 class TestGateMutations:
@@ -330,16 +409,67 @@ class TestGateMutations:
         with pytest.raises(fock.FockError, match="lacks the conditional sign"):
             fock.cz_success_report(2)
 
+    @pytest.mark.parametrize("i", range(3))
+    @pytest.mark.parametrize("j", range(3))
+    def test_one_flipped_cs_amplitude_is_caught(self, monkeypatch, i, j):
+        """Every s_ij lies in some 2x2 block, whose residual then reads +1."""
+        signed = fock.cs_amplitudes
+
+        def flipped(n):
+            s = signed(n)
+            s[i, j] = -s[i, j]
+            return s
+        monkeypatch.setattr(fock, "cs_amplitudes", flipped)
+        with pytest.raises(fock.FockError, match="lacks the conditional sign"):
+            fock.cz_success_report(2)
+
+    def test_entry_off_support_is_caught(self, monkeypatch):
+        """An entry of T at i != |p| - x, however small, breaks photon-number
+        conservation."""
+        exact = fock.transfer_tensor
+
+        def leaky(n):
+            patterns, t = exact(n)
+            t[patterns.index((1,) + (0,) * n), 0, 0] = 1e-30     # |p| = 1, x = 0, i = 0
+            return patterns, t
+        monkeypatch.setattr(fock, "transfer_tensor", leaky)
+        with pytest.raises(fock.FockError, match="off i = |p| - x"):
+            fock.cz_success_report(2)
+
+    def test_unbalanced_pattern_is_caught(self, monkeypatch):
+        exact = fock.transfer_tensor
+
+        def unbalanced(n):
+            patterns, t = exact(n)
+            t[patterns.index((1,) + (0,) * n), 1, 0] *= 1.001
+            return patterns, t
+        monkeypatch.setattr(fock, "transfer_tensor", unbalanced)
+        with pytest.raises(fock.FockError, match="unbalanced"):
+            fock.cz_success_report(2)
+
+    def test_unbalanced_cs_block_is_caught(self, monkeypatch):
+        """A block whose magnitudes differ makes its corrections no phases,
+        even where the residual still reads -1."""
+        signed = fock.cs_amplitudes
+
+        def scaled(n):
+            s = signed(n)
+            s[0] *= 1.5
+            return s / np.linalg.norm(s)
+        monkeypatch.setattr(fock, "cs_amplitudes", scaled)
+        with pytest.raises(fock.FockError, match="block are unbalanced"):
+            fock.cz_success_report(2)
+
     def test_dropped_b_correction_is_caught(self, monkeypatch):
         """The gate with phi_b left out of the rail correction fails the
         fidelity gate."""
-        line = "np.stack([np.ones_like(phase_b), phase_b], axis=1)"
+        line = "np.stack([np.ones_like(phase_b), phase_b], axis=-1)"
         source = inspect.getsource(fock)
         assert line in source
         mutant = types.ModuleType("freearm.fock_mutant")
         mutant.__package__ = "freearm"
         monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
-        exec(compile(source.replace(line, "np.ones((len(phase_b), 2))"),
+        exec(compile(source.replace(line, "np.ones(phase_b.shape + (2,))"),
                      fock.__file__, "exec"), mutant.__dict__)
         assert fock.cz_success_report(2)["min_success_fidelity"] >= 1 - 1e-10
         assert mutant.cz_success_report(2)["min_success_fidelity"] < 1 - 1e-10
@@ -347,19 +477,18 @@ class TestGateMutations:
 
 class TestBranchCounts:
     @pytest.mark.parametrize("n,branches,successes", [(1, 25, 4), (2, 196, 81),
-                                                      (3, 1849, 1024)])
+                                                      (3, 1849, 1024), (4, 23104, 15625),
+                                                      (5, 196249, 139876)])
     def test_pinned_counts(self, n, branches, successes):
         rep = fock.cz_success_report(n)
         assert (rep["branch_count"], rep["success_branches"]) == (branches, successes)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_basis_inputs_drop_branches(self, n):
-        """|0>|1> never detects n+1 photons on side a nor 0 on side b, so the
-        1e-20 rule drops every branch with those totals."""
+        """|0>|1> never detects n+1 photons on side a nor 0 on side b, so no
+        branch has those totals."""
         got = fock.cz_via_cs(*INPUTS["zero-one"], n)
-        totals = {(sum(got.patterns[a]), sum(got.patterns[b]))
-                  for a, b in zip(got.index_a, got.index_b)}
-        assert all(ka <= n and kb >= 1 for ka, kb in totals)
+        assert got.totals[got.live_a].max() <= n and got.totals[got.live_b].min() >= 1
         plus = fock.cz_success_report(n)["branch_count"]
         assert len(got) < plus
 
@@ -379,7 +508,7 @@ class TestConditionalPhase:
     def test_minus_sign_on_both_excited(self):
         """The |11> input picks up exactly the conditional minus sign."""
         qa = qb = (0, 1)
-        for amps in fock.cz_via_cs(qa, qb, 1).rails:
+        for amps in fock.cz_via_cs(qa, qb, 2).rails.reshape(-1, 2, 2):
             phase_free = amps / amps[1, 1]
             assert abs(abs(amps[1, 1]) - 1) < 1e-10
             assert np.allclose(phase_free, [[0, 0], [0, 1]], atol=1e-10)
@@ -391,14 +520,15 @@ class TestConditionalPhase:
         rep = fock.cz_success_report(2)
         assert rep["order"] == 2
         plus = (1 / SQ2, 1 / SQ2)
-        amps = fock.cz_via_cs(plus, plus, 1).rails[0]    # the first joint success
+        amps = fock.cz_via_cs(plus, plus, 1).rails[0, 0]    # the one block at order 1
         s = np.linalg.svd(amps, compute_uv=False)
         assert s[1] > 0.1
 
-    def test_order_cap(self):
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_order_cap(self, n):
         q = (1, 0)
-        with pytest.raises(fock.OrderCapError):
-            fock.cz_via_cs(q, q, 4)
+        with pytest.raises(fock.OrderCapError, match="order must be 1 to 5"):
+            fock.cz_via_cs(q, q, n)
 
     def test_dual_rail_required(self):
         """Each qubit is a rail pair (alpha, beta) of unit norm."""

@@ -114,43 +114,33 @@ def _convergence(passed: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _shown(exact: dict) -> dict:
-    """Each exact value as its (rational, decimal) strings; None is divergent."""
-    return {k: ("divergent", "divergent") if x is None else (str(x), analytics.to_decimal(x))
-            for k, x in exact.items()}
-
-
 def cmd_analytic(args) -> Report:
+    drift_keys = ("attempts_per_link", "units_per_link", "cs_per_link",
+                  "gate_construction_cs", "gate_construction_units")
     rows, json_rows, lines = [], [], [
         f"{'n':>3} {'m':>3} {'R':>10} {'units/link':>12} {'cs/link':>12} "
         f"{'gate cs':>12} {'gate units':>12} {'weave cs':>10} "
         f"{'cluster units':>14} {'cluster cs':>12}"]
     for n in args.n:
-        # everything but the weave and gate costs depends on n alone
-        head = _shown({"cz_success": analytics.cz_success(n),
-                       "step_back": analytics.step_back_prob(n)})
-        try:
-            link = analytics.resources_per_link(n)
-            rates = (analytics.attempts_per_link(n), link.two_photon_units, link.cs_states)
-        except analytics.NonPositiveDriftError:
-            rates = None
-        per_link = _shown(dict(zip(("attempts_per_link", "units_per_link", "cs_per_link"),
-                                   rates or (None,) * 3)))
-        cluster = analytics.cluster_resources_per_unit(n)
-        tail = _shown({"cluster_units": cluster.two_photon_units,
-                       "cluster_cs": cluster.cs_states})
         for m in args.m:
-            costs = (None, None)
-            if rates is not None:
+            exact = {"cz_success": analytics.cz_success(n),
+                     "step_back": analytics.step_back_prob(n),
+                     "weave_cs": analytics.weave_cs_per_gate(m)}
+            try:
+                link = analytics.resources_per_link(n)
                 gate = analytics.resources_per_gate(n, m)
-                costs = (gate.construction_cs, gate.construction_units)
-            shown = {**head, **_shown({"weave_cs": analytics.weave_cs_per_gate(m)}), **per_link,
-                     **_shown(dict(zip(("gate_construction_cs", "gate_construction_units"),
-                                       costs))),
-                     **tail}
-            rows.append({"n": n, "m": m, **{k: v[0] for k, v in shown.items()}})
-            json_rows.append({**rows[-1], **{f"{k}_decimal": v[1] for k, v in shown.items()}})
-            d = {k: v[1] for k, v in shown.items()}
+                exact.update(zip(drift_keys, (
+                    analytics.attempts_per_link(n), link.two_photon_units, link.cs_states,
+                    gate.construction_cs, gate.construction_units)))
+            except analytics.NonPositiveDriftError:
+                exact.update(dict.fromkeys(drift_keys))
+            cluster = analytics.cluster_resources_per_unit(n)
+            exact.update(cluster_units=cluster.two_photon_units, cluster_cs=cluster.cs_states)
+            row = {k: "divergent" if x is None else str(x) for k, x in exact.items()}
+            d = {k: "divergent" if x is None else analytics.to_decimal(x)
+                 for k, x in exact.items()}
+            rows.append({"n": n, "m": m, **row})
+            json_rows.append({**rows[-1], **{f"{k}_decimal": v for k, v in d.items()}})
             lines.append(f"{n:>3} {m:>3} {d['attempts_per_link']:>10} "
                          f"{d['units_per_link']:>12} {d['cs_per_link']:>12} "
                          f"{d['gate_construction_cs']:>12} {d['gate_construction_units']:>12} "

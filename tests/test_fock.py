@@ -400,6 +400,11 @@ class TestAgainstPairwiseOracle:
         overlap = np.abs(np.einsum("bxy,bxy->b", blocks.conj(), want.rails))
         assert np.abs(overlap - 1).max() <= 1e-12
         assert np.abs(np.array(rep["success_fidelities"]) - want.fidelities).max() <= 1e-12
+        # both paths give n^2/(n+1)^2 whatever the input, and the gate is CZ
+        for prob in (rep["success_probability"], math.fsum(want.probability[want.success])):
+            assert abs(prob - float(analytics.cz_success(n))) <= 4 * rep["branch_count"] * EPS
+        assert rep["min_success_fidelity"] >= 1 - 1e-10
+        assert want.fidelities.min() >= 1 - 1e-10
 
 
 class TestGateMutations:
@@ -494,7 +499,8 @@ class TestBranchCounts:
 
 
 class TestConditionalPhase:
-    @pytest.mark.parametrize("n,expected", [(1, 1 / 4), (2, 4 / 9), (3, 9 / 16)])
+    @pytest.mark.parametrize("n,expected", [(1, 1 / 4), (2, 4 / 9), (3, 9 / 16),
+                                            (4, 16 / 25), (5, 25 / 36)])
     def test_joint_success_probability(self, n, expected):
         rep = fock.cz_success_report(n)
         assert rep["success_probability"] == pytest.approx(expected, abs=1e-12)

@@ -157,6 +157,17 @@ def transfer_tensor(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return patterns, t
 
 
+def _pattern_amplitudes(n: int):
+    """The detection patterns, their photon totals k = |p|, and per pattern
+    and rail value x the one entry a_x(p) = T[p, x, k - x] of its row of T,
+    which must be exactly 0 everywhere else."""
+    patterns, t = transfer_tensor(n)
+    k = np.array([sum(p) for p in patterns])
+    if t[np.arange(n + 1) != (k[:, None] - (0, 1))[:, :, None]].any():
+        raise FockError("the transfer tensor has amplitude off i = |p| - x")
+    return patterns, k, t.sum(axis=2)
+
+
 @dataclass
 class CzBranches:
     """The outcomes of one gate attempt, held per detection pattern and per
@@ -223,11 +234,7 @@ def cz_via_cs(qubit_a, qubit_b, n: int) -> CzBranches:
             f"desk-scale cap: order must be 1 to {_ORDERS[-1]}, got {n} (a report lists one "
             "fidelity per joint success: 139,876 at order 5, 2,941,225 at order 6)")
     rails_a, rails_b = _rails(qubit_a), _rails(qubit_b)
-    patterns, t = transfer_tensor(n)
-    k = np.array([sum(p) for p in patterns])
-    if t[np.arange(n + 1) != (k[:, None] - (0, 1))[:, :, None]].any():
-        raise FockError("the transfer tensor has amplitude off i = |p| - x")
-    amp = t.sum(axis=2)             # a_x(p): each row holds at most one entry
+    patterns, k, amp = _pattern_amplitudes(n)
     teleported = (0 < k) & (k < n + 1)
     mags = np.abs(amp[teleported])
     if np.abs(mags[:, 0] - mags[:, 1]).max(initial=0.0) > 1e-10:
@@ -278,13 +285,9 @@ def teleport_success_probability(n: int, alpha: complex, beta: complex) -> float
     (from i = k-1) on orthogonal leftover modes, so it has probability
     (|alpha T[p, 0, k]|^2 + |beta T[p, 1, k-1]|^2) / (n+1).
     """
-    alpha, beta = _rails((alpha, beta))
-    patterns, t = transfer_tensor(n)
-    k = np.array([sum(p) for p in patterns])
-    rows = np.flatnonzero((0 < k) & (k < n + 1))
-    weights = (np.abs(alpha * t[rows, 0, k[rows]]) ** 2
-               + np.abs(beta * t[rows, 1, k[rows] - 1]) ** 2)
-    return math.fsum(weights) / (n + 1)
+    _, k, amp = _pattern_amplitudes(n)
+    weights = np.abs(_rails((alpha, beta)) * amp[(0 < k) & (k < n + 1)]) ** 2
+    return math.fsum(weights.sum(axis=1)) / (n + 1)
 
 
 def cz_success_report(n: int, qubit_a=_PLUS, qubit_b=_PLUS) -> dict:
@@ -307,6 +310,6 @@ def cz_success_report(n: int, qubit_a=_PLUS, qubit_b=_PLUS) -> dict:
         "success_branches": len(fidelities),
         "success_probability": branches.success_probability,
         "expected_success_probability": float(cz_success(n)),
-        "success_fidelities": fidelities.tolist(),
+        "branch_fidelities": fidelities.tolist(),
         "min_success_fidelity": float(block.min()),
     }

@@ -19,8 +19,9 @@ trial's first hits from per-tile counts of its codes, scanning step by step
 only the few tiles that can hold a hit; trials that need more rows continue
 in later rounds.  Blocks run one after another on the calling thread.
 :func:`simulate_step` and :func:`simulate_prep` read the same streams one event
-at a time, and the weave and cluster batches read trial 0, stream 0 one reader
-buffer of ``_CHUNK_UNIFORMS`` doubles at a time, keeping per-value counts.
+at a time.  The weave and cluster batches read ``substream(seed, 0)`` in order,
+one reader buffer of ``_CHUNK_UNIFORMS`` doubles at a time, keeping per-value
+counts.
 """
 
 from __future__ import annotations
@@ -63,19 +64,13 @@ class WalkParams:
     seed: int
     max_steps: int = 1_000_000
     warmup_links: int = 50
-    threads: int | None = None  # accepted for compatibility; blocks run on the calling thread
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise analytics.OrderOutOfRangeError(f"n must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise analytics.OrderOutOfRangeError("n must be >= 1")
+        analytics._check_order(self.n)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise analytics.InputError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.target_links < 1 or self.trials < 1:
             raise analytics.InputError("target_links and trials must be >= 1")
-        if self.threads is not None and self.threads < 1:
-            raise analytics.InputError(f"threads must be >= 1, got {self.threads}")
         if self.warmup_links < 0:
             raise analytics.InputError("warmup_links must be >= 0")
         # fewer steps than links to build would cap every trial by construction
@@ -222,8 +217,8 @@ class _Streams:
 def _walk_rows(n: int, start: int, goal: int) -> int:
     """Walk steps that climb from length ``start`` to ``goal`` on average, plus
     ``_MARGIN`` standard deviations."""
-    p = (n / (n + 1)) ** 2
-    b = (1 - p) / 2
+    p, below_back = _step_bounds(n)
+    b = below_back - p
     d = p - b
     if d <= 0:
         # order 1: sum the exact moments of the steps from each length k to
@@ -243,7 +238,7 @@ def _walk_rows(n: int, start: int, goal: int) -> int:
 def _prep_rows(n: int, units):
     """Preparation attempts that yield ``units`` prepared units on average,
     plus ``_MARGIN`` standard deviations."""
-    q = (n / (n + 1)) ** 2
+    q = _prep_bounds(n)[0]
     return np.ceil(units / q + _MARGIN * np.sqrt(units * (1 - q)) / q).astype(np.int64)
 
 
@@ -321,7 +316,7 @@ def _walk_round(codes: np.ndarray, start: np.ndarray, warm: np.ndarray, goal: in
     return warm_col, col, forward, backward, np.where(col < 0, end[:, -1], goal)
 
 
-def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray, budget: int):
+def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray):
     """Walk phase of a block: per trial the steps, forward and backward steps,
     steps to the warmup length, and whether it was capped.
 
@@ -334,7 +329,7 @@ def _walk(params: WalkParams, streams: _Streams, trials: np.ndarray, budget: int
     while active.size and drawn < params.max_steps:
         k = active.size
         rows = min(_walk_rows(params.n, int(length[active].min()), goal),
-                   params.max_steps - drawn, budget // k)
+                   params.max_steps - drawn, _BLOCK_UNIFORMS // k)
         codes = streams.draw(trials[active].tolist(), _STREAM_STEP, [drawn] * k, [rows] * k,
                              bounds).reshape(k, rows)
         # a trial past its warmup length waits for a level it never reaches
@@ -369,8 +364,7 @@ def _nth_win(tiles, win_at, nth):
     return t * tiles.shape[1] + np.argmax(seen >= (nth - win_at[t])[:, None], axis=1)
 
 
-def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.ndarray,
-          budget: int):
+def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.ndarray):
     """Preparation phase of a block: the (units, cs) spent by the ``marks[j]``-th
     prepared unit of each trial, for each row j of ``marks``.  The last row
     holds the largest marks; a mark of 0 costs nothing."""
@@ -380,7 +374,7 @@ def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.n
     active = np.arange(trials.size)
     while active.size:
         rows = np.minimum(_prep_rows(params.n, marks[-1, active] - seen[active]),
-                          budget // active.size)
+                          _BLOCK_UNIFORMS // active.size)
         codes = streams.draw(trials[active].tolist(), _STREAM_PREP, drawn[active].tolist(),
                              rows.tolist(), bounds)
         # an attempt whose first teleportation succeeds costs 2 ancillas, any other 1;
@@ -408,9 +402,9 @@ def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.n
 
 def _run_block(params: WalkParams, trials: np.ndarray) -> list[TrialResult]:
     streams = _Streams(params.seed)
-    steps, fwd, bwd, warm_steps, capped = _walk(params, streams, trials, _BLOCK_UNIFORMS)
+    steps, fwd, bwd, warm_steps, capped = _walk(params, streams, trials)
     (warm_units, units), (warm_cs, cs) = _prep(params, streams, trials,
-                                               np.stack([warm_steps, steps]), _BLOCK_UNIFORMS)
+                                               np.stack([warm_steps, steps]))
     columns = (steps, fwd, bwd, units, cs, steps - warm_steps, units - warm_units,
                cs - warm_cs, capped)
     return [TrialResult(*row) for row in zip(*(c.tolist() for c in columns))]
@@ -464,22 +458,22 @@ class WeaveStats:
     arms_per_side: Estimate
 
 
-def _batch_rows(streams: _Streams, drawn: int, rows: int, width: int, bound: float):
-    """Reads ``rows`` rows of ``width`` doubles of trial 0, stream 0 after its first ``drawn``
-    a reader buffer at a time; yields each slice's first row and its rows' doubles < ``bound``."""
+def _batch_rows(rng: np.random.Generator, rows: int, width: int, bound: float):
+    """Reads ``rows`` rows of ``width`` doubles from ``rng`` a reader buffer at a time;
+    yields each slice's first row and its rows' doubles < ``bound``."""
     step = max(1, _CHUNK_UNIFORMS // width)
     buf = np.empty(min(rows, step) * width)
     for first in range(0, rows, step):
         u = buf[:min(step, rows - first) * width]
-        streams.read(0, _STREAM_STEP, drawn + first * width, u)
+        rng.random(out=u)
         yield first, (u < bound).reshape(-1, width)
 
 
 def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
     """Vectorized lockstep batch of independent weaves (see :class:`WeaveModel`), drawn
-    round by round, in weave order, from trial 0, stream 0 of the walker's streams."""
+    round by round, in weave order, from ``substream(seed, 0)``."""
     s = float(analytics.ftel_success(m, name="m"))
-    streams, drawn = _Streams(seed), 0
+    rng = substream(seed, 0)
     arms = np.ones((count, 2), np.uint16)
     if model is WeaveModel.FULL_CZ_RETRY:
         # the weaves still retrying are arms[:k], in weave order; each finished
@@ -489,7 +483,7 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
             if len(rounds) >= _ROUND_LIMIT:
                 raise OverflowError(f"weave round {len(rounds)} would wrap the arm counters")
             arm_hist, kept = np.r_[arm_hist, 0], 0
-            for first, ok in _batch_rows(streams, drawn, k, 2, s):
+            for first, ok in _batch_rows(rng, k, 2, s):
                 held = arms[first:first + len(ok)]
                 held += ~ok
                 done = ok[:, 0] & ok[:, 1]
@@ -498,7 +492,7 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
                 arms[kept:kept + len(retry)] = retry
                 kept += len(retry)
             rounds.append(k - kept)
-            drawn, k = drawn + 2 * k, kept
+            k = kept
         return WeaveStats(count, count_mean_stderr(rounds), count_mean_stderr(arm_hist))
     index = np.int32 if count <= 2 ** 31 else np.int64
     for side in range(2):
@@ -510,9 +504,9 @@ def weave_batch(m: int, model: WeaveModel, count: int, seed: int) -> WeaveStats:
             active = np.concatenate([
                 np.flatnonzero(~ok[:, 0]).astype(index) + first if r == 1
                 else active[first:first + len(ok)][~ok[:, 0]]
-                for first, ok in _batch_rows(streams, drawn, k, 1, s)])
+                for first, ok in _batch_rows(rng, k, 1, s)])
             arms[active, side] += 1
-            r, drawn, k = r + 1, drawn + k, active.size
+            r, k = r + 1, active.size
     top = int(arms.max(initial=0)) + 1
     pairs = np.split(arms, range(_CHUNK_UNIFORMS, count, _CHUNK_UNIFORMS))
     cs_hist = sum(np.bincount(np.maximum(p[:, 0], p[:, 1]), minlength=top) for p in pairs)
@@ -538,7 +532,7 @@ def cluster_batch(n: int, count: int, seed: int) -> ClusterStats:
     """
     p = float(analytics.cz_success(n))
     cs = net = 0
-    for _, tries in _batch_rows(_Streams(seed), 0, count, 3, p):
+    for _, tries in _batch_rows(substream(seed, 0), count, 3, p):
         # an attempt costs one ancilla per try up to its first success, at most three
         miss = ~tries[:, 0]
         cs += len(tries) + int(np.count_nonzero(miss))

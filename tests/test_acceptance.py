@@ -40,8 +40,7 @@ def test_01_analytics_exactness():
 
 def test_02_walk_convergence():
     t0 = time.perf_counter()
-    params = walker.WalkParams(n=2, target_links=100, trials=10_000, seed=0,
-                               threads=4)
+    params = walker.WalkParams(n=2, target_links=100, trials=10_000, seed=0)
     stats = walker.aggregate(walker.run_trials(params), params)
     checks = [(stats.attempts_per_net_link, 6.0), (stats.units_per_link, 13.5),
               (stats.cs_per_link, 22.5)]

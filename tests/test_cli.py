@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -165,6 +166,13 @@ class TestVerificationCommands:
         assert doc["passed"] is True
         assert abs(doc["success_probability"] - 0.25) < 1e-12
         assert len(doc["branch_fidelities"]) == doc["success_branches"]
+
+
+class TestConvergenceGate:
+    @pytest.mark.parametrize("results, stderr", [(math.nan, 0.1), (1.0, math.nan)])
+    def test_nan_never_passes(self, results, stderr):
+        """A NaN estimate or standard error fails both comparisons."""
+        assert cli._close(results, 1.0, stderr) is False
 
 
 class TestUsageErrors:

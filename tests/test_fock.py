@@ -73,6 +73,21 @@ class TestModeUnitaries:
         with pytest.raises(fock.FockError):
             fock.ModeUnitary((0, 1), np.array([[1, 1], [0, 1]]))
 
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: fock.FockState(2, {(1,): 1.0}), "bad occupation vector",
+                     id="occupation-length"),
+        pytest.param(lambda: fock.FockState(2, {(2, -1): 1.0}), "bad occupation vector",
+                     id="negative-occupation"),
+        pytest.param(lambda: fock.ModeUnitary((0, 0), np.eye(2)), "distinct",
+                     id="repeated-modes"),
+        pytest.param(lambda: fock.apply_mode_unitary(fock.FockState(2, {(1, 0): 1.0}),
+                                                     fock.ModeUnitary((1, 2), np.eye(2))),
+                     "mode 2 out of range", id="mode-out-of-range"),
+    ])
+    def test_bad_input_raises(self, call, match):
+        with pytest.raises(fock.FockError, match=match):
+            call()
+
 
 class TestTeleportation:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -399,7 +414,7 @@ class TestAgainstPairwiseOracle:
         blocks = got.rails[ka[:, None] - 1, kb - 1].reshape(-1, 2, 2)
         overlap = np.abs(np.einsum("bxy,bxy->b", blocks.conj(), want.rails))
         assert np.abs(overlap - 1).max() <= 1e-12
-        assert np.abs(np.array(rep["success_fidelities"]) - want.fidelities).max() <= 1e-12
+        assert np.abs(np.array(rep["branch_fidelities"]) - want.fidelities).max() <= 1e-12
         # both paths give n^2/(n+1)^2 whatever the input, and the gate is CZ
         for prob in (rep["success_probability"], math.fsum(want.probability[want.success])):
             assert abs(prob - float(analytics.cz_success(n))) <= 4 * rep["branch_count"] * EPS
@@ -430,7 +445,7 @@ class TestGateMutations:
 
     def test_entry_off_support_is_caught(self, monkeypatch):
         """An entry of T at i != |p| - x, however small, breaks photon-number
-        conservation."""
+        conservation, for the gate and for a single teleport alike."""
         exact = fock.transfer_tensor
 
         def leaky(n):
@@ -440,6 +455,8 @@ class TestGateMutations:
         monkeypatch.setattr(fock, "transfer_tensor", leaky)
         with pytest.raises(fock.FockError, match="off i = |p| - x"):
             fock.cz_success_report(2)
+        with pytest.raises(fock.FockError, match="off i = |p| - x"):
+            fock.teleport_success_probability(2, *fock._PLUS)
 
     def test_unbalanced_pattern_is_caught(self, monkeypatch):
         exact = fock.transfer_tensor
@@ -509,7 +526,7 @@ class TestConditionalPhase:
     def test_all_success_branches_ideal(self, n):
         rep = fock.cz_success_report(n)
         assert rep["min_success_fidelity"] >= 1 - 1e-10
-        assert len(rep["success_fidelities"]) == rep["success_branches"]
+        assert len(rep["branch_fidelities"]) == rep["success_branches"]
 
     def test_minus_sign_on_both_excited(self):
         """The |11> input picks up exactly the conditional minus sign."""

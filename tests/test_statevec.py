@@ -60,6 +60,37 @@ class TestChainStates:
         assert not issubclass(sv.CapExceededError, InputError)
 
 
+LINK = sv.bracket_state("p", 1)
+P1 = sv.pol("p", 1)
+
+
+class TestStateChecks:
+    """Each input check of a state and its operations raises its own error."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: sv.PureState((P1, P1), np.eye(4)[0]), ValueError, "duplicate",
+                     id="duplicate-labels"),
+        pytest.param(lambda: sv.PureState([sv.pol("p", i) for i in range(sv.DOF_CAP + 1)], [1]),
+                     sv.CapExceededError, "exceeds cap", id="too-many-labels"),
+        pytest.param(lambda: sv.PureState((P1,), [1, 0, 0]), ValueError, "does not match",
+                     id="vector-length"),
+        pytest.param(lambda: sv.PureState((P1,), [1, 1]), sv.NonNormalizedError,
+                     "not normalized", id="unnormalized"),
+        pytest.param(lambda: LINK.axis(P1), sv.StateError, "unknown degree of freedom",
+                     id="unknown-label"),
+        pytest.param(lambda: LINK.tensor(LINK), ValueError, "share labels", id="shared-labels"),
+        pytest.param(lambda: LINK.apply_cz(sv.path("p", 1), sv.path("p", 1)), ValueError,
+                     "two distinct labels", id="cz-on-one-label"),
+        pytest.param(lambda: LINK.overlap(sv.bracket_state("q", 1)), sv.StateError,
+                     "label sets differ", id="overlap-labels"),
+        pytest.param(lambda: sv.build_chain_state(0, (1, 0)), ValueError, "at least one link",
+                     id="chain-of-no-links"),
+    ])
+    def test_bad_input_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+
 class TestBases:
     @pytest.mark.parametrize("basis", [sv.Z_BASIS, sv.X_BASIS, sv.BELL_BASIS],
                              ids=["z", "x", "bell"])

@@ -10,6 +10,7 @@ per operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 
@@ -111,6 +112,20 @@ def resources_per_link(n: int) -> ResourceRates:
         two_photon_units=r * per_step_units(n),
         cs_states=r * per_step_cs(n),
     )
+
+
+class WeaveModel(Enum):
+    """How a weave of two free arms with an order-m gate retries.
+
+    FULL_CZ_RETRY: each round costs one ancilla and runs both sides'
+    teleportations; a failed side burns its free arm and retries on a fresh
+    one, so its arm count is its failures plus one.  INDEPENDENT_SIDES: each
+    side retries alone until it succeeds (a geometric number of arms); a
+    round costs one ancilla while either side still retries.
+    """
+
+    FULL_CZ_RETRY = "full-cz-retry"
+    INDEPENDENT_SIDES = "independent-sides"
 
 
 def free_arms_per_gate_per_chain(m: int) -> Fraction:

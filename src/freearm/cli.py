@@ -202,8 +202,8 @@ def cmd_walk(args) -> Report:
 
 def cmd_weave(args) -> Report:
     from . import walker
-    model = walker.WeaveModel(args.model)
-    full_retry = model is walker.WeaveModel.FULL_CZ_RETRY
+    model = analytics.WeaveModel(args.model)
+    full_retry = model is analytics.WeaveModel.FULL_CZ_RETRY
     key, target = (("cs_mean", analytics.weave_cs_per_gate(args.m)) if full_retry
                    else ("arms_per_side", analytics.free_arms_per_gate_per_chain(args.m)))
     stats = walker.weave_batch(args.m, model, args.count, args.seed)
@@ -367,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weave", help="Monte Carlo weave resources")
     p.add_argument("--m", type=int, required=True)
-    # walker.WeaveModel's values, spelled out so the parser loads no engine
-    p.add_argument("--model", choices=["full-cz-retry", "independent-sides"],
-                   default="full-cz-retry")
+    p.add_argument("--model", choices=[model.value for model in analytics.WeaveModel],
+                   default=analytics.WeaveModel.FULL_CZ_RETRY.value)
     p.add_argument("--count", type=_at_least(1), default=1_000_000)
     common(p, cmd_weave)
 

@@ -120,11 +120,8 @@ def apply_mode_unitary(state: FockState, u: ModeUnitary) -> FockState:
                 nxt: dict[tuple[int, ...], complex] = {}
                 for added, coef in poly.items():
                     for i in range(d):
-                        uij = mat[i, j]
-                        if abs(uij) < _AMP_EPS:
-                            continue
                         key = added[:i] + (added[i] + 1,) + added[i + 1:]
-                        nxt[key] = nxt.get(key, 0j) + coef * uij
+                        nxt[key] = nxt.get(key, 0j) + coef * mat[i, j]
                 poly = nxt
         for added, coef in poly.items():
             full = list(occ)

@@ -257,6 +257,12 @@ class Branches:
     def __len__(self) -> int:
         return len(self.probability)
 
+    def then(self, later: "Branches") -> "Branches":
+        """Chains ``later``, an event on this state: parent outcomes and probability first."""
+        return Branches(np.column_stack([self.outcome[later.parent], later.outcome]),
+                        self.probability[later.parent] * later.probability, later.state,
+                        self.parent[later.parent])
+
 
 # ---------------------------------------------------------------------------
 # Chain states
@@ -326,12 +332,9 @@ def weave_joint(joint: PureState, arm_a: Dof, arm_b: Dof) -> Branches:
     _require_arm(joint, arm_a)
     _require_arm(joint, arm_b)
     ma = joint.apply_cz(arm_a, arm_b).measure((arm_a,), X_BASIS)
-    mb = ma.state.measure((arm_b,), X_BASIS)
-    first = ma.outcome[mb.parent]
-    out = (mb.state.apply_one(pol(arm_a.chain, arm_a.photon), _Z_POW[mb.outcome])
-           .apply_one(pol(arm_b.chain, arm_b.photon), _Z_POW[first]))
-    return Branches(np.stack([first, mb.outcome], axis=1),
-                    ma.probability[mb.parent] * mb.probability, out, ma.parent[mb.parent])
+    w = ma.then(ma.state.measure((arm_b,), X_BASIS))
+    out = w.state.apply_one(pol(arm_a.chain, arm_a.photon), _Z_POW[w.outcome[:, 1]])
+    return replace(w, state=out.apply_one(pol(arm_b.chain, arm_b.photon), _Z_POW[w.outcome[:, 0]]))
 
 
 def woven_target(chain_a: str, photon_a: int, chain_b: str, photon_b: int) -> PureState:
@@ -456,11 +459,8 @@ def _cphase_branches(state: PureState, a: str, ca: int, b: str, cb: int) -> Bran
     # an X byproduct commuted through the woven conditional phase picks up a
     # Z on the partner chain
     tb = bell_teleport(ta.state.apply_one(pol(b, cb + 1), _Z_POW[ta.outcome[:, 0]]), b, cb)
-    leaves = tb.state.apply_one(pol(a, ca + 1), _Z_POW[tb.outcome[:, 0]])
-    woven = ta.parent[tb.parent]
-    return Branches(np.hstack([w.outcome[woven], ta.outcome[tb.parent], tb.outcome]),
-                    w.probability[woven] * ta.probability[tb.parent] * tb.probability,
-                    leaves, w.parent[woven])
+    leaves = w.then(ta).then(tb)
+    return replace(leaves, state=tb.state.apply_one(pol(a, ca + 1), _Z_POW[tb.outcome[:, 0]]))
 
 
 def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:

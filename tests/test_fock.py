@@ -69,6 +69,26 @@ class TestModeUnitaries:
         assert seq.terms.keys() == direct.terms.keys()
         assert max(abs(a - direct.terms[o]) for o, a in seq.terms.items()) <= 1e-10
 
+    SWAP = ((2, 0), [[0, 1], [1, 0]])
+    # a splitter on modes 0 and 1 that leaves mode 2 alone
+    SPLITTER = ((0, 1, 2), [[0.6, 0.8, 0], [0.8, -0.6, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("unitary, terms, want", [
+        (SWAP, {(1, 0, 0): 0.6, (0, 1, 0): 0.8j}, {(0, 0, 1): 0.6, (0, 1, 0): 0.8j}),
+        (SWAP, {(2, 0, 0): 0.6, (1, 1, 0): 0.8}, {(0, 0, 2): 0.6, (0, 1, 1): 0.8}),
+        (SPLITTER, {(1, 0, 0): 1.0}, {(1, 0, 0): 0.6, (0, 1, 0): 0.8}),
+        (SPLITTER, {(0, 0, 1): 1.0}, {(0, 0, 1): 1.0}),
+        # (0.6 a0 + 0.8 a1)(0.8 a0 - 0.6 a1) a2 = (0.48 a0^2 + 0.28 a0 a1 - 0.48 a1^2) a2
+        (SPLITTER, {(1, 1, 1): 1.0},
+         {(2, 0, 1): 0.48 * SQ2, (1, 1, 1): 0.28, (0, 2, 1): -0.48 * SQ2}),
+    ], ids=["swap-one-photon", "swap-two-photons", "splitter", "splitter-spectator",
+            "splitter-interference-with-spectator"])
+    def test_unitary_with_zero_entries(self, unitary, terms, want):
+        """Every term a zero entry contributes vanishes from the image."""
+        out = fock.apply_mode_unitary(fock.FockState(3, terms), fock.ModeUnitary(*unitary))
+        assert out.terms.keys() == want.keys()
+        assert all(out.terms[o] == pytest.approx(a, abs=1e-15) for o, a in want.items())
+
     def test_non_unitary_rejected(self):
         with pytest.raises(fock.FockError):
             fock.ModeUnitary((0, 1), np.array([[1, 1], [0, 1]]))

@@ -874,14 +874,19 @@ class TestBuildChain:
             walker.WalkParams(n=0, target_links=1, trials=1, seed=0)
 
     @pytest.mark.parametrize("bad", [{"n": 2.5}, {"n": True}, {"seed": -1},
-                                     {"seed": 2 ** 64}, {"seed": 1.0}])
+                                     {"seed": 2 ** 64}, {"seed": 1.0}, {"seed": True},
+                                     {"target_links": 2.5}, {"trials": True},
+                                     {"max_steps": 1e6}, {"warmup_links": 0.0}])
     def test_params_reject_non_integer_order_and_bad_seed(self, bad):
         """A fractional order would walk with step bound 2.5/3.5, True would
         pass as order 1, and a seed outside [0, 2**64) would fail only at the
-        first draw, with numpy's OverflowError."""
+        first draw, with numpy's OverflowError.  A count or seed that is no
+        int would be used as one: target_links=2.5 walks 3 links but divides
+        the rates by 2.5, and trials=True runs one trial."""
         params = {**dict(n=2, target_links=5, trials=1, seed=0), **bad}
-        error = analytics.OrderOutOfRangeError if "n" in bad else analytics.InputError
-        with pytest.raises(error, match="n must be an int" if "n" in bad else "seed"):
+        (name,) = bad
+        error = analytics.OrderOutOfRangeError if name == "n" else analytics.InputError
+        with pytest.raises(error, match=f"^{name} must be an int"):
             walker.WalkParams(**params)
 
     def test_aggregate_rejects_no_trials(self):
@@ -920,6 +925,20 @@ class TestWeave:
         ind = walker.weave_batch(2, walker.WeaveModel.INDEPENDENT_SIDES, 100000, seed=5)
         assert abs(full.arms_per_side.mean - 1.75) < 0.02
         assert abs(ind.arms_per_side.mean - 1.5) < 0.02
+
+    @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
+    def test_model_given_by_value(self, model):
+        """The value names the same model: a string must not fall through
+        to ``independent-sides``."""
+        assert (walker.weave_batch(2, model.value, 1000, seed=4)
+                == walker.weave_batch(2, model, 1000, seed=4))
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="full-retry"):
+            walker.weave_batch(2, "full-retry", 10, seed=4)
+
+    def test_weave_model_lives_in_analytics(self):
+        assert walker.WeaveModel is analytics.WeaveModel
 
     @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("m", [0, -1, 2.5])

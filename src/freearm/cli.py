@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -112,30 +113,37 @@ def _convergence(passed: bool) -> str:
 
 
 def cmd_analytic(args) -> Report:
-    drift_keys = ("attempts_per_link", "units_per_link", "cs_per_link",
-                  "gate_construction_cs", "gate_construction_units")
+    keys = ("cz_success", "step_back", "weave_cs", "attempts_per_link", "units_per_link",
+            "cs_per_link", "gate_construction_cs", "gate_construction_units", "cluster_units",
+            "cluster_cs")
+
+    def cells(*pairs):  # each (key, value)'s exact and decimal cell; None reads "divergent"
+        return [{k: "divergent" if x is None else fmt(x) for k, x in pairs}
+                for fmt in (str, analytics.to_decimal)]
+
+    # each value but the two gate-construction costs depends on n alone or on m alone
+    by_m = functools.cache(lambda m: (2 * analytics.free_arms_per_gate_per_chain(m),
+                                      cells(("weave_cs", analytics.weave_cs_per_gate(m)))))
     rows, json_rows, lines = [], [], [
         f"{'n':>3} {'m':>3} {'R':>10} {'units/link':>12} {'cs/link':>12} "
         f"{'gate cs':>12} {'gate units':>12} {'weave cs':>10} "
         f"{'cluster units':>14} {'cluster cs':>12}"]
     for n in args.n:
+        try:
+            link = analytics.resources_per_link(n)
+            drift = analytics.attempts_per_link(n), link.two_photon_units, link.cs_states
+        except analytics.NonPositiveDriftError:
+            drift = (None,) * 3
+        cluster = analytics.cluster_resources_per_unit(n)
+        # the cells of n keep places, in key order, for those of m and of the row
+        n_cells = cells(*zip(keys, (analytics.cz_success(n), analytics.step_back_prob(n), None,
+                                    *drift, None, None, cluster.two_photon_units,
+                                    cluster.cs_states)))
         for m in args.m:
-            exact = {"cz_success": analytics.cz_success(n),
-                     "step_back": analytics.step_back_prob(n),
-                     "weave_cs": analytics.weave_cs_per_gate(m)}
-            try:
-                link = analytics.resources_per_link(n)
-                gate = analytics.resources_per_gate(n, m)
-                exact.update(zip(drift_keys, (
-                    analytics.attempts_per_link(n), link.two_photon_units, link.cs_states,
-                    gate.construction_cs, gate.construction_units)))
-            except analytics.NonPositiveDriftError:
-                exact.update(dict.fromkeys(drift_keys))
-            cluster = analytics.cluster_resources_per_unit(n)
-            exact.update(cluster_units=cluster.two_photon_units, cluster_cs=cluster.cs_states)
-            row = {k: "divergent" if x is None else str(x) for k, x in exact.items()}
-            d = {k: "divergent" if x is None else analytics.to_decimal(x)
-                 for k, x in exact.items()}
+            factor, m_cells = by_m(m)
+            # as in analytics.resources_per_gate: 2(m+1)/m times the per-link rates, if any
+            gate = cells(*zip(keys[6:8], (x and factor * x for x in (drift[2], drift[1]))))
+            row, d = ({**a, **b, **c} for a, b, c in zip(n_cells, m_cells, gate))
             rows.append({"n": n, "m": m, **row})
             json_rows.append({**rows[-1], **{f"{k}_decimal": v for k, v in d.items()}})
             lines.append(f"{n:>3} {m:>3} {d['attempts_per_link']:>10} "

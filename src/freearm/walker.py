@@ -20,8 +20,8 @@ only the few tiles that can hold a hit; trials that need more rows continue
 in later rounds.  Blocks run one after another on the calling thread.
 :func:`simulate_step` and :func:`simulate_prep` read the same streams one event
 at a time.  The weave and cluster batches read ``substream(seed, 0)`` in order,
-one reader buffer of ``_CHUNK_UNIFORMS`` doubles at a time, keeping per-value
-counts.
+one reader buffer of ``_CHUNK_UNIFORMS`` doubles at a time, keeping counts per
+value or per round and at most two bytes per weave.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _STREAM_PREP = 1
 _MARGIN = 4.0  # standard deviations of headroom in each sized draw
 _BLOCK_UNIFORMS = 1 << 20  # uniforms in flight, held as 1-byte codes
 _CHUNK_UNIFORMS = 1 << 15  # doubles the reader holds at once: 256 kB
-_ROUND_LIMIT = 2 ** 16 - 1  # weave rounds stop short: after round r an arm counter is <= r + 1
+_ROUND_LIMIT = 2 ** 8 - 1  # weave rounds stop short: after round r a 1-byte counter is <= r + 1
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # words in one PCG64DXSM.jumped: (phi - 1) * 2^128
 
 
@@ -464,44 +464,56 @@ def weave_batch(m: int, model: WeaveModel | str, count: int, seed: int) -> Weave
     or its value), drawn round by round, in weave order, from ``substream(seed, 0)``."""
     s = float(analytics.ftel_success(m, name="m"))
     rng = substream(seed, 0)
-    arms = np.ones((count, 2), np.uint16)
     if WeaveModel(model) is WeaveModel.FULL_CZ_RETRY:
-        # the weaves still retrying are arms[:k], in weave order; each finished
-        # weave counts its rounds in rounds[r] and its two arms in arm_hist
-        rounds, arm_hist, k = [0], np.zeros(1, np.int64), count
+        # the weaves still retrying are fails[:k], in weave order, a side's failures in each
+        # byte; a finished weave counts its rounds in rounds[r] and its failures in pairs
+        fails, pairs = np.zeros(count, np.uint16), np.zeros(1 << 16, np.int64)
+        rounds, k = [0], count
         while k:
             if len(rounds) >= _ROUND_LIMIT:
-                raise OverflowError(f"weave round {len(rounds)} would wrap the arm counters")
-            arm_hist, kept = np.r_[arm_hist, 0], 0
+                raise OverflowError(f"weave round {len(rounds)} would wrap the failure counters")
+            kept = 0
             for first, ok in _batch_rows(rng, k, 2, s):
-                held = arms[first:first + len(ok)]
-                held += ~ok
-                done = ok[:, 0] & ok[:, 1]
-                arm_hist += np.bincount(held.compress(done, 0).ravel(), minlength=arm_hist.size)
-                retry = held.compress(~done, 0)
-                arms[kept:kept + len(retry)] = retry
+                failed = (~ok).view(np.uint16).ravel()
+                held = fails[first:first + len(ok)]
+                held += failed
+                done = failed == 0
+                # no weave that finishes in round 1 has failed
+                binned = (np.bincount(held.compress(done)) if len(rounds) > 1
+                          else [np.count_nonzero(done)])
+                pairs[:len(binned)] += binned
+                retry = held.compress(~done)
+                fails[kept:kept + len(retry)] = retry
                 kept += len(retry)
             rounds.append(k - kept)
             k = kept
-        return WeaveStats(count, count_mean_stderr(rounds), count_mean_stderr(arm_hist))
+        pairs = pairs.reshape(256, 256)  # a side's arms are its failures plus one
+        return WeaveStats(count, count_mean_stderr(rounds), count_mean_stderr(
+            np.trim_zeros(np.r_[0, pairs.sum(0) + pairs.sum(1)], "b")))
+    # a side's weaves with r arms ran its round r and stop; those with cs > r (the deeper
+    # side's arms) retry side 0 after round r, or side 1 with side 0 stopped by round r
     index = np.int32 if count <= 2 ** 31 else np.int64
+    depth = np.ones(count, np.uint8)  # side 0's arms
+    arms, deeper = np.zeros((2, _ROUND_LIMIT + 1), np.int64)
     for side in range(2):
-        # round 1 covers every weave; later rounds index the weaves still retrying
         r, k = 1, count
         while k:
             if r >= _ROUND_LIMIT:
-                raise OverflowError(f"weave round {r} would wrap the arm counters")
+                raise OverflowError(f"weave round {r} would wrap the round counters")
             active = np.concatenate([
-                np.flatnonzero(~ok[:, 0]).astype(index) + first if r == 1
-                else active[first:first + len(ok)][~ok[:, 0]]
+                np.flatnonzero(~ok).astype(index) + first if r == 1
+                else active[first:first + len(ok)].compress(~ok.ravel())
                 for first, ok in _batch_rows(rng, k, 1, s)])
-            arms[active, side] += 1
+            arms[r] += k - active.size
+            if side:
+                deeper[r] += np.count_nonzero(depth[active] <= r)
+            else:
+                deeper[r] += active.size
+                depth[active] = r + 1
             r, k = r + 1, active.size
-    top = int(arms.max(initial=0)) + 1
-    pairs = np.split(arms, range(_CHUNK_UNIFORMS, count, _CHUNK_UNIFORMS))
-    cs_hist = sum(np.bincount(np.maximum(p[:, 0], p[:, 1]), minlength=top) for p in pairs)
-    arm_hist = sum(np.bincount(p.ravel(), minlength=top) for p in pairs)
-    return WeaveStats(count, count_mean_stderr(cs_hist), count_mean_stderr(arm_hist))
+    cs_hist = np.r_[0, -np.diff(deeper[1:], prepend=count)]
+    return WeaveStats(count, count_mean_stderr(np.trim_zeros(cs_hist, "b")),
+                      count_mean_stderr(np.trim_zeros(arms, "b")))
 
 
 @dataclass

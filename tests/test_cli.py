@@ -23,7 +23,74 @@ def run(argv, capsys):
     return code, capsys.readouterr().out
 
 
+def per_row_analytic(args) -> cli.Report:
+    """``cli.cmd_analytic`` computing every value of every (n, m) row from
+    ``analytics``, with no value shared between rows: the oracle for the
+    table built once per order."""
+    drift_keys = ("attempts_per_link", "units_per_link", "cs_per_link",
+                  "gate_construction_cs", "gate_construction_units")
+    rows, json_rows, lines = [], [], [
+        f"{'n':>3} {'m':>3} {'R':>10} {'units/link':>12} {'cs/link':>12} "
+        f"{'gate cs':>12} {'gate units':>12} {'weave cs':>10} "
+        f"{'cluster units':>14} {'cluster cs':>12}"]
+    for n in args.n:
+        for m in args.m:
+            exact = {"cz_success": analytics.cz_success(n),
+                     "step_back": analytics.step_back_prob(n),
+                     "weave_cs": analytics.weave_cs_per_gate(m)}
+            try:
+                link = analytics.resources_per_link(n)
+                gate = analytics.resources_per_gate(n, m)
+                exact.update(zip(drift_keys, (
+                    analytics.attempts_per_link(n), link.two_photon_units, link.cs_states,
+                    gate.construction_cs, gate.construction_units)))
+            except analytics.NonPositiveDriftError:
+                exact.update(dict.fromkeys(drift_keys))
+            cluster = analytics.cluster_resources_per_unit(n)
+            exact.update(cluster_units=cluster.two_photon_units, cluster_cs=cluster.cs_states)
+            row = {k: "divergent" if x is None else str(x) for k, x in exact.items()}
+            d = {k: "divergent" if x is None else analytics.to_decimal(x)
+                 for k, x in exact.items()}
+            rows.append({"n": n, "m": m, **row})
+            json_rows.append({**rows[-1], **{f"{k}_decimal": v for k, v in d.items()}})
+            lines.append(f"{n:>3} {m:>3} {d['attempts_per_link']:>10} "
+                         f"{d['units_per_link']:>12} {d['cs_per_link']:>12} "
+                         f"{d['gate_construction_cs']:>12} {d['gate_construction_units']:>12} "
+                         f"{d['weave_cs']:>10} {d['cluster_units']:>14} {d['cluster_cs']:>12}")
+    lines.append("exact rationals available via --format json/csv")
+    return cli.Report({"rows": json_rows}, rows, lines)
+
+
+def rendered(report, fmt):
+    out = io.StringIO()
+    cli.render(report, "analytic", fmt, out)
+    return out.getvalue()
+
+
 class TestAnalyticCommand:
+    @pytest.mark.parametrize("orders", [
+        ["--n", *map(str, range(1, 41)), "--m", *map(str, range(1, 11))],  # the benchmark's
+        [],  # the defaults
+        ["--n", "3", "1", "3", "--m", "2", "1", "2"],  # repeated and unsorted orders
+        ["--n", "1"],  # every drift cell reads "divergent"
+    ], ids=["benchmark", "defaults", "repeated-unsorted", "order-1"])
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_equals_per_row_oracle(self, orders, fmt):
+        args = cli.build_parser().parse_args(["analytic", *orders])
+        assert rendered(cli.cmd_analytic(args), fmt) == rendered(per_row_analytic(args), fmt)
+
+    @pytest.mark.parametrize("orders", [
+        ["--n", "0", "--m", "0"], ["--n", "2", "0", "--m", "0"], ["--n", "2", "0", "--m", "3"],
+        ["--n", "2", "--m", "3", "-1"]])
+    def test_first_bad_order_named_as_in_oracle(self, orders):
+        """Rows run n-major with n checked before m, so the message names the
+        first bad order the per-row loop meets."""
+        args = cli.build_parser().parse_args(["analytic", *orders])
+        with pytest.raises(analytics.OrderOutOfRangeError) as want:
+            per_row_analytic(args)
+        with pytest.raises(analytics.OrderOutOfRangeError, match=f"^{want.value}$"):
+            cli.cmd_analytic(args)
+
     def test_table_row_values(self, capsys):
         code, out = run(["analytic", "--n", "2", "--m", "2"], capsys)
         assert code == 0
@@ -42,9 +109,13 @@ class TestAnalyticCommand:
         assert Fraction(by_n[3]["attempts_per_link"]) == Fraction(32, 11)
 
     def test_divergent_order_marked(self, capsys):
-        code, out = run(["analytic", "--n", "1", "--format", "json"], capsys)
+        code, out = run(["analytic", "--n", "1", "--m", "1", "2", "--format", "json"], capsys)
         assert code == 0
-        assert json.loads(out)["rows"][0]["attempts_per_link"] == "divergent"
+        drift = ("attempts_per_link", "units_per_link", "cs_per_link",
+                 "gate_construction_cs", "gate_construction_units")
+        for row in json.loads(out)["rows"]:
+            assert {k for k, v in row.items() if v == "divergent"} == {
+                key + suffix for key in drift for suffix in ("", "_decimal")}
 
 
 class TestWalkCommand:

@@ -556,7 +556,7 @@ class TestPrepAndStep:
 
 # Each gate below allows GATE_Z exact standard deviations of the mean: under
 # the normal approximation a correct sampler fails one estimate with
-# probability 3.8e-8, and all 12 estimates gated here with at most 4.6e-7.
+# probability 3.8e-8, and all 15 estimates gated here with at most 5.7e-7.
 GATE_Z = 5.5
 
 
@@ -952,6 +952,47 @@ class TestWeave:
                                   else f"m must be an int, got {m}")
 
 
+def joint_geometric_cs(m, k, top):
+    """E[max(a, b)^k] over the weave's two sides' arms a, b <= ``top``, one
+    term per pair: P(a, b) = s q^(a-1) s q^(b-1) = m^2/(m+1)^(a+b)."""
+    total = sum(m * m * max(a, b) ** k * (m + 1) ** (2 * top - a - b)
+                for a in range(1, top + 1) for b in range(1, top + 1))
+    return Fraction(total, (m + 1) ** (2 * top))
+
+
+class TestIndependentSidesCs:
+    """The ``independent-sides`` ancillas, which the batch derives from
+    per-round counts and each weave's side-0 depth, against their exact
+    moments."""
+
+    TOP = 120
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_moments_match_joint_geometric_sum(self, m):
+        """Pairs past TOP hold P(max(a, b) > TOP) <= 2 q^TOP, and their terms
+        fall by at most ((c+1)/c)^2 q < 0.6 per step of c = max(a, b) > TOP,
+        so they add under 5 (TOP+1)^2 q^TOP to each moment."""
+        exact = walk_moments.independent_cs_moments(m)
+        tail = 5 * (self.TOP + 1) ** 2 * Fraction(1, m + 1) ** self.TOP
+        mean = joint_geometric_cs(m, 1, self.TOP)
+        second = joint_geometric_cs(m, 2, self.TOP)
+        assert 0 < exact.mean - mean < tail
+        assert 0 < exact.var + exact.mean ** 2 - second < tail
+
+    @pytest.mark.parametrize("m, mean", [(1, Fraction(8, 3)), (2, Fraction(15, 8)),
+                                         (3, Fraction(8, 5))])
+    def test_means_match_roadmap_table(self, m, mean):
+        assert walk_moments.independent_cs_moments(m).mean == mean
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batch_cs_mean(self, m):
+        count = 200_000
+        exact = walk_moments.independent_cs_moments(m)
+        stats = walker.weave_batch(m, walker.WeaveModel.INDEPENDENT_SIDES, count, seed=12)
+        assert abs(stats.cs_mean.mean - float(exact.mean)) <= GATE_Z * math.sqrt(
+            exact.var / count)
+
+
 BATCH_SEEDS = [0, 7, 2 ** 64 - 1]
 # (count, doubles the compare reader holds at once; None: the module's own).
 # 1001 is no multiple of a 96-double chunk's rows at any draw width, and
@@ -1016,16 +1057,18 @@ class TestBatchMemory:
     ``_CHUNK_UNIFORMS`` doubles, plus bytes per weave.
 
     Fixed: the buffer's 8-byte doubles (8 C) and the 1-byte compares of two
-    slices (2 C), while a slice works on at most C arm values or indices:
-    ``bincount``'s 8-byte copy of them (8 C), and 2-byte arm or 4-byte index
-    copies (4 C at m <= 3); 24 C covers these and the small arrays.  Per
-    weave: ``full-cz-retry`` holds only its two 2-byte arm counters, 4
-    bytes.  ``independent-sides`` also holds a 4-byte index of each weave
-    still retrying after its first round on a side, a share 1 - s of them,
-    twice while the slices' pieces are joined: 4 + 8 (1 - s) bytes, 8 at
-    m = 1.  A cluster batch keeps only running sums, so its peak does not
-    grow with the count.  Whole-round arrays took up to 32 bytes per weave
-    and 8 per cluster attempt."""
+    slices (2 C), while a slice works on at most C values or indices:
+    ``bincount``'s 8-byte copy of them (8 C), and 2-byte packed or 4-byte
+    index copies (4 C at m <= 3); 24 C covers these and the small arrays.
+    ``full-cz-retry`` adds its table of finished weaves per failure pair,
+    2^16 8-byte counts (16 C), and keeps for each weave its two 1-byte
+    failure counts, 2 bytes.  ``independent-sides`` keeps each weave's
+    1-byte side-0 depth and a 4-byte index of each weave still retrying
+    after its first round on a side, a share 1 - s of them, twice while the
+    slices' pieces are joined: 1 + 8 (1 - s) bytes, 5 at m = 1.  A cluster
+    batch keeps only running sums, so its peak does not grow with the
+    count.  Two 2-byte arm counters per weave took 4 bytes, and whole-round
+    arrays up to 32 bytes per weave and 8 per cluster attempt."""
 
     COUNT = 200_000
 
@@ -1038,8 +1081,9 @@ class TestBatchMemory:
     @pytest.mark.parametrize("m", [1, 3])
     def test_weave(self, m, model):
         peak = self.peak(lambda count: walker.weave_batch(m, model, count, seed=1))
-        per_weave = 4 if model is walker.WeaveModel.FULL_CZ_RETRY else 4 + 8 / (m + 1)
-        assert peak <= 24 * walker._CHUNK_UNIFORMS + per_weave * self.COUNT
+        fixed, per_weave = ((24 + 16, 2) if model is walker.WeaveModel.FULL_CZ_RETRY
+                            else (24, 1 + 8 / (m + 1)))
+        assert peak <= fixed * walker._CHUNK_UNIFORMS + per_weave * self.COUNT
 
     @pytest.mark.parametrize("scale", [1, 10])
     def test_cluster(self, scale):
@@ -1048,8 +1092,8 @@ class TestBatchMemory:
 
 
 class TestRoundLimit:
-    """Past the round limit a 2-byte arm counter could wrap, so the batch
-    stops with an internal fault, not a usage error."""
+    """Past the round limit a 1-byte failure count or side-0 depth could
+    wrap, so the batch stops with an internal fault, not a usage error."""
 
     @pytest.mark.parametrize("model", list(walker.WeaveModel), ids=lambda m: m.value)
     def test_batch_stops_before_counters_wrap(self, model, monkeypatch):

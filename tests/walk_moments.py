@@ -1,4 +1,4 @@
-"""Exact finite-chain moments of the walk model, as Fractions (test helper).
+"""Exact moments of the walk and weave models, as Fractions (test helper).
 
 The chain grows from length 0 with a reflecting floor.  A step is forward
 with probability p = s^2 (s = n/(n+1)), backward with b = (1 - p)/2 and
@@ -67,3 +67,19 @@ def segment(n: int, warmup: int, links: int) -> dict[str, Moments]:
         out[key] = Moments(steps.mean * per_unit.mean,
                            steps.mean * per_unit.var + steps.var * per_unit.mean ** 2)
     return {key: Moments(m.mean / links, m.var / links ** 2) for key, m in out.items()}
+
+
+def independent_cs_moments(m: int) -> Moments:
+    """Ancillas of one ``independent-sides`` weave: cs = max(a, b) of its two
+    sides' arms, each geometric with success s = m/(m+1).  With q = 1 - s,
+    P(cs > r) = 1 - (1 - q^r)^2 for r >= 0, so E cs = sum_r P(cs > r)
+    = 2/s - 1/(1 - q^2) and E cs^2 = sum_r (2r + 1) P(cs > r), summed with
+    sum_r (2r + 1) x^r = (1 + x)/(1 - x)^2 at x = q and q^2."""
+    q = Fraction(1, m + 1)
+
+    def odd_weights(x):
+        return (1 + x) / (1 - x) ** 2
+
+    mean = 2 / (1 - q) - 1 / (1 - q * q)
+    second = 2 * odd_weights(q) - odd_weights(q * q)
+    return Moments(mean, second - mean * mean)

@@ -35,8 +35,9 @@ def main():
     params = walker.WalkParams(n=1, target_links=100, warmup_links=0, max_steps=100_000,
                                trials=10, seed=0)
     trials = walker.run_trials(params)
-    steps = sum(t.steps for t in trials)
-    forward, backward = sum(t.forward for t in trials), sum(t.backward for t in trials)
+    # one int64 array per field: sum the columns, not the trials
+    steps, forward, backward = (int(column.sum())
+                                for column in (trials.steps, trials.forward, trials.backward))
     drift = walker.aggregate(trials, params).drift
     print(f"  {steps} steps: forward {forward}  backward {backward}  "
           f"neutral {steps - forward - backward}")

@@ -200,11 +200,10 @@ def cmd_walk(args) -> Report:
             "divergent": targets is None, "converged": converged, "results": row}
     rows = [row]
     if args.per_trial:
+        fields = "steps units cs measured_steps measured_units measured_cs capped".split()
         rows = body["per_trial"] = [
-            dict(base, trial=i, steps=t.steps, units=t.units, cs=t.cs,
-                 measured_steps=t.measured_steps, measured_units=t.measured_units,
-                 measured_cs=t.measured_cs, capped=t.capped)
-            for i, t in enumerate(trials)]
+            dict(base, trial=i, **dict(zip(fields, values)))
+            for i, values in enumerate(zip(*(getattr(trials, f).tolist() for f in fields)))]
     return Report(body, rows, lines, None if targets is None else converged)
 
 

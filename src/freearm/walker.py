@@ -27,7 +27,7 @@ value or per round and at most two bytes per weave.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -103,6 +103,25 @@ class TrialResult:
     measured_units: int
     measured_cs: int
     capped: bool
+
+
+class TrialColumns:
+    """A walk's trials as one array per :class:`TrialResult` field (``capped``
+    ``bool``, the rest ``int64``); iteration yields their rows, 4096 at a time."""
+
+    FIELDS = tuple(field.name for field in fields(TrialResult))
+
+    def __init__(self, trials: int):
+        for name in self.FIELDS:
+            setattr(self, name, np.zeros(trials, bool if name == "capped" else np.int64))
+
+    def __len__(self) -> int:
+        return self.steps.size
+
+    def __iter__(self):
+        for first in range(0, len(self), 4096):
+            yield from map(TrialResult, *(getattr(self, name)[first:first + 4096].tolist()
+                                          for name in self.FIELDS))
 
 
 @dataclass
@@ -404,41 +423,43 @@ def _prep(params: WalkParams, streams: _Streams, trials: np.ndarray, marks: np.n
     return units, cs
 
 
-def _run_block(params: WalkParams, trials: np.ndarray) -> list[TrialResult]:
+def _run_block(params: WalkParams, trials: np.ndarray) -> tuple[np.ndarray, ...]:
     streams = _Streams(params.seed)
     steps, fwd, bwd, warm_steps, capped = _walk(params, streams, trials)
     (warm_units, units), (warm_cs, cs) = _prep(params, streams, trials,
                                                np.stack([warm_steps, steps]))
-    columns = (steps, fwd, bwd, units, cs, steps - warm_steps, units - warm_units,
-               cs - warm_cs, capped)
-    return [TrialResult(*row) for row in zip(*(c.tolist() for c in columns))]
+    return (steps, fwd, bwd, units, cs, steps - warm_steps, units - warm_units,
+            cs - warm_cs, capped)
 
 
-def aggregate(trials: list[TrialResult], params: WalkParams) -> WalkStats:
-    """Means and sample-corrected standard errors over a homogeneous trial list.
+def aggregate(trials: TrialColumns, params: WalkParams) -> WalkStats:
+    """Means and sample-corrected standard errors over a walk's trials.
 
     Per-link rates are measured after the chain first reaches ``warmup_links``,
     excluding the reflecting-boundary transient so they estimate the long-run
-    rates the closed forms describe.
+    rates the closed forms describe.  Every trial takes at least one step.
     """
-    done = [t for t in trials if not t.capped]
-    rates = [mean_stderr([getattr(t, field) / params.target_links for t in done]) if done
+    done = ~trials.capped
+    rates = [mean_stderr(getattr(trials, field)[done] / params.target_links) if done.any()
              else Estimate(math.nan, math.nan)
              for field in ("measured_steps", "measured_units", "measured_cs")]
-    drift = mean_stderr([(t.forward - t.backward) / t.steps for t in trials if t.steps])
-    return WalkStats(len(trials) - len(done), *rates, drift)
+    drift = mean_stderr((trials.forward - trials.backward) / trials.steps)
+    return WalkStats(len(trials) - int(np.count_nonzero(done)), *rates, drift)
 
 
-def run_trials(params: WalkParams) -> list[TrialResult]:
-    """All trial results in trial order, computed a block of trials at a time
-    on the calling thread.  Each trial draws from its own substreams, so the
-    list does not depend on the block size."""
+def run_trials(params: WalkParams) -> TrialColumns:
+    """All trial results in trial order, written into the columns a block of
+    trials at a time on the calling thread.  Each trial draws from its own
+    substreams, so the results do not depend on the block size."""
     rows = min(_walk_rows(params.n, 0, params.warmup_links + params.target_links),
                params.max_steps)
-    per_trial = max(rows, int(_prep_rows(params.n, rows)))
-    size = max(1, _BLOCK_UNIFORMS // per_trial)
-    return [result for first in range(0, params.trials, size)
-            for result in _run_block(params, np.arange(first, min(first + size, params.trials)))]
+    size = max(1, _BLOCK_UNIFORMS // max(rows, int(_prep_rows(params.n, rows))))
+    out = TrialColumns(params.trials)
+    for first in range(0, params.trials, size):
+        trials = np.arange(first, min(first + size, params.trials))
+        for name, column in zip(out.FIELDS, _run_block(params, trials)):
+            getattr(out, name)[first:first + trials.size] = column
+    return out
 
 
 @dataclass

@@ -402,6 +402,17 @@ def whole_cluster_batch(n, count, seed):
     return walker.ClusterStats(count, count / net, float(cs) / net)
 
 
+def per_trial_aggregate(trials, params):
+    """``walker.aggregate`` one :class:`walker.TrialResult` at a time, as it was
+    written over a list of them: each rate and drift an ``int / int``."""
+    done = [t for t in trials if not t.capped]
+    rates = [walker.mean_stderr([getattr(t, field) / params.target_links for t in done])
+             if done else walker.Estimate(math.nan, math.nan)
+             for field in ("measured_steps", "measured_units", "measured_cs")]
+    drift = walker.mean_stderr([(t.forward - t.backward) / t.steps for t in trials if t.steps])
+    return walker.WalkStats(len(trials) - len(done), *rates, drift)
+
+
 def traced_peak(fn):
     """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs."""
     tracemalloc.start()
@@ -766,7 +777,8 @@ class TestBuildChain:
         """The chunked trial consumes the same substreams as the scalar loop."""
         params = walker.WalkParams(n=2, target_links=20, trials=1, seed=9,
                                    warmup_links=0)
-        got, = walker._run_block(params, np.array([0]))
+        got, = map(walker.TrialResult, *(column.tolist() for column in
+                                         walker._run_block(params, np.array([0]))))
         rng_step = walker.substream(9, 0, 0)
         rng_prep = walker.substream(9, 0, 1)
         length = steps = 0
@@ -809,8 +821,8 @@ class TestBuildChain:
             trials.size) or run_block(p, trials))
         monkeypatch.setattr(walker._Streams, "draw", lambda streams, *args: sizes.append(
             sum(args[3])) or draw(streams, *args))
-        assert walker.run_trials(params) == [chunked_trial(params, t)
-                                             for t in range(params.trials)]
+        assert list(walker.run_trials(params)) == [chunked_trial(params, t)
+                                                   for t in range(params.trials)]
         assert sum(blocks) == params.trials
         assert len(blocks) > 1 and blocks[-1] < blocks[0]
         assert max(sizes) <= budget
@@ -823,7 +835,7 @@ class TestBuildChain:
         params = walker.WalkParams(n=n, target_links=40, trials=40, seed=8,
                                    warmup_links=warmup)
         want = [chunked_trial(params, t) for t in range(params.trials)]
-        assert walker.run_trials(params) == want
+        assert list(walker.run_trials(params)) == want
         goal = params.warmup_links + params.target_links
         longer = [t.steps > walker._walk_rows(n, 0, goal) for t in want]
         assert 5 < sum(longer) < 35
@@ -892,7 +904,49 @@ class TestBuildChain:
     def test_aggregate_rejects_no_trials(self):
         params = walker.WalkParams(n=2, target_links=5, trials=1, seed=0)
         with pytest.raises(ValueError, match="empty list"):
-            walker.aggregate([], params)
+            walker.aggregate(walker.TrialColumns(0), params)
+
+
+class TestAggregate:
+    """The column ``aggregate`` against the per-trial oracle: the same float64
+    divisions and the same sums, so equal to the last digit."""
+
+    @pytest.mark.parametrize("kw, capped", [
+        (dict(n=1, target_links=5, trials=300, seed=3, max_steps=200, warmup_links=0), "some"),
+        (dict(n=1, target_links=50, trials=20, seed=1, max_steps=2000, warmup_links=0), "all"),
+        (dict(n=1, target_links=3, trials=200, seed=6, max_steps=2000), "all"),
+        (dict(n=2, target_links=30, trials=300, seed=5), "none"),
+        (dict(n=2, target_links=30, trials=300, seed=5, warmup_links=0), "none"),
+        (dict(n=2, target_links=100, trials=200, seed=11, max_steps=900), "some"),
+        (dict(n=3, target_links=20, trials=150, seed=2 ** 64 - 1), "none"),
+        (dict(n=3, target_links=20, trials=150, seed=7, warmup_links=0), "none"),
+        (dict(n=2, target_links=10, trials=1, seed=4), "none"),
+        (dict(n=1, target_links=5, trials=1, seed=2, max_steps=5, warmup_links=0), "all"),
+    ])
+    def test_equals_per_trial_oracle(self, kw, capped):
+        """``repr`` spells each float's shortest round-trip digits, so equal
+        reprs are equal floats, NaN included, and equal int types."""
+        params = walker.WalkParams(**kw)
+        trials = walker.run_trials(params)
+        got = walker.aggregate(trials, params)
+        assert repr(got) == repr(per_trial_aggregate(list(trials), params))
+        assert got.capped_trials in {"none": [0], "all": [params.trials]}.get(
+            capped, range(1, params.trials))
+        if params.trials == 1:
+            assert got.drift.stderr == 0
+
+    def test_columns(self):
+        """One array per field, ``len`` and rows that read them."""
+        params = walker.WalkParams(n=2, target_links=10, trials=5000, seed=3)
+        trials = walker.run_trials(params)
+        assert len(trials) == 5000
+        rows = list(trials)
+        assert len(rows) == 5000
+        for field in walker.TrialColumns.FIELDS:
+            column = getattr(trials, field)
+            assert column.dtype == (bool if field == "capped" else np.int64)
+            assert [getattr(t, field) for t in rows] == column.tolist()
+        assert all(type(t.steps) is int and type(t.capped) is bool for t in rows)
 
 
 class TestWeave:
@@ -1089,6 +1143,31 @@ class TestBatchMemory:
     def test_cluster(self, scale):
         peak = self.peak(lambda count: walker.cluster_batch(2, scale * count, seed=1))
         assert peak <= 24 * walker._CHUNK_UNIFORMS
+
+
+class TestWalkMemory:
+    """Traced peak bytes of ``run_trials`` plus ``aggregate``: a block's
+    working set, fixed by the block budget, plus bytes per trial.
+
+    Per trial the columns hold eight 8-byte counts and the 1-byte ``capped``:
+    65 bytes.  ``aggregate`` adds the 1-byte mask of finished trials and at
+    most two 8-byte temporaries at once: a masked column and its quotient,
+    or a quotient and the deviations ``std`` forms from it.  So the peak
+    grows by at most 65 + 1 + 16 = 82 bytes per trial, and the slope
+    between two trial counts cancels the fixed part.  A list of
+    ``TrialResult`` rows took about 400 bytes per trial."""
+
+    FEWER, MORE = 2000, 20_000
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bytes_per_trial(self, n):
+        def peak(trials):
+            params = walker.WalkParams(n=n, target_links=100, trials=trials, seed=1)
+            return traced_peak(lambda: walker.aggregate(walker.run_trials(params), params))
+
+        peak(100)  # numpy's first-use allocations are not the walk's
+        slope = (peak(self.MORE) - peak(self.FEWER)) / (self.MORE - self.FEWER)
+        assert slope <= 65 + 1 + 16
 
 
 class TestRoundLimit:

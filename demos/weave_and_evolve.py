@@ -5,13 +5,9 @@ outcome is enumerated, corrected, and compared with the intended state, so
 fidelities of exactly 1 are the expected result, not an approximation.
 """
 
-import math
-
 import numpy as np
 
 from freearm import statevec as sv
-
-SQ2 = math.sqrt(2)
 
 
 def main():
@@ -48,12 +44,14 @@ def main():
           f"fidelity {worst:.12f}")
 
     print("\n3. A complete two-qubit program, every branch verified")
-    H = np.array([[1, 1], [1, -1]]) / SQ2
-    prog = sv.Program(("a", "b"), {"a": (1, 0), "b": (1, 0)},
-                      (sv.Rotation("a", H), sv.Rotation("b", H),
-                       sv.Cphase("a", "b"), sv.Rotation("b", H)))
+    # a program is a gate layout: rotation places, not matrices
+    prog = sv.Program(("a", "b"),
+                      (sv.Rotation("a"), sv.Rotation("b"),
+                       sv.Cphase("a", "b"), sv.Rotation("b")))
     rep = sv.evolve_program(prog, links_per_qubit=1)
-    print("   circuit: H a; H b; conditional phase; H b   (makes a Bell pair)")
+    print("   layout: rotate a; rotate b; conditional phase; rotate b")
+    print("   the verdict covers every choice of rotations and inputs, including")
+    print("   H a; H b; conditional phase; H b on |00>, which makes a Bell pair")
     print(f"   measurement branches: {rep.branch_count}")
     print(f"   minimum gadget-branch fidelity: {rep.min_fidelity:.12f}")
     print(f"   branch probabilities sum to {rep.probability_sum:.12f}")
@@ -61,7 +59,7 @@ def main():
     rng = np.random.default_rng(7)
     prog = sv.random_program(3, 2, 4, rng)
     rep = sv.evolve_program(prog, links_per_qubit=2)
-    print("\n   random 3-qubit program, 2 conditional phases, 4 rotations:")
+    print("\n   random 3-qubit layout, 2 conditional phases, 4 rotations:")
     print(f"   {rep.branch_count} branches, min fidelity {rep.min_fidelity:.12f}")
 
 

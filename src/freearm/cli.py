@@ -6,7 +6,7 @@ Subcommands
     weave         Monte Carlo weave resource consumption (two event models)
     cluster       Monte Carlo cluster-variant attachment vs the closed forms
     verify-weave  qubit-level weave branch verification
-    verify-evolve per-gadget protocol verification of a seeded random program
+    verify-evolve per-gadget protocol verification of a seeded random layout
     fock-cz       photon-level conditional-phase gate verification
 
 Each subcommand computes one :class:`Report`; :func:`render` writes it as a
@@ -299,7 +299,9 @@ def cmd_verify_evolve(args) -> Report:
                probability_sum=f"{rep.probability_sum:.17g}", passed=ok)
     body = {"params": params, "branch_count": rep.branch_count,
             "min_fidelity": rep.min_fidelity, "probability_sum": rep.probability_sum,
-            "passed": ok, "program": statevec.program_to_json(program)}
+            "passed": ok, "program": statevec.program_to_json(program),
+            "note": "the program is a gate layout; the verdict holds for every "
+                    "choice of rotations and inputs"}
     # every branch is covered, so the table keeps its "enumerate-all" wording
     lines = [f"program: {args.qubits} qubits, {args.cphases} conditional phases, "
              f"{args.rotations} rotations, seed {args.seed} (enumerate-all)",

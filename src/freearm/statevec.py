@@ -20,8 +20,9 @@ branches run as one stack on a fixed 4-label Choi input (each carrier
 entangled with an untouched reference qubit), which covers every input and,
 every placement being the same channel up to relabelling, every gadget.
 Rotations are local unitaries on the carriers between gadgets, so the
-checked gadget composes to the ideal circuit; they are not executed, and
-only generating and printing a program grow with its size.  Measured
+checked gadget composes to the ideal circuit for every choice of rotations
+and inputs: a program is only its gate layout, nothing is executed, and
+only generating and printing a layout grow with its size.  Measured
 degrees of freedom are removed immediately, so every state stays within the
 ``DOF_CAP`` label cap.  All operations return new states.
 """
@@ -382,14 +383,10 @@ def bell_teleport(state: PureState, chain: str, photon: int) -> Branches:
 
 @dataclass(frozen=True)
 class Rotation:
-    qubit: str
-    matrix: np.ndarray
+    """A single-qubit gate's place in a layout; the verdict holds for every
+    choice of its matrix."""
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2) or np.abs(m @ m.conj().T - np.eye(2)).max() > 1e-10:
-            raise MalformedProgramError("rotation matrix must be 2x2 unitary (tol 1e-10)")
-        object.__setattr__(self, "matrix", m)
+    qubit: str
 
 
 @dataclass(frozen=True)
@@ -404,23 +401,16 @@ class Cphase:
 
 @dataclass(frozen=True)
 class Program:
-    """A logical circuit: named qubits, input amplitudes, gate list."""
+    """A logical circuit's gate layout: named qubits and a gate list.  The
+    verdict holds for every choice of rotation matrices and input states."""
 
     qubits: tuple[str, ...]
-    inputs: dict[str, tuple[complex, complex]]
     ops: tuple
 
     def __post_init__(self):
         names = set(self.qubits)
         if len(names) != len(self.qubits) or not self.qubits:
             raise MalformedProgramError("qubit names must be non-empty and unique")
-        for q in self.inputs:
-            if q not in names:
-                raise MalformedProgramError(f"input names undeclared qubit {q!r}")
-        for q in self.qubits:
-            a, b = self.inputs.get(q, (1.0, 0.0))
-            if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
-                raise MalformedProgramError(f"input for {q} is not normalized")
         for op in self.ops:
             if not isinstance(op, (Rotation, Cphase)):
                 raise MalformedProgramError(f"unknown operation {op!r}")
@@ -428,9 +418,6 @@ class Program:
             for t in targets:
                 if t not in names:
                     raise MalformedProgramError(f"gate targets undeclared qubit {t!r}")
-
-    def input_pair(self, q: str) -> tuple[complex, complex]:
-        return self.inputs.get(q, (1.0, 0.0))
 
 
 # |Phi>|Phi> on (carrier, reference, carrier, reference), |Phi> = (|00> + |11>)/sqrt(2)
@@ -468,8 +455,8 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
     one checked gadget.
 
     Each qubit owns a chain; a conditional-phase gate weaves the next links of
-    the two chains and teleports both data carriers forward.  Rotations act on
-    the current carrier polarization.
+    the two chains and teleports both data carriers forward.  A rotation, of
+    any matrix, acts on the current carrier polarization.
 
     The gadget is checked once per program, as a channel, at fixed labels
     (chains ``"a"`` and ``"b"``, carrier 1): every placement is the same
@@ -484,7 +471,7 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
     scalar.  The report counts the 64^c branches so covered, their total
     probability (the gadget's sum to the power c) and the gadget's least
     branch fidelity; with c = 0 no check runs and they are 1, 1.0 and 1.0.
-    Only generating and printing the program grow with c, not this check.
+    Only generating and printing the layout grow with c, not this check.
     """
     uses = Counter(q for op in program.ops if isinstance(op, Cphase) for q in (op.a, op.b))
     for q in program.qubits:
@@ -505,48 +492,25 @@ def evolve_program(program: Program, links_per_qubit: int) -> EvolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Program serialization and random program generation
+# Layout serialization and random layout generation
 # ---------------------------------------------------------------------------
 
 
 def program_to_json(program: Program) -> dict:
-    def pair(z: complex):
-        return [z.real, z.imag]
-
-    gates = []
-    for op in program.ops:
-        if isinstance(op, Rotation):
-            gates.append({"type": "unitary", "qubit": op.qubit,
-                          "matrix": [[pair(e) for e in row] for row in op.matrix]})
-        else:
-            gates.append({"type": "cphase", "qubits": [op.a, op.b]})
-    return {"qubits": list(program.qubits),
-            "inputs": {q: [pair(a), pair(b)] for q, (a, b) in program.inputs.items()},
-            "gates": gates}
-
-
-def haar_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary via QR with phase fixing."""
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    gates = [{"type": "unitary", "qubit": op.qubit} if isinstance(op, Rotation)
+             else {"type": "cphase", "qubits": [op.a, op.b]} for op in program.ops]
+    return {"qubits": list(program.qubits), "gates": gates}
 
 
 def random_program(n_qubits: int, n_cphases: int, n_rotations: int,
                    rng: np.random.Generator) -> Program:
-    """Seeded random program: Haar rotations and conditional phases interleaved."""
+    """Seeded random layout: rotation places and conditional phases interleaved."""
     qubits = tuple(f"q{i}" for i in range(n_qubits))
-    inputs = {}
-    for q in qubits:
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v = v / np.linalg.norm(v)
-        inputs[q] = (complex(v[0]), complex(v[1]))
-    ops = [Rotation(qubits[int(rng.integers(n_qubits))], haar_unitary(rng))
-           for _ in range(n_rotations)]
+    ops = [Rotation(qubits[int(rng.integers(n_qubits))]) for _ in range(n_rotations)]
     for _ in range(n_cphases):
         if n_qubits < 2:
             raise MalformedProgramError("conditional phase needs at least two qubits")
         a, b = rng.choice(n_qubits, size=2, replace=False)
         ops.append(Cphase(qubits[int(a)], qubits[int(b)]))
     rng.shuffle(ops)
-    return Program(qubits, inputs, tuple(ops))
+    return Program(qubits, tuple(ops))

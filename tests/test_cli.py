@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import freearm
@@ -221,6 +222,29 @@ class TestVerificationCommands:
         assert abs(doc["probability_sum"] - 1) < 1e-9
         # the report embeds the program for reproduction
         assert doc["program"]["qubits"] == ["q0", "q1"]
+        assert "every choice of rotations and inputs" in doc["note"]
+
+    def test_verify_evolve_prints_a_gate_layout(self, capsys, monkeypatch):
+        """The benchmark's wide 13-qubit shape draws no normal variate and
+        runs no QR, and its program holds no float: it is a gate layout."""
+        class NoNormal(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                raise AssertionError("Generator.normal drawn")
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: NoNormal(np.random.PCG64(seed)))
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        code, out = run(["verify-evolve", "--qubits", "13", "--cphases", "1",
+                         "--rotations", "13", "--format", "json"], capsys)
+        assert code == 0
+        program = json.loads(out)["program"]
+        floats = []
+        json.loads(json.dumps(program), parse_float=floats.append)
+        assert floats == []
+        assert [g["type"] for g in program["gates"]].count("unitary") == 13
 
     def test_verify_evolve_has_no_width_cap(self, capsys):
         code, out = run(["verify-evolve", "--qubits", "1000", "--cphases", "50",

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -235,10 +235,9 @@ class TestBellTeleport:
 class TestPrograms:
     def test_ideal_circuit_oracle(self):
         H = np.array([[1, 1], [1, -1]]) / SQ2
-        prog = sv.Program(("a", "b"), {"a": (1, 0), "b": (1, 0)},
-                          (sv.Rotation("a", H), sv.Cphase("a", "b"),
-                           sv.Rotation("b", H)))
-        out = ideal_circuit(prog)
+        circuit = Circuit(("a", "b"), {},
+                          (Unitary("a", H), sv.Cphase("a", "b"), Unitary("b", H)))
+        out = ideal_circuit(circuit)
         # H on a, CZ, H on b with b=|0>: CZ acts trivially -> |+>|0->H = |+>|+>
         expected = np.kron([1, 1], [1, 1]) / 2
         assert np.allclose(out.vec, expected)
@@ -247,72 +246,68 @@ class TestPrograms:
         with pytest.raises(sv.MalformedProgramError):
             sv.Cphase("a", "a")
         with pytest.raises(sv.MalformedProgramError):
-            sv.Program(("a",), {}, (sv.Rotation("missing", np.eye(2)),))
-        with pytest.raises(sv.MalformedProgramError):
-            sv.Rotation("a", np.array([[1, 1], [0, 1]]))
+            sv.Program(("a",), (sv.Rotation("missing"),))
+
+    def test_rotation_is_a_place_only(self):
+        """A layout's rotation names its qubit and nothing else, so there is
+        no matrix to check."""
+        assert [f.name for f in fields(sv.Rotation)] == ["qubit"]
+        assert [f.name for f in fields(sv.Program)] == ["qubits", "ops"]
+        with pytest.raises(TypeError):
+            sv.Rotation("a", np.eye(2))
 
     def test_unknown_operation_rejected(self):
         with pytest.raises(sv.MalformedProgramError, match="unknown operation 'junk'"):
-            sv.Program(("a", "b"), {}, ("junk",))
+            sv.Program(("a", "b"), ("junk",))
 
-    def test_inputs_must_name_declared_qubits(self):
-        with pytest.raises(sv.MalformedProgramError, match="'zz'"):
-            sv.Program(("a", "b"), {"zz": (5, 5)}, (sv.Cphase("a", "b"),))
-
-    @pytest.mark.parametrize("qubits, inputs, ops, message", [
-        (("a", "a"), {"zz": (5, 5)}, ("junk",), "qubit names must be non-empty and unique"),
-        ((), {}, (), "qubit names must be non-empty and unique"),
-        (("a", "b"), {"b": (5, 5), "zz": (1, 0)}, ("junk",), "input names undeclared qubit 'zz'"),
-        (("a", "b"), {"b": (5, 5)}, ("junk",), "input for b is not normalized"),
-        (("a", "b"), {}, ("junk", sv.Cphase("a", "zz")), "unknown operation 'junk'"),
-        (("a", "b"), {}, (sv.Cphase("a", "zz"), "junk"), "gate targets undeclared qubit 'zz'"),
-        (("a", "b"), {}, (sv.Cphase("yy", "zz"),), "gate targets undeclared qubit 'yy'"),
-        (("a", "b"), {}, (sv.Rotation("b", np.eye(2)), sv.Rotation("zz", np.eye(2))),
+    @pytest.mark.parametrize("qubits, ops, message", [
+        (("a", "a"), ("junk",), "qubit names must be non-empty and unique"),
+        ((), (), "qubit names must be non-empty and unique"),
+        (("a", "b"), (sv.Rotation("zz"), "junk"), "gate targets undeclared qubit 'zz'"),
+        (("a", "b"), ("junk", sv.Rotation("zz")), "unknown operation 'junk'"),
+        (("a", "b"), ("junk", sv.Cphase("a", "zz")), "unknown operation 'junk'"),
+        (("a", "b"), (sv.Cphase("a", "zz"), "junk"), "gate targets undeclared qubit 'zz'"),
+        (("a", "b"), (sv.Cphase("yy", "zz"),), "gate targets undeclared qubit 'yy'"),
+        (("a", "b"), (sv.Rotation("b"), sv.Rotation("zz")),
          "gate targets undeclared qubit 'zz'"),
     ])
-    def test_validation_messages_in_order(self, qubits, inputs, ops, message):
-        """Names, then inputs, then their norms, then each operation in turn:
-        the first fault found is the one reported."""
+    def test_validation_messages_in_order(self, qubits, ops, message):
+        """Names, then each operation in turn: the first fault found is the
+        one reported."""
         with pytest.raises(sv.MalformedProgramError) as exc:
-            sv.Program(qubits, inputs, ops)
+            sv.Program(qubits, ops)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_ideal_circuit_matches_gate_by_gate(self, seed):
         """The oracle's tensordot rotations and in-place phases against
         ``apply_one`` and ``apply_cz`` on the same input, gate by gate."""
-        prog = sv.random_program(6, 5, 8, np.random.default_rng(seed))
+        circuit = random_circuit(6, 5, 8, seed)
         state = None
-        for q in prog.qubits:
-            d = sv.data_state(q, 0, *prog.input_pair(q))
+        for q in circuit.qubits:
+            d = sv.data_state(q, 0, *circuit.input_pair(q))
             state = d if state is None else state.tensor(d)
-        for op in prog.ops:
-            if isinstance(op, sv.Rotation):
+        for op in circuit.ops:
+            if isinstance(op, Unitary):
                 state = state.apply_one(sv.pol(op.qubit, 0), op.matrix)
             else:
                 state = state.apply_cz(sv.pol(op.a, 0), sv.pol(op.b, 0))
-        got = ideal_circuit(prog)
+        got = ideal_circuit(circuit)
         assert got.labels == state.labels
         assert np.abs(got.vec - state.vec).max() <= 1e-14
 
     def test_json_document(self):
-        """Complex numbers are [real, imag] pairs; qubits without an input
-        entry are left out of ``inputs``."""
-        prog = sv.Program(("a", "b"), {"a": (0.6, 0.8j)},
-                          (sv.Rotation("a", np.diag([1, 1j])), sv.Cphase("b", "a")))
+        """A layout prints its qubits and gates: a rotation as its place only."""
+        prog = sv.Program(("a", "b"), (sv.Rotation("a"), sv.Cphase("b", "a")))
         assert sv.program_to_json(prog) == {
             "qubits": ["a", "b"],
-            "inputs": {"a": [[0.6, 0.0], [0.0, 0.8]]},
-            "gates": [{"type": "unitary", "qubit": "a",
-                       "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]},
+            "gates": [{"type": "unitary", "qubit": "a"},
                       {"type": "cphase", "qubits": ["b", "a"]}]}
 
 
 class TestEvolution:
     def test_single_cphase_all_branches(self):
-        prog = sv.Program(("a", "b"),
-                          {"a": (1 / SQ2, 1 / SQ2), "b": (0.6, 0.8)},
-                          (sv.Cphase("a", "b"),))
+        prog = sv.Program(("a", "b"), (sv.Cphase("a", "b"),))
         rep = sv.evolve_program(prog, links_per_qubit=1)
         assert rep.branch_count == 64
         assert rep.min_fidelity == pytest.approx(1, abs=1e-9)
@@ -325,14 +320,12 @@ class TestEvolution:
         assert rep.probability_sum == pytest.approx(1, abs=1e-9)
 
     def test_chain_too_short(self):
-        prog = sv.Program(("a", "b"), {}, (sv.Cphase("a", "b"),
-                                           sv.Cphase("a", "b")))
+        prog = sv.Program(("a", "b"), (sv.Cphase("a", "b"), sv.Cphase("a", "b")))
         with pytest.raises(sv.ChainTooShortError):
             sv.evolve_program(prog, links_per_qubit=1)
 
     def test_rotations_only_is_one_branch(self):
-        prog = sv.Program(("a", "b"), {"a": (0.6, 0.8j)},
-                          (sv.Rotation("a", H), sv.Rotation("b", H)))
+        prog = sv.Program(("a", "b"), (sv.Rotation("a"), sv.Rotation("b")))
         rep = sv.evolve_program(prog, links_per_qubit=0)
         # the empty product and the empty minimum
         assert (rep.branch_count, rep.probability_sum, rep.min_fidelity) == (1, 1.0, 1.0)
@@ -362,7 +355,7 @@ class TestEvolution:
             return honest(joint.apply_cz(arm_a, arm_b), arm_a, arm_b)
 
         monkeypatch.setattr(sv, "weave_joint", no_cz)
-        rep = sv.evolve_program(sv.Program(("a", "b"), {}, (sv.Cphase("a", "b"),)), 1)
+        rep = sv.evolve_program(sv.Program(("a", "b"), (sv.Cphase("a", "b"),)), 1)
         assert rep.min_fidelity < 1 - 1e-9
         assert rep.branch_count == 64
         assert rep.probability_sum == pytest.approx(1, abs=1e-12)
@@ -380,16 +373,70 @@ class TestEvolution:
 # ---------------------------------------------------------------------------
 
 
-def ideal_circuit(program):
-    """Direct application of the program to its product input, one axis per
+@dataclass(frozen=True)
+class Unitary:
+    """A rotation with its matrix: what a layout's ``sv.Rotation`` leaves open."""
+
+    qubit: str
+    matrix: np.ndarray
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """A gate layout with its rotations and inputs put on: ``ops`` holds a
+    ``Unitary`` where the layout has a ``sv.Rotation``, and ``inputs`` one
+    normalized pair per qubit (|0> where none is given)."""
+
+    qubits: tuple
+    inputs: dict
+    ops: tuple
+
+    @property
+    def layout(self):
+        """The ``sv.Program`` that ``evolve_program`` verifies."""
+        return sv.Program(self.qubits, tuple(
+            sv.Rotation(op.qubit) if isinstance(op, Unitary) else op for op in self.ops))
+
+    def input_pair(self, q):
+        return self.inputs.get(q, (1.0, 0.0))
+
+
+def haar_unitary(rng):
+    """Haar-random 2x2 unitary via QR with phase fixing (Mezzadri,
+    Notices AMS 54, 592 (2007))."""
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def fill(layout, rng):
+    """Put rotations and inputs on ``layout``: one normalized input per
+    qubit, then one Haar matrix per ``sv.Rotation``, in order, from ``rng``."""
+    inputs = {}
+    for q in layout.qubits:
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        inputs[q] = tuple(complex(z) for z in v / np.linalg.norm(v))
+    ops = tuple(Unitary(op.qubit, haar_unitary(rng)) if isinstance(op, sv.Rotation) else op
+                for op in layout.ops)
+    return Circuit(layout.qubits, inputs, ops)
+
+
+def random_circuit(n_qubits, n_cphases, n_rotations, seed):
+    """``sv.random_program``'s layout for ``seed``, filled from the same stream."""
+    rng = np.random.default_rng(seed)
+    return fill(sv.random_program(n_qubits, n_cphases, n_rotations, rng), rng)
+
+
+def ideal_circuit(circuit):
+    """Direct application of the circuit to its product input, one axis per
     qubit in declaration order, as a state on the labels ``pol(q, 0)``."""
-    n = len(program.qubits)
-    index = {q: i for i, q in enumerate(program.qubits)}
+    n = len(circuit.qubits)
+    index = {q: i for i, q in enumerate(circuit.qubits)}
     grid = np.ones((), dtype=complex)
-    for q in program.qubits:
-        grid = np.multiply.outer(grid, np.array(program.input_pair(q), dtype=complex))
-    for op in program.ops:
-        if isinstance(op, sv.Rotation):
+    for q in circuit.qubits:
+        grid = np.multiply.outer(grid, np.array(circuit.input_pair(q), dtype=complex))
+    for op in circuit.ops:
+        if isinstance(op, Unitary):
             ax = index[op.qubit]
             grid = np.moveaxis(np.tensordot(op.matrix, grid, axes=([1], [ax])), 0, ax)
         else:
@@ -397,7 +444,7 @@ def ideal_circuit(program):
             idx[index[op.a]] = 1
             idx[index[op.b]] = 1
             grid[tuple(idx)] *= -1  # grid is always a freshly built array
-    return sv.PureState([sv.pol(q, 0) for q in program.qubits], grid.reshape(-1))
+    return sv.PureState([sv.pol(q, 0) for q in circuit.qubits], grid.reshape(-1))
 
 
 def apply_one_oracle(state, dof, u):
@@ -478,32 +525,32 @@ def cphase_branches_oracle(state, a, ca, b, cb):
                        wb.probability * ta.probability * tb.probability, st_b)
 
 
-def program_input(program):
-    """The program's input, one data qubit per chain, tensored one by one."""
+def circuit_input(circuit):
+    """The circuit's input, one data qubit per chain, tensored one by one."""
     state = None
-    for q in program.qubits:
-        d = sv.data_state(q, 1, *program.input_pair(q))
+    for q in circuit.qubits:
+        d = sv.data_state(q, 1, *circuit.input_pair(q))
         state = d if state is None else state.tensor(d)
     return state
 
 
-def enumerate_program(program, links_per_qubit):
+def enumerate_program(circuit, links_per_qubit):
     """Depth-first oracle: follow every branch of every gadget to the end.
 
     Each of the 64^c leaves is compared with the ideal circuit; returns
     (branch count, least fidelity, probability sum).
     """
-    target = ideal_circuit(program)
-    init = program_input(program)
+    target = ideal_circuit(circuit)
+    init = circuit_input(circuit)
     results = []
 
     def run(state, ops, carriers, prob):
-        while ops and isinstance(ops[0], sv.Rotation):
+        while ops and isinstance(ops[0], Unitary):
             state = state.apply_one(sv.pol(ops[0].qubit, carriers[ops[0].qubit]),
                                     ops[0].matrix)
             ops = ops[1:]
         if not ops:
-            mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in program.qubits}
+            mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in circuit.qubits}
             results.append((prob, state.relabel(mapping).fidelity(target)[0]))
             return
         a, b = ops[0].a, ops[0].b
@@ -513,22 +560,22 @@ def enumerate_program(program, links_per_qubit):
             run(sv.PureState(leaves.state.labels, vec, _checked=True), ops[1:],
                 {**carriers, a: ca + 1, b: cb + 1}, prob * p)
 
-    run(init, tuple(program.ops), {q: 1 for q in program.qubits}, 1.0)
+    run(init, tuple(circuit.ops), {q: 1 for q in circuit.qubits}, 1.0)
     return (len(results), min(f for _, f in results), sum(p for p, _ in results))
 
 
-def evolve_whole_state(program, links_per_qubit):
+def evolve_whole_state(circuit, links_per_qubit):
     """Per-gadget oracle on the real input: each gadget's 64 branches run on
     the whole program state plus the 6 labels pulled from the two chains.
 
     Returns (branch count, least fidelity, probability sum).
     """
-    target = ideal_circuit(program)
-    state = program_input(program)
-    carriers = {q: 1 for q in program.qubits}
+    target = ideal_circuit(circuit)
+    state = circuit_input(circuit)
+    carriers = {q: 1 for q in circuit.qubits}
     branch_count, prob_sum, min_fid = 1, 1.0, math.inf
-    for op in program.ops:
-        if isinstance(op, sv.Rotation):
+    for op in circuit.ops:
+        if isinstance(op, Unitary):
             state = state.apply_one(sv.pol(op.qubit, carriers[op.qubit]), op.matrix)
             continue
         a, b = op.a, op.b
@@ -541,12 +588,12 @@ def evolve_whole_state(program, links_per_qubit):
         min_fid = min(min_fid, leaves.state.fidelity(want).min())
         state = want
         carriers[a], carriers[b] = ca + 1, cb + 1
-    mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in program.qubits}
+    mapping = {sv.pol(q, carriers[q]): sv.pol(q, 0) for q in circuit.qubits}
     min_fid = min(min_fid, state.relabel(mapping).fidelity(target)[0])
     return branch_count, min_fid, prob_sum
 
 
-def lift_choi_branches(monkeypatch, program, links_per_qubit):
+def lift_choi_branches(monkeypatch, circuit, links_per_qubit):
     """Apply each Choi branch of the one check that ``evolve_program`` runs,
     as a map, to every gadget's real input.
 
@@ -564,17 +611,17 @@ def lift_choi_branches(monkeypatch, program, links_per_qubit):
         return checks[-1][1]
 
     monkeypatch.setattr(sv, "_cphase_branches", spy)
-    sv.evolve_program(program, links_per_qubit)
+    sv.evolve_program(circuit.layout, links_per_qubit)
     assert len(checks) == 1
     (_, a0, ca0, b0, cb0), leaves = checks[0]
     maps = leaves.state._matrix((sv.pol(a0, ca0 + 1), sv.pol(b0, cb0 + 1),
                                  sv.pol(a0, 0), sv.pol(b0, 0))).reshape(-1, 4, 4)
     ks = 2 * np.sqrt(leaves.probability)[:, None, None] * maps
-    state = program_input(program)
-    carriers = {q: 1 for q in program.qubits}
+    state = circuit_input(circuit)
+    carriers = {q: 1 for q in circuit.qubits}
     prob_sum, min_fid = 1.0, math.inf
-    for op in program.ops:
-        if isinstance(op, sv.Rotation):
+    for op in circuit.ops:
+        if isinstance(op, Unitary):
             state = state.apply_one(sv.pol(op.qubit, carriers[op.qubit]), op.matrix)
             continue
         a, b = op.a, op.b
@@ -597,10 +644,10 @@ def lift_choi_branches(monkeypatch, program, links_per_qubit):
 
 
 def cphase_first(n_qubits, n_cphases, seed):
-    """A random program behind a leading conditional phase.  Its carriers are
+    """A random circuit behind a leading conditional phase.  Its carriers are
     then a product with the spectators: the (carriers | rest) matrix has rank 1."""
-    prog = sv.random_program(n_qubits, n_cphases, 3, np.random.default_rng(seed))
-    return sv.Program(prog.qubits, prog.inputs, (sv.Cphase("q1", "q3"),) + prog.ops)
+    circuit = random_circuit(n_qubits, n_cphases, 3, seed)
+    return replace(circuit, ops=(sv.Cphase("q1", "q3"),) + circuit.ops)
 
 
 def drop_x_byproducts(monkeypatch):
@@ -647,58 +694,58 @@ class TestOracles:
             got = st.apply_one(dof, u).vec
             assert np.abs(got - apply_one_oracle(st, dof, u)).max() <= 1e-15
 
-    @pytest.mark.parametrize("program", [
-        sv.Program(("a", "b"), {"a": (0.6, 0.8j), "b": (1 / SQ2, -1 / SQ2)},
-                   (sv.Cphase("a", "b"), sv.Rotation("a", H), sv.Rotation("b", T))),
-        sv.Program(("a", "b"), {"a": (0.8, 0.6), "b": (0.28, 0.96j)},
-                   (sv.Rotation("b", H), sv.Rotation("a", T), sv.Cphase("b", "a"))),
-        sv.random_program(2, 2, 2, np.random.default_rng(12)),
-        sv.random_program(3, 2, 3, np.random.default_rng(5)),
-        sv.random_program(5, 2, 3, np.random.default_rng(9)),
+    @pytest.mark.parametrize("circuit", [
+        Circuit(("a", "b"), {"a": (0.6, 0.8j), "b": (1 / SQ2, -1 / SQ2)},
+                (sv.Cphase("a", "b"), Unitary("a", H), Unitary("b", T))),
+        Circuit(("a", "b"), {"a": (0.8, 0.6), "b": (0.28, 0.96j)},
+                (Unitary("b", H), Unitary("a", T), sv.Cphase("b", "a"))),
+        random_circuit(2, 2, 2, 12),
+        random_circuit(3, 2, 3, 5),
+        random_circuit(5, 2, 3, 9),
     ], ids=["cphase-first", "cphase-last", "2q-2c", "3q-2c", "5q-2c"])
-    def test_merge_matches_enumeration(self, program):
-        want = enumerate_program(program, 2)
-        rep = sv.evolve_program(program, 2)
+    def test_merge_matches_enumeration(self, circuit):
+        want = enumerate_program(circuit, 2)
+        rep = sv.evolve_program(circuit.layout, 2)
         assert rep.branch_count == want[0] == 64 ** sum(
-            isinstance(op, sv.Cphase) for op in program.ops)
+            isinstance(op, sv.Cphase) for op in circuit.ops)
         assert rep.min_fidelity == pytest.approx(want[1], abs=1e-12)
         assert rep.probability_sum == pytest.approx(want[2], abs=1e-12)
 
     def test_dropped_x_byproduct_is_caught_by_both(self, monkeypatch):
         drop_x_byproducts(monkeypatch)
-        prog = sv.random_program(2, 1, 2, np.random.default_rng(11))
+        prog = random_circuit(2, 1, 2, 11)
         assert enumerate_program(prog, 1)[1] < 1 - 1e-9
-        assert sv.evolve_program(prog, 1).min_fidelity < 1 - 1e-9
+        assert sv.evolve_program(prog.layout, 1).min_fidelity < 1 - 1e-9
         # six qubits: the whole-state oracle carries four spectators
-        prog = sv.random_program(6, 1, 2, np.random.default_rng(11))
+        prog = random_circuit(6, 1, 2, 11)
         assert enumerate_program(prog, 1)[1] < 1 - 1e-9
         assert evolve_whole_state(prog, 1)[1] < 1 - 1e-9
-        assert sv.evolve_program(prog, 1).min_fidelity < 1 - 1e-9
+        assert sv.evolve_program(prog.layout, 1).min_fidelity < 1 - 1e-9
 
     @pytest.mark.parametrize("n_qubits", [2, 13])
     def test_missing_partner_z_is_caught_by_both(self, monkeypatch, n_qubits):
         drop_partner_z(monkeypatch)
-        prog = sv.random_program(n_qubits, 1, 2, np.random.default_rng(11))
+        prog = random_circuit(n_qubits, 1, 2, 11)
         assert enumerate_program(prog, 1)[1] < 1 - 1e-9
         assert evolve_whole_state(prog, 1)[1] < 1 - 1e-9
-        rep = sv.evolve_program(prog, 1)
+        rep = sv.evolve_program(prog.layout, 1)
         assert rep.min_fidelity < 1 - 1e-9
         assert rep.branch_count == 64
         assert rep.probability_sum == pytest.approx(1, abs=1e-12)
 
-    @pytest.mark.parametrize("program", [
-        sv.random_program(5, 1, 3, np.random.default_rng(1)),
-        sv.random_program(5, 3, 4, np.random.default_rng(2)),
-        sv.random_program(6, 2, 3, np.random.default_rng(3)),
+    @pytest.mark.parametrize("circuit", [
+        random_circuit(5, 1, 3, 1),
+        random_circuit(5, 3, 4, 2),
+        random_circuit(6, 2, 3, 3),
         cphase_first(6, 1, 4),
-        sv.random_program(12, 2, 3, np.random.default_rng(5)),
-        sv.random_program(12, 3, 2, np.random.default_rng(6)),
-        sv.random_program(13, 1, 3, np.random.default_rng(7)),
+        random_circuit(12, 2, 3, 5),
+        random_circuit(12, 3, 2, 6),
+        random_circuit(13, 1, 3, 7),
         cphase_first(13, 2, 8),
     ], ids=["5q-1c", "5q-3c", "6q-2c", "6q-cphase-first", "12q-2c", "12q-3c",
             "13q-1c", "13q-cphase-first"])
     @pytest.mark.parametrize("gadget", ["honest", "dropped-x", "missing-partner-z"])
-    def test_choi_check_matches_whole_state(self, monkeypatch, program, gadget):
+    def test_choi_check_matches_whole_state(self, monkeypatch, circuit, gadget):
         # a broken gadget gives branch fidelities well below 1 on the real
         # input; the Choi branches, lifted to maps, must reproduce them as
         # exactly as the 1s of an honest gadget
@@ -706,15 +753,15 @@ class TestOracles:
             drop_x_byproducts(monkeypatch)
         elif gadget == "missing-partner-z":
             drop_partner_z(monkeypatch)
-        want = evolve_whole_state(program, 3)
-        rep = sv.evolve_program(program, 3)
+        want = evolve_whole_state(circuit, 3)
+        rep = sv.evolve_program(circuit.layout, 3)
         assert rep.branch_count == want[0]
         assert rep.probability_sum == pytest.approx(want[2], abs=1e-12)
         if gadget == "honest":
             assert rep.min_fidelity == pytest.approx(want[1], abs=1e-12)
         else:
             assert rep.min_fidelity < 1 - 1e-9
-        lifted_fid, lifted_sum = lift_choi_branches(monkeypatch, program, 3)
+        lifted_fid, lifted_sum = lift_choi_branches(monkeypatch, circuit, 3)
         assert lifted_fid == pytest.approx(want[1], abs=1e-12)
         assert lifted_sum == pytest.approx(want[2], abs=1e-12)
 

@@ -42,6 +42,12 @@ EXIT_USAGE = 2
 REL_TOL = 0.01
 SIGMAS = 3
 
+# the most weaves or cluster attempts a batch takes: its counts go through
+# numpy's binomial, which computes with doubles, exact on integers up to 2^53
+MAX_COUNT = 2 ** 53
+COUNT_HELP = ("{} to sample, 1 to 2^53 (default 10^6); the batch draws binomial "
+              "counts, computed in doubles, exact up to 2^53")
+
 
 @dataclass(frozen=True)
 class Report:
@@ -83,8 +89,8 @@ def _seed_arg(value: str) -> int:
         f"seed {value!r} (from --seed or $FREEARM_SEED) must be an integer in [0, 2**64)")
 
 
-def _at_least(low: int):
-    """argparse type: an integer >= ``low``."""
+def _at_least(low: int, most: float = float("inf")):
+    """argparse type: an integer >= ``low`` and <= ``most``."""
     def count(value: str) -> int:
         try:
             n = int(value)
@@ -93,6 +99,8 @@ def _at_least(low: int):
                 f"must be an integer >= {low}, got {value!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        if n > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {n}")
         return n
     return count
 
@@ -378,12 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--model", choices=[model.value for model in analytics.WeaveModel],
                    default=analytics.WeaveModel.FULL_CZ_RETRY.value)
-    p.add_argument("--count", type=_at_least(1), default=1_000_000)
+    p.add_argument("--count", type=_at_least(1, MAX_COUNT), default=1_000_000,
+                   help=COUNT_HELP.format("weaves"))
     common(p, cmd_weave)
 
     p = sub.add_parser("cluster", help="Monte Carlo cluster-variant attachment")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=_at_least(1), default=1_000_000)
+    p.add_argument("--count", type=_at_least(1, MAX_COUNT), default=1_000_000,
+                   help=COUNT_HELP.format("attempts"))
     common(p, cmd_cluster)
 
     p = sub.add_parser("verify-weave", help="qubit-level weave verification")

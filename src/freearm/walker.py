@@ -19,9 +19,9 @@ trial's first hits from per-tile counts of its codes, scanning step by step
 only the few tiles that can hold a hit; trials that need more rows continue
 in later rounds.  Blocks run one after another on the calling thread.
 :func:`simulate_step` and :func:`simulate_prep` read the same streams one event
-at a time.  The weave and cluster batches read ``substream(seed, 0)`` in order,
-one reader buffer of ``_CHUNK_UNIFORMS`` doubles at a time, keeping counts per
-value or per round and at most two bytes per weave.
+at a time.  The weave and cluster batches draw, from ``substream(seed, 0)``,
+binomial counts of the weaves or attempts with each outcome, so their cost
+grows with their rounds, not with their count.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ _STREAM_PREP = 1
 _MARGIN = 4.0  # standard deviations of headroom in each sized draw
 _BLOCK_UNIFORMS = 1 << 20  # uniforms in flight, held as 1-byte codes
 _CHUNK_UNIFORMS = 1 << 15  # doubles the reader holds at once: 256 kB
-_ROUND_LIMIT = 2 ** 8 - 1  # weave rounds stop short: after round r a 1-byte counter is <= r + 1
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # words in one PCG64DXSM.jumped: (phi - 1) * 2^128
 
 
@@ -469,72 +468,60 @@ class WeaveStats:
     arms_per_side: Estimate
 
 
-def _batch_rows(rng: np.random.Generator, rows: int, width: int, bound: float):
-    """Reads ``rows`` rows of ``width`` doubles from ``rng`` a reader buffer at a time;
-    yields each slice's first row and its rows' doubles < ``bound``."""
-    step = max(1, _CHUNK_UNIFORMS // width)
-    buf = np.empty(min(rows, step) * width)
-    for first in range(0, rows, step):
-        u = buf[:min(step, rows - first) * width]
-        rng.random(out=u)
-        yield first, (u < bound).reshape(-1, width)
-
-
 def weave_batch(m: int, model: WeaveModel | str, count: int, seed: int) -> WeaveStats:
-    """Vectorized lockstep batch of independent weaves under ``model`` (a :class:`WeaveModel`
-    or its value), drawn round by round, in weave order, from ``substream(seed, 0)``."""
+    """``count`` independent weaves under ``model`` (a :class:`WeaveModel` or its value),
+    sampled as counts of weaves per outcome, never one weave at a time.
+
+    Each draw is one ``binomial(k, s)``, s = m/(m+1), from ``substream(seed, 0)``: of k
+    weaves, those whose teleportation succeeds.  A group of 0 weaves draws nothing.  The
+    draws come in this order, which fixes every result:
+
+    - ``full-cz-retry``: the weaves still retrying are counted per cell (a, b) of their
+      sides' failures so far.  Each round takes the nonzero cells in row-major order and
+      draws, cell by cell, those of the cell's k whose side A succeeds (x); then, cell by
+      cell, those of the x whose side B succeeds too, which finish; then, cell by cell,
+      those of the k - x whose side B succeeds.
+    - ``independent-sides``: side 0 draws, one draw a round, the weaves whose side 0
+      succeeds in that round, which gives each weave's side-0 arms d0.  Then each round
+      of side 1 draws, per d0 from 0 up, those of the weaves with that d0 and side 1
+      still retrying whose side 1 succeeds, which gives the table of (d0, d1).  A
+      weave's ancillas are its deeper side's arms, max(d0, d1).
+    """
     s = float(analytics.ftel_success(m, name="m"))
     rng = substream(seed, 0)
     if WeaveModel(model) is WeaveModel.FULL_CZ_RETRY:
-        # the weaves still retrying are fails[:k], in weave order, a side's failures in each
-        # byte; a finished weave counts its rounds in rounds[r] and its failures in pairs
-        fails, pairs = np.zeros(count, np.uint16), np.zeros(1 << 16, np.int64)
-        rounds, k = [0], count
-        while k:
-            if len(rounds) >= _ROUND_LIMIT:
-                raise OverflowError(f"weave round {len(rounds)} would wrap the failure counters")
-            kept = 0
-            for first, ok in _batch_rows(rng, k, 2, s):
-                failed = (~ok).view(np.uint16).ravel()
-                held = fails[first:first + len(ok)]
-                held += failed
-                done = failed == 0
-                # no weave that finishes in round 1 has failed
-                binned = (np.bincount(held.compress(done)) if len(rounds) > 1
-                          else [np.count_nonzero(done)])
-                pairs[:len(binned)] += binned
-                retry = held.compress(~done)
-                fails[kept:kept + len(retry)] = retry
-                kept += len(retry)
-            rounds.append(k - kept)
-            k = kept
-        pairs = pairs.reshape(256, 256)  # a side's arms are its failures plus one
-        return WeaveStats(count, count_mean_stderr(rounds), count_mean_stderr(
-            np.trim_zeros(np.r_[0, pairs.sum(0) + pairs.sum(1)], "b")))
-    # a side's weaves with r arms ran its round r and stop; those with cs > r (the deeper
-    # side's arms) retry side 0 after round r, or side 1 with side 0 stopped by round r
-    index = np.int32 if count <= 2 ** 31 else np.int64
-    depth = np.ones(count, np.uint8)  # side 0's arms
-    arms, deeper = np.zeros((2, _ROUND_LIMIT + 1), np.int64)
-    for side in range(2):
-        r, k = 1, count
-        while k:
-            if r >= _ROUND_LIMIT:
-                raise OverflowError(f"weave round {r} would wrap the round counters")
-            active = np.concatenate([
-                np.flatnonzero(~ok).astype(index) + first if r == 1
-                else active[first:first + len(ok)].compress(~ok.ravel())
-                for first, ok in _batch_rows(rng, k, 1, s)])
-            arms[r] += k - active.size
-            if side:
-                deeper[r] += np.count_nonzero(depth[active] <= r)
-            else:
-                deeper[r] += active.size
-                depth[active] = r + 1
-            r, k = r + 1, active.size
-    cs_hist = np.r_[0, -np.diff(deeper[1:], prepend=count)]
-    return WeaveStats(count, count_mean_stderr(np.trim_zeros(cs_hist, "b")),
-                      count_mean_stderr(np.trim_zeros(arms, "b")))
+        # retry[a, b]: weaves still retrying after a and b failures of sides A and B;
+        # rounds[r]: weaves finished in round r; arms[v]: finished sides with v arms
+        retry, rounds, arms = np.array([[count]]), [0], np.zeros(2, np.int64)
+        while retry.any():
+            a, b = np.nonzero(retry)
+            k = retry[a, b]
+            a_ok = rng.binomial(k, s)
+            both_ok = rng.binomial(a_ok, s)
+            b_only = rng.binomial(k - a_ok, s)
+            rounds.append(int(both_ok.sum()))
+            # a side's arms are its failures plus one
+            np.add.at(arms, np.r_[a, b] + 1, np.r_[both_ok, both_ok])
+            retry, arms = np.zeros((len(retry) + 1,) * 2, np.int64), np.r_[arms, 0]
+            retry[a, b + 1] += a_ok - both_ok
+            retry[a + 1, b] += b_only
+            retry[a + 1, b + 1] += k - a_ok - b_only
+        return WeaveStats(count, count_mean_stderr(rounds), count_mean_stderr(arms))
+    side0, k = [0], count  # side0[d]: weaves whose side 0 took d arms
+    while k:
+        side0.append(rng.binomial(k, s))
+        k -= side0[-1]
+    table, k = [np.zeros(len(side0), np.int64)], np.array(side0)  # table[d1][d0]
+    while k.any():
+        table.append(rng.binomial(k, s))
+        k = k - table[-1]
+    # square, so that its row and column sums line up by arm count
+    size = max(len(table), len(side0))
+    table = np.pad(table, [(0, size - len(table)), (0, size - len(side0))])
+    # weaves with both sides within c arms, for each c
+    within = table.cumsum(0).cumsum(1).diagonal()
+    return WeaveStats(count, count_mean_stderr(np.diff(within, prepend=0)),
+                      count_mean_stderr(table.sum(0) + table.sum(1)))
 
 
 @dataclass
@@ -552,15 +539,18 @@ def cluster_batch(n: int, count: int, seed: int) -> ClusterStats:
     gate attempt costs one ancilla, and three failures destroy the last unit
     (net -1).  This micro-model is an assumption: its long-run averages are
     compared to, not asserted against, ``cluster_resources_per_unit``.
+
+    Three draws from ``substream(seed, 0)``, p = n^2/(n+1)^2, give the attempts
+    won at each try: ``binomial(count, p)`` at the first, then ``binomial`` of
+    the attempts still open, at the second and at the third.
     """
     p = float(analytics.cz_success(n))
-    cs = net = 0
-    for _, tries in _batch_rows(substream(seed, 0), count, 3, p):
-        # an attempt costs one ancilla per try up to its first success: three, less one if
-        # won at the first try and one if within two (a per-row any or argmax is 20x slower)
-        two = tries[:, 0] | tries[:, 1]
-        cs += 3 * len(tries) - int(np.count_nonzero(tries[:, 0])) - int(np.count_nonzero(two))
-        net += 2 * int(np.count_nonzero(two | tries[:, 2])) - len(tries)
+    rng, won = substream(seed, 0), []
+    for _ in range(3):
+        won.append(rng.binomial(count - sum(won), p))
+    # an attempt costs one ancilla per try up to its first success, or three
+    cs = won[0] + 2 * won[1] + 3 * (count - won[0] - won[1])
+    net = 2 * sum(won) - count
     if net <= 0:
         return ClusterStats(count, math.inf, math.inf)
     return ClusterStats(count, count / net, cs / net)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import walk_moments
 from freearm import analytics, cli, fock, statevec as sv, walker
 
 SQ2 = math.sqrt(2)
@@ -67,11 +68,16 @@ def test_03_order_one_divergence():
 
 def test_04_weave_resources():
     t0 = time.perf_counter()
-    full = walker.weave_batch(2, walker.WeaveModel.FULL_CZ_RETRY, 1_000_000, seed=1)
-    ind = walker.weave_batch(2, walker.WeaveModel.INDEPENDENT_SIDES, 1_000_000,
-                             seed=1)
-    ok = (abs(full.cs_mean.mean - 2.25) <= 0.01 * 2.25
-          and abs(ind.arms_per_side.mean - 1.5) <= 0.01 * 1.5
+    count = 1_000_000
+    full = walker.weave_batch(2, walker.WeaveModel.FULL_CZ_RETRY, count, seed=1)
+    ind = walker.weave_batch(2, walker.WeaveModel.INDEPENDENT_SIDES, count, seed=1)
+    # within 1% and within 5.5 exact standard deviations (the two sides of an
+    # independent-sides weave are independent: 2 * count arm samples)
+    cs = walk_moments.full_retry_moments(2)[0]
+    arms = walk_moments.geometric(Fraction(2, 3))
+    ok = (abs(full.cs_mean.mean - 2.25) <= min(0.01 * 2.25, 5.5 * math.sqrt(cs.var / count))
+          and abs(ind.arms_per_side.mean - 1.5)
+          <= min(0.01 * 1.5, 5.5 * math.sqrt(arms.var / (2 * count)))
           and time.perf_counter() - t0 < 10)
     verdict(4, "weave resource means", ok)
 

@@ -330,6 +330,16 @@ class TestInputBoundary:
         assert code == 2
         assert err[-1].endswith("must be >= 1, got 0")
 
+    @pytest.mark.parametrize("argv", [["weave", "--m", "2"], ["cluster", "--n", "2"]])
+    def test_counts_past_two_to_the_53_rejected_by_parser(self, argv, capsys):
+        """Past 2^53 numpy's binomial, which the batches draw, no longer
+        works on exact doubles, so the parser refuses the count; 2^53 runs."""
+        for count in (2 ** 53 + 1, 10 ** 20):
+            code, err = run_failing(argv + ["--count", str(count)], capsys)
+            assert code == 2
+            assert err[-1].endswith(f"argument --count: must be <= {2 ** 53}, got {count}")
+        assert run(argv + ["--count", str(2 ** 53)], capsys)[0] in (0, 1)
+
     @pytest.mark.parametrize("argv, flag, value", [
         (["verify-evolve", "--cphases", "-3", "--rotations", "-2"], "--cphases", -3),
         (["verify-evolve", "--rotations", "-2"], "--rotations", -2),

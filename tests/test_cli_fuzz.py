@@ -23,14 +23,19 @@ def ints(low, high):
     return st.one_of(st.integers(low, high).map(str), JUNK)
 
 
+# a batch's cost grows with its rounds, not its count, so counts up to the
+# 2^53 bound run in milliseconds; past it they are usage errors
+COUNTS = st.one_of(ints(-1, 1000), st.sampled_from([str(2 ** 53), str(2 ** 53 + 1),
+                                                    str(10 ** 20)]))
+
 FLAGS = {
     "analytic": {"--n": ints(-2, 40), "--m": ints(-2, 40)},
     "walk": {"--n": ints(-1, 5), "--trials": ints(-1, 20), "--target-links": ints(-1, 30),
              "--max-steps": ints(-1, 10_000), "--warmup-links": ints(-2, 30),
              "--threads": ints(-1, 4), "--per-trial": None},
-    "weave": {"--m": ints(-2, 5), "--count": ints(-1, 1000),
+    "weave": {"--m": ints(-2, 5), "--count": COUNTS,
               "--model": st.sampled_from(["full-cz-retry", "independent-sides", "other"])},
-    "cluster": {"--n": ints(-1, 5), "--count": ints(-1, 1000)},
+    "cluster": {"--n": ints(-1, 5), "--count": COUNTS},
     "verify-weave": {},
     "verify-evolve": {"--qubits": ints(-1, 4), "--cphases": ints(-1, 1),
                       "--rotations": ints(-1, 4), "--links": ints(-1, 3)},

@@ -1,4 +1,4 @@
-"""Exact moments of the walk and weave models, as Fractions (test helper).
+"""Exact moments of the walk, weave and cluster models, as Fractions (test helper).
 
 The chain grows from length 0 with a reflecting floor.  A step is forward
 with probability p = s^2 (s = n/(n+1)), backward with b = (1 - p)/2 and
@@ -83,3 +83,41 @@ def independent_cs_moments(m: int) -> Moments:
     mean = 2 / (1 - q) - 1 / (1 - q * q)
     second = 2 * odd_weights(q) - odd_weights(q * q)
     return Moments(mean, second - mean * mean)
+
+
+def geometric(success: Fraction) -> Moments:
+    """Tries up to and including the first success."""
+    return Moments(1 / success, (1 - success) / success ** 2)
+
+
+def full_retry_moments(m: int) -> tuple[Moments, Moments]:
+    """Ancillas and both sides' arms together of one ``full-cz-retry`` weave.
+    Its rounds, one ancilla each, are geometric in s^2 (s = m/(m+1)).  Each of
+    the rounds before the last burns F arms: 2 when both sides failed, which
+    given a failed round has probability (1 - s)^2/(1 - s^2) = (1 - s)/(1 + s),
+    else 1.  The last round weaves in one arm a side, so the arms are 2 plus
+    a random sum of (rounds - 1) terms F."""
+    s = Fraction(m, m + 1)
+    rounds = geometric(s * s)
+    both = (1 - s) / (1 + s)
+    per_fail = Moments(1 + both, both * (1 - both))
+    fails = Moments(rounds.mean - 1, rounds.var)
+    arms = Moments(2 + fails.mean * per_fail.mean,
+                   fails.mean * per_fail.var + fails.var * per_fail.mean ** 2)
+    return rounds, arms
+
+
+def cluster_moments(n: int) -> tuple[Moments, Moments]:
+    """Net units and ancillas of one cluster attach attempt: won at try t
+    (t ancillas, net +1) with probability p (1 - p)^(t-1) for t <= 3, else
+    lost (3 ancillas, net -1), p = n^2/(n+1)^2."""
+    p = Fraction(n * n, (n + 1) ** 2)
+    won = [p * (1 - p) ** t for t in range(3)]
+    lost = (1 - p) ** 3
+
+    def moments(law):  # {value: probability}
+        mean = sum(v * prob for v, prob in law.items())
+        return Moments(mean, sum(v * v * prob for v, prob in law.items()) - mean * mean)
+
+    return (moments({1: sum(won), -1: lost}),
+            moments({1: won[0], 2: won[1], 3: won[2] + lost}))
